@@ -34,6 +34,8 @@ class Payload {
   bool HasScalar(const std::string& key) const {
     return scalars_.count(key) > 0;
   }
+  /// Drops a scalar entry; returns true when it existed.
+  bool RemoveScalar(const std::string& key) { return scalars_.erase(key) > 0; }
   int64_t GetInt(const std::string& key, int64_t def = 0) const;
   double GetDouble(const std::string& key, double def = 0.0) const;
   std::string GetString(const std::string& key,
@@ -79,7 +81,8 @@ class Payload {
 
 /// Well-known participant id for the server.
 inline constexpr int kServerId = 0;
-/// Receiver id meaning "broadcast to all clients".
+/// Receiver id of a multicast: the receiver set rides in the payload
+/// (core/id_set.h), and transports deliver one copy per receiver.
 inline constexpr int kBroadcast = -1;
 
 /// A message exchanged between participants. `msg_type` names the event that

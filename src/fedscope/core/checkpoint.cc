@@ -77,9 +77,13 @@ void SetPackedWords(Payload* p, const std::string& key,
 template <typename T>
 std::vector<T> GetPackedWords(const Payload& p, const std::string& key) {
   static_assert(sizeof(T) == 8);
-  const std::string bytes = p.GetString(key);
-  std::vector<T> v(bytes.size() / sizeof(T));
-  if (!v.empty()) std::memcpy(v.data(), bytes.data(), v.size() * sizeof(T));
+  // Read in place: a batch join's scores are megabytes.
+  const auto it = p.scalars().find(key);
+  const std::string* bytes =
+      it == p.scalars().end() ? nullptr : std::get_if<std::string>(&it->second);
+  if (bytes == nullptr) return {};
+  std::vector<T> v(bytes->size() / sizeof(T));
+  if (!v.empty()) std::memcpy(v.data(), bytes->data(), v.size() * sizeof(T));
   return v;
 }
 

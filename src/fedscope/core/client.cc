@@ -106,9 +106,7 @@ void Client::JoinIn() {
   msg.timestamp = current_time_;
   // Prior responsiveness estimate from device information (paper §3.3.1-ii:
   // "estimated from device information or historical responses").
-  const double score =
-      ResponsivenessScores({options_.device})[0];
-  msg.payload.SetDouble("resp_score", score);
+  msg.payload.SetDouble("resp_score", ResponsivenessScore(options_.device));
   msg.payload.SetInt("num_train", data_.train.size());
   Send(std::move(msg));
 }

@@ -66,16 +66,46 @@ BufferingChannel* ClientCache::Port(int id) {
   return it->second.port.get();
 }
 
-void ClientCache::MarkFinished(int id) {
+void ClientCache::MarkFinished(const IdSet& ids) {
+  if (ids.empty()) return;
+  FS_CHECK_GE(ids.min(), 1);
+  FS_CHECK_LE(ids.max(), population_);
+  for (const IdSet::Interval& in : ids.intervals()) {
+    std::fill(finished_.begin() + in.lo, finished_.begin() + in.hi + 1, 1);
+  }
+  // The flag is only for clients with no other state: live clients track
+  // finish themselves, suspended ones in their resume payload.
+  for (const auto& [id, entry] : live_) {
+    if (ids.Contains(id)) finished_[id] = 0;
+  }
+  for (auto& [id, resume] : suspended_) {
+    if (!ids.Contains(id)) continue;
+    resume.SetInt("finished", 1);
+    finished_[id] = 0;
+  }
+}
+
+IdSet ClientCache::LiveIn(const IdSet& ids) const {
+  std::vector<int> live;
+  for (const auto& [id, entry] : live_) {
+    if (ids.Contains(id)) live.push_back(id);
+  }
+  std::sort(live.begin(), live.end());
+  IdSet out;
+  for (int id : live) out.Insert(id);
+  return out;
+}
+
+bool ClientCache::Finished(int id) const {
   FS_CHECK_GE(id, 1);
   FS_CHECK_LE(id, population_);
-  FS_CHECK(!IsLive(id));
-  auto sit = suspended_.find(id);
-  if (sit != suspended_.end()) {
-    sit->second.SetInt("finished", 1);
-  } else {
-    finished_[id] = 1;
+  const auto live = live_.find(id);
+  if (live != live_.end()) return live->second.client->finished();
+  const auto suspended = suspended_.find(id);
+  if (suspended != suspended_.end()) {
+    return suspended->second.GetInt("finished") != 0;
   }
+  return finished_[id] != 0;
 }
 
 void ClientCache::EvictOne() {

@@ -10,6 +10,7 @@
 
 #include "fedscope/comm/message.h"
 #include "fedscope/core/client.h"
+#include "fedscope/core/id_set.h"
 #include "fedscope/exec/buffering_channel.h"
 
 namespace fedscope {
@@ -65,11 +66,19 @@ class ClientCache {
   /// Threaded-backend port of a live client; FS_CHECK-fails if not live.
   BufferingChannel* Port(int id);
 
-  /// Records a finish delivery for a non-live client without
-  /// instantiating it. Folded into the suspended payload when one
-  /// exists; otherwise a one-bit flag (1M finished clients must not cost
-  /// 1M payloads).
-  void MarkFinished(int id);
+  /// Records a finish delivery for every non-live client in `ids` without
+  /// instantiating any: one range operation. Folded into a suspended
+  /// payload where one exists, otherwise a one-byte flag (1M finished
+  /// clients must not cost 1M payloads). Live clients are left alone —
+  /// they take the real delivery.
+  void MarkFinished(const IdSet& ids);
+
+  /// The live clients among `ids`.
+  IdSet LiveIn(const IdSet& ids) const;
+
+  /// Whether client `id` has been told to finish, read without
+  /// instantiating it.
+  bool Finished(int id) const;
 
   /// Evicts LRU clients beyond capacity, saving resume payloads. Only
   /// call at safe points: after a serial HandleMessage or a parallel

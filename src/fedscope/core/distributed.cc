@@ -56,7 +56,8 @@ void EpochUplink::Send(const Message& msg) {
 // DistributedServerHost
 // --------------------------------------------------------------------------
 
-/// CommChannel that writes outgoing messages to the receiver's socket.
+/// CommChannel that writes outgoing messages to the receiver's socket,
+/// one frame per receiver of a multicast.
 class DistributedServerHost::Router : public CommChannel {
  public:
   explicit Router(DistributedServerHost* host) : host_(host) {}
@@ -70,13 +71,29 @@ class DistributedServerHost::Router : public CommChannel {
                       << MessageSummary(msg);
       return;
     }
+    if (msg.receiver == kBroadcast) {
+      auto receivers = GetReceivers(msg);
+      if (!receivers.ok()) {
+        FS_LOG(Warning) << "dropping multicast: "
+                        << receivers.status().ToString();
+        return;
+      }
+      ForEachDelivery(msg, *receivers,
+                      [this](const Message& copy) { SendOne(copy); });
+      return;
+    }
+    SendOne(msg);
+  }
+
+ private:
+  void SendOne(const Message& msg) {
     std::lock_guard<std::mutex> lock(host_->send_mu_);
     auto it = host_->connections_.find(msg.receiver);
     if (it == host_->connections_.end()) {
       FS_LOG(Warning) << "no connection for worker " << msg.receiver;
       return;
     }
-    // The first finish broadcast marks course end. The flag must be set
+    // The first finish frame marks course end. The flag must be set
     // before the bytes hit the wire: a client can receive finish and hang
     // up before the event loop regains control, and its EOF must already
     // read as orderly.
@@ -95,7 +112,6 @@ class DistributedServerHost::Router : public CommChannel {
     }
   }
 
- private:
   DistributedServerHost* host_;
 };
 
@@ -157,6 +173,9 @@ void DistributedServerHost::PushIncoming(Message msg) {
   // are absorbed by the receiving workers' own idempotence instead (a
   // client not in the sub-cohort is ignored; replication is monotonic).
   if (!timer && msg.receiver == kServerId && dedup_.IsDuplicate(msg)) return;
+  // A peer's join_in announces only its sender; batch joins are the
+  // standalone runner's.
+  if (msg.msg_type == events::kJoinIn) msg.payload.RemoveScalar(kJoinIdsKey);
   incoming_.push_back(std::move(msg));
   cv_.notify_one();
 }
@@ -368,7 +387,10 @@ ServerStats DistributedServerHost::Run() {
     }
     readers_.emplace_back(
         [this, id, connection] { ReaderLoop(id, connection); });
-    if (!IsAggregatorId(id)) client_joins.push_back(std::move(hello.value()));
+    if (!IsAggregatorId(id)) {
+      hello->payload.RemoveScalar(kJoinIdsKey);  // announces only `id`
+      client_joins.push_back(std::move(hello.value()));
+    }
   }
   for (Message& join : client_joins) {
     // Deliver the join to the server worker (triggers assign_id and,

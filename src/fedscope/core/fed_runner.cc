@@ -152,10 +152,13 @@ void FedRunner::BuildWorkers() {
   }
 }
 
+DeviceProfile FedRunner::FleetDevice(int id) const {
+  return job_.fleet.empty() ? DeviceProfile{} : job_.fleet[id - 1];
+}
+
 ClientOptions FedRunner::DeriveClientOptions(int id) const {
   ClientOptions options = job_.client;
-  options.device =
-      job_.fleet.empty() ? DeviceProfile{} : job_.fleet[id - 1];
+  options.device = FleetDevice(id);
   // Same stream as a one-pass `seeder.Fork(1..n)` sweep: Fork is const and
   // keyed on the id, so the per-client seed is re-derivable in isolation —
   // the property virtualized re-instantiation depends on.
@@ -192,6 +195,26 @@ int FedRunner::CacheCapacity() const {
         std::ceil(cohort * (1.0 + job_.server.overselect_frac)));
   }
   return std::max(cohort + 2, 1);
+}
+
+Message FedRunner::MakeBatchJoin() const {
+  // Each score is the one Client::JoinIn reports (it consumes no client
+  // rng), so announcing a 1M-client population instantiates no Client.
+  // The score depends on the device alone: without a customizer that is
+  // the fleet entry, and no per-id options are derived.
+  std::vector<double> scores(population_);
+  for (int id = 1; id <= population_; ++id) {
+    scores[id - 1] = ResponsivenessScore(job_.client_customizer
+                                             ? DeriveClientOptions(id).device
+                                             : FleetDevice(id));
+  }
+  Message join;
+  join.sender = kBroadcast;
+  join.receiver = kServerId;
+  join.msg_type = events::kJoinIn;
+  SetPackedIdSet(&join.payload, kJoinIdsKey, IdSet::Range(1, population_));
+  SetPackedDoubles(&join.payload, kJoinScoresKey, scores);
+  return join;
 }
 
 std::unique_ptr<Server> FedRunner::MakeServer() {
@@ -295,24 +318,39 @@ void FedRunner::MaybeSnapshotAggregator(EdgeAggregator* agg) {
                  static_cast<double>(written.value()));
 }
 
-void FedRunner::DeliverToVirtualClient(const Message& msg) {
-  if (!cache_->IsLive(msg.receiver) && !job_.client_decorator) {
-    // State-free deliveries to reclaimed clients skip instantiation.
-    // Safe because the default handlers make them unobservable: OnFinish
-    // only sets the finished flag (recorded in the cache), the assign_id
-    // handler is a no-op, and neither consumes the client rng. The
-    // virtual-clock advance is unobservable too — the queue delivers in
-    // non-decreasing timestamp order, so no later reply is ever clamped
-    // by it. A client_decorator may have overridden these handlers, so
-    // its presence disables the short-circuits.
-    if (msg.msg_type == events::kFinish) {
-      cache_->MarkFinished(msg.receiver);
-      return;
-    }
-    if (msg.msg_type == events::kAssignId) return;
+void FedRunner::DeliverToClient(const Message& msg) {
+  if (cache_ == nullptr) {
+    clients_[msg.receiver - 1]->HandleMessage(msg);
+    return;
   }
   cache_->Get(msg.receiver)->HandleMessage(msg);
   cache_->Trim();
+}
+
+void FedRunner::DeliverMulticast(const Message& msg) {
+  auto receivers = GetReceivers(msg);
+  FS_CHECK(receivers.ok()) << receivers.status().ToString();
+  if (!receivers->empty() &&
+      (receivers->min() < 1 || receivers->max() > population_)) {
+    FS_LOG(Warning) << "multicast to unknown receivers: "
+                    << MessageSummary(msg);
+    return;
+  }
+  if (cache_ != nullptr && !job_.client_decorator &&
+      (msg.msg_type == events::kFinish || msg.msg_type == events::kAssignId)) {
+    // State-free deliveries to reclaimed clients skip instantiation, as
+    // one range operation. Safe because the default handlers make them
+    // unobservable: OnFinish only sets the finished flag (recorded in the
+    // cache), the assign_id handler is a no-op, and neither consumes the
+    // client rng. The virtual-clock advance is unobservable too — the
+    // queue delivers in non-decreasing timestamp order, so no later reply
+    // is ever clamped by it. A client_decorator may have overridden these
+    // handlers, so its presence instantiates every receiver.
+    if (msg.msg_type == events::kFinish) cache_->MarkFinished(*receivers);
+    receivers = cache_->LiveIn(*receivers);
+  }
+  ForEachDelivery(msg, *receivers,
+                  [this](const Message& copy) { DeliverToClient(copy); });
 }
 
 void FedRunner::Send(const Message& msg) {
@@ -524,30 +562,11 @@ RunResult FedRunner::Run() {
   // server's final virtual time (inert when no tracer is attached).
   ScopedSpan course_span(job_.obs.tracer, "fl_course", 0.0, kServerId);
 
-  // Building up: every client requests to join at t = 0. Standby
-  // aggregators arm their failure watchdogs (no-op for active slots).
+  // Building up: the whole population requests to join at t = 0 in one
+  // batch join_in (DESIGN.md §13). Standby aggregators arm their failure
+  // watchdogs (no-op for active slots).
   for (auto& agg : aggregators_) agg->StartWatchdog();
-  if (cache_ != nullptr) {
-    // Virtualized: joins are synthesized from the descriptors —
-    // byte-identical to Client::JoinIn (which consumes no client rng) —
-    // so announcing a 1M-client population instantiates no Client. The
-    // send enters at worker_channel_, the same decorator stack a live
-    // client's channel feeds.
-    for (int id = 1; id <= population_; ++id) {
-      Message msg;
-      msg.sender = id;
-      msg.receiver = kServerId;
-      msg.msg_type = events::kJoinIn;
-      msg.timestamp = 0.0;
-      const ClientOptions options = DeriveClientOptions(id);
-      msg.payload.SetDouble("resp_score",
-                            ResponsivenessScores({options.device})[0]);
-      msg.payload.SetInt("num_train", provider_->TrainSize(id));
-      worker_channel_->Send(std::move(msg));
-    }
-  } else {
-    for (auto& client : clients_) client->JoinIn();
-  }
+  worker_channel_->Send(MakeBatchJoin());
 
   // Pump the virtual-time event loop. Messages to finished/unknown workers
   // are dropped. The loop ends when the course terminated and the queue
@@ -583,11 +602,9 @@ RunResult FedRunner::Run() {
         if (snapshot_writer_.ShouldSnapshot(last_seen_round)) WriteSnapshot();
       }
     } else if (msg.receiver >= 1 && msg.receiver <= population_) {
-      if (cache_ != nullptr) {
-        DeliverToVirtualClient(msg);
-      } else {
-        clients_[msg.receiver - 1]->HandleMessage(msg);
-      }
+      DeliverToClient(msg);
+    } else if (msg.receiver == kBroadcast) {
+      DeliverMulticast(msg);
     } else if (IsAggregatorId(msg.receiver)) {
       DeliverToAggregator(msg);
     } else {

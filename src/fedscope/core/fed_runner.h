@@ -190,18 +190,27 @@ class FedRunner : public CommChannel {
   };
 
   void BuildWorkers();
+  /// Client `id`'s fleet entry (the default profile for an empty fleet).
+  DeviceProfile FleetDevice(int id) const;
   /// Client `id`'s effective options — base + fleet device + forked seed +
   /// customizer — derived identically by the eager construction loop and
   /// every virtualized (re-)instantiation.
   ClientOptions DeriveClientOptions(int id) const;
+  /// The course-start join_in for the whole population: ids 1..population
+  /// as one interval plus each id's responsiveness score.
+  Message MakeBatchJoin() const;
   /// Factory for the virtualized cache: builds client `id` wired exactly
   /// as the eager path would (port included on the threaded backend).
   ClientCache::Entry MakeCacheEntry(int id);
   /// Effective cache capacity (client_cache_capacity, or the auto bound).
   int CacheCapacity() const;
-  /// Delivers a pump-loop message to a (possibly non-live) virtual
-  /// client, short-circuiting state-free deliveries past instantiation.
-  void DeliverToVirtualClient(const Message& msg);
+  /// Delivers a pump-loop message to client msg.receiver (instantiating
+  /// it first when virtualized and not live).
+  void DeliverToClient(const Message& msg);
+  /// Expands a multicast into one delivery per receiver, ascending. For
+  /// virtualized receivers that are not live, finish and assign_id
+  /// short-circuit past instantiation as one ClientCache range operation.
+  void DeliverMulticast(const Message& msg);
   /// Threaded backend: forms the maximal batch of equal-virtual-time
   /// client-targeted deliveries at the queue front, handles them on the
   /// worker pool with per-delivery capture (sends, metric ops, trace

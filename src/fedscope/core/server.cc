@@ -115,50 +115,75 @@ void Server::RegisterDefaultHandlers() {
 }
 
 void Server::OnJoinIn(const Message& msg) {
-  if (started_) {
-    if (clients_.count(msg.sender) > 0) {
-      // Re-join after a server restart (DESIGN.md §10): the sender is
-      // already a member. Re-ack its id so its transport adopts the new
-      // session epoch; if the snapshot has it mid-training, restart its
-      // round — any update it produced since the snapshot died with the
-      // old process or is rejected as stale-epoch.
-      FS_LOG(Info) << "client " << msg.sender << " re-joined at round "
-                   << round_;
-      Message ack;
-      ack.receiver = msg.sender;
-      ack.msg_type = events::kAssignId;
-      ack.timestamp = msg.timestamp;
-      ack.payload.SetInt("assigned_id", msg.sender);
-      Send(std::move(ack));
-      if (busy_.count(msg.sender) > 0) {
-        busy_.erase(msg.sender);
-        BroadcastModel({msg.sender}, msg.timestamp);
-      }
+  // A batch join lists its ids and their scores (kJoinIdsKey and
+  // kJoinScoresKey, id order); a client's own join names only itself — the
+  // batch of one.
+  IdSet ids;
+  std::vector<double> scores;
+  if (msg.payload.HasScalar(kJoinIdsKey)) {
+    auto batch = GetPackedIdSet(msg.payload, kJoinIdsKey);
+    scores = GetPackedDoubles(msg.payload, kJoinScoresKey);
+    if (!batch.ok() || batch->size() != static_cast<int64_t>(scores.size())) {
+      FS_LOG(Warning) << "malformed batch join_in from " << msg.sender;
       return;
     }
-    FS_LOG(Warning) << "client " << msg.sender << " joined after start";
+    ids = std::move(batch.value());
+  } else {
+    ids.Insert(msg.sender);
+    scores.push_back(msg.payload.GetDouble("resp_score", 1.0));
+  }
+  if (ids.empty()) return;
+  if (ids.min() < 1) {
+    FS_LOG(Warning) << "join_in for invalid client id " << ids.min();
     return;
   }
-  clients_.insert(msg.sender);
-  max_joined_ = std::max(max_joined_, msg.sender);
-  removed_.erase(msg.sender);
-  const int idx = msg.sender - 1;
-  if (idx >= 0) {
-    if (idx >= static_cast<int>(resp_scores_.size())) {
-      resp_scores_.resize(idx + 1, 1.0);
-    }
-    resp_scores_[idx] = msg.payload.GetDouble("resp_score", 1.0);
+
+  if (started_) {
+    // Re-join after a server restart (DESIGN.md §10): members are re-acked
+    // so their transport adopts the new session epoch, and members the
+    // snapshot has mid-training restart their round — any update produced
+    // since the snapshot died with the old process or is rejected as
+    // stale-epoch.
+    IdSet rejoined;
+    std::vector<int> restart;
+    ids.ForEach([&](int id) {
+      if (!members_.Contains(id)) {
+        FS_LOG(Warning) << "client " << id << " joined after start";
+        return;
+      }
+      FS_LOG(Info) << "client " << id << " re-joined at round " << round_;
+      rejoined.Insert(id);
+      if (busy_.erase(id) > 0) restart.push_back(id);
+    });
+    if (rejoined.empty()) return;
+    Message ack;
+    ack.msg_type = events::kAssignId;
+    ack.timestamp = msg.timestamp;
+    SetReceivers(&ack, rejoined);
+    Send(std::move(ack));
+    if (!restart.empty()) BroadcastModel(restart, msg.timestamp);
+    return;
   }
 
+  if (ids.max() > static_cast<int>(resp_scores_.size())) {
+    resp_scores_.resize(ids.max(), 1.0);
+  }
+  auto score = scores.begin();
+  for (const IdSet::Interval& in : ids.intervals()) {
+    const int64_t len = static_cast<int64_t>(in.hi) - in.lo + 1;
+    std::copy(score, score + len, resp_scores_.begin() + (in.lo - 1));
+    score += len;
+  }
+  members_.InsertAll(ids);
+
   Message ack;
-  ack.receiver = msg.sender;
   ack.msg_type = events::kAssignId;
   ack.timestamp = msg.timestamp;
-  ack.payload.SetInt("assigned_id", msg.sender);
+  SetReceivers(&ack, ids);
   Send(std::move(ack));
 
   if (options_.expected_clients > 0 &&
-      static_cast<int>(clients_.size()) >= options_.expected_clients) {
+      members_.size() >= options_.expected_clients) {
     RaiseEvent(events::kAllJoinedIn, msg);
   }
 }
@@ -169,7 +194,7 @@ void Server::StartTraining(const Message& context) {
   sampler_ = MakeSampler(options_.sampler, resp_scores_, options_.num_groups);
   stats_.agg_count.assign(resp_scores_.size() + 1, 0);
 
-  FS_LOG(Info) << "FL course started with " << clients_.size()
+  FS_LOG(Info) << "FL course started with " << members_.size()
                << " clients; strategy handlers: "
                << registry_.RegisteredEvents().size();
   Replenish(context.timestamp);
@@ -179,38 +204,15 @@ void Server::StartTraining(const Message& context) {
 }
 
 std::vector<int> Server::SampleIdle(int k) {
-  // Dense membership: clients_ ∪ removed_ == [1, max_joined_] (disjoint by
-  // construction, so equal sizes imply exact coverage). The idle set is
-  // then the range minus busy minus removed, which the sampler can draw
-  // from without materializing the population.
-  const bool dense =
-      max_joined_ > 0 &&
-      (clients_.empty() || *clients_.begin() >= 1) &&
-      clients_.size() + removed_.size() == static_cast<size_t>(max_joined_);
-  if (dense) {
-    std::vector<int> excluded;
-    excluded.reserve(busy_.size() + removed_.size());
-    auto busy_it = busy_.begin();
-    auto removed_it = removed_.begin();
-    while (busy_it != busy_.end() || removed_it != removed_.end()) {
-      if (removed_it == removed_.end() ||
-          (busy_it != busy_.end() && busy_it->first < *removed_it)) {
-        excluded.push_back(busy_it->first);
-        ++busy_it;
-      } else {
-        excluded.push_back(*removed_it);
-        ++removed_it;
-      }
-    }
-    return sampler_->SampleIds(CandidateView(max_joined_, std::move(excluded)),
-                               k, &rng_);
-  }
-  std::vector<int> idle;
-  idle.reserve(clients_.size());
-  for (int id : clients_) {
-    if (busy_.count(id) == 0) idle.push_back(id);
-  }
-  return sampler_->Sample(idle, k, &rng_);
+  // The idle set is [1, largest member] minus the membership gaps and the
+  // busy ids, so the sampler draws without enumerating the population
+  // (DESIGN.md §13).
+  IdSet idle = members_;
+  for (const auto& [id, round] : busy_) idle.Erase(id);
+  const int population = members_.empty() ? 0 : members_.max();
+  return sampler_->SampleIds(
+      CandidateView(population, idle.Complement(1, population).ToVector()),
+      k, &rng_);
 }
 
 void Server::BroadcastModel(const std::vector<int>& client_ids,
@@ -728,9 +730,7 @@ void Server::OnClientFailure(const Message& msg) {
   if (finished_) return;
   const int id = msg.sender;
   FS_LOG(Warning) << "client " << id << " failed; removed from the course";
-  if (clients_.erase(id) > 0 && id >= 1 && id <= max_joined_) {
-    removed_.insert(id);
-  }
+  members_.Erase(id);
   ++stats_.dropouts;
   const bool record_obs = obs_ != nullptr && obs_->enabled();
   if (record_obs) {
@@ -820,9 +820,7 @@ void Server::HandleRejectedUpdate(const Message& msg,
 }
 
 void Server::QuarantineClient(int id) {
-  if (clients_.erase(id) > 0 && id >= 1 && id <= max_joined_) {
-    removed_.insert(id);
-  }
+  members_.Erase(id);
   busy_.erase(id);
   stats_.quarantined.push_back(id);
   if (obs_ != nullptr && obs_->enabled()) {
@@ -1062,21 +1060,21 @@ void Server::FinishCourse(const Message& context) {
   if (options_.collect_client_metrics) {
     // Final evaluation round: ask every client for its local metrics
     // before dismissing it (the evaluate/metrics flow of Table 2).
-    for (int id : clients_) {
+    members_.ForEach([&](int id) {
       Message msg;
       msg.receiver = id;
       msg.msg_type = events::kEvaluate;
       msg.state = round_;
       msg.timestamp = context.timestamp;
       Send(std::move(msg));
-    }
+    });
   }
-  for (int id : clients_) {
+  if (!members_.empty()) {
     Message msg;
-    msg.receiver = id;
     msg.msg_type = events::kFinish;
     msg.state = round_;
     msg.timestamp = context.timestamp;
+    SetReceivers(&msg, members_);
     Send(std::move(msg));
   }
   // Dismiss the edge aggregators too (stops standby watchdog timers).

@@ -4,12 +4,12 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "fedscope/core/aggregator.h"
 #include "fedscope/core/checkpoint.h"
+#include "fedscope/core/id_set.h"
 #include "fedscope/core/sampler.h"
 #include "fedscope/core/topology.h"
 #include "fedscope/core/trainer.h"
@@ -73,7 +73,8 @@ struct ServerOptions {
   int eval_interval = 1;
   /// Terminate after this many evaluations without improvement (0 = off).
   int early_stop_patience = 0;
-  /// Number of join_in messages to wait for before starting.
+  /// Number of joined clients to wait for before starting (a batch join
+  /// counts each of its ids).
   int expected_clients = 0;
   /// Request a final local evaluation from every client at course end
   /// (exercises the evaluate/metrics message flow; results land in
@@ -193,11 +194,14 @@ class Server : public BaseWorker {
   /// Null unless options().guard.enabled.
   const UpdateGuard* guard() const { return guard_.get(); }
   int round() const { return round_; }
-  int joined_clients() const { return static_cast<int>(clients_.size()); }
+  int joined_clients() const { return static_cast<int>(members_.size()); }
   const std::vector<ClientUpdate>& buffer() const { return buffer_; }
 
  private:
   void RegisterDefaultHandlers();
+  /// Registers a batch join (or a single one, its one-element case) and
+  /// acks it with one assign_id multicast; after course start it is a
+  /// re-join (DESIGN.md §10).
   void OnJoinIn(const Message& msg);
   void OnModelUpdate(const Message& msg);
   void OnTimer(const Message& msg);
@@ -215,8 +219,8 @@ class Server : public BaseWorker {
   /// replacement broadcast in flight; quarantine bounds the recurrence,
   /// so the reset is skipped when quarantine is disabled.
   void RestartStarvationBackstop();
-  /// Exiles a client via the presume-dead machinery (removed_): it leaves
-  /// the sampling pool for the rest of the course.
+  /// Exiles a client via the presume-dead machinery (leaves members_): it
+  /// is out of the sampling pool for the rest of the course.
   void QuarantineClient(int id);
   /// Hierarchical topologies: a standby took over a shard. Bumps the
   /// shard's epoch, reroutes to the new aggregator, and re-broadcasts the
@@ -257,7 +261,7 @@ class Server : public BaseWorker {
   int ActiveAggregatorId(int shard) const {
     return AggregatorId(shard, shard_active_slot_[shard]);
   }
-  /// Samples up to `k` idle clients.
+  /// Samples up to `k` idle clients: members minus the busy ones.
   std::vector<int> SampleIdle(int k);
   /// Brings the number of in-flight clients back up to the configured
   /// concurrency (+ over-selection margin for kSyncOverselect).
@@ -287,16 +291,11 @@ class Server : public BaseWorker {
   ConfigProvider config_provider_;
   FeedbackConsumer feedback_consumer_;
 
-  std::set<int> clients_;        // joined client ids
+  /// Course membership: joined client ids minus those removed since
+  /// (failures, quarantine), as id intervals — one interval for a dense
+  /// population of any size (DESIGN.md §13).
+  IdSet members_;
   std::map<int, int> busy_;      // in-flight clients -> round they work on
-  /// Largest client id ever joined, and the ids removed since (failures).
-  /// When clients_ ∪ removed_ is exactly [1, max_joined_] the idle set is a
-  /// dense range minus a small exclusion list, so SampleIdle can draw
-  /// through a CandidateView in O(cohort + |busy| + |removed_|) instead of
-  /// enumerating the population (DESIGN.md §13). Derived conservatively on
-  /// snapshot restore; both paths consume the rng identically.
-  int max_joined_ = 0;
-  std::set<int> removed_;
   std::vector<double> resp_scores_;  // by client id - 1
   std::vector<ClientUpdate> buffer_;
   /// Hierarchical: client ids covered by the buffered partial at the same

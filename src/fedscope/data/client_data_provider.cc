@@ -12,12 +12,6 @@ EagerDataProvider::EagerDataProvider(const FedDataset* data) : data_(data) {
 
 int EagerDataProvider::num_clients() const { return data_->num_clients(); }
 
-int64_t EagerDataProvider::TrainSize(int id) const {
-  FS_CHECK_GE(id, 1);
-  FS_CHECK_LE(id, data_->num_clients());
-  return data_->clients[id - 1].train.size();
-}
-
 SplitDataset EagerDataProvider::MaterializeClient(int id) const {
   FS_CHECK_GE(id, 1);
   FS_CHECK_LE(id, data_->num_clients());

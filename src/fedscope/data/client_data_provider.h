@@ -14,13 +14,11 @@ namespace fedscope {
 /// splits are materialized when the ClientCache instantiates it and
 /// dropped when the client is reclaimed. Implementations must be
 /// deterministic: MaterializeClient(id) returns bit-identical splits on
-/// every call, and TrainSize(id) equals the materialized train size
-/// without building it (it feeds the synthesized join_in).
+/// every call.
 class ClientDataProvider {
  public:
   virtual ~ClientDataProvider() = default;
   virtual int num_clients() const = 0;
-  virtual int64_t TrainSize(int id) const = 0;
   /// Builds client `id`'s local splits (1-based id).
   virtual SplitDataset MaterializeClient(int id) const = 0;
   virtual const Dataset& server_test() const = 0;
@@ -35,7 +33,6 @@ class EagerDataProvider : public ClientDataProvider {
   explicit EagerDataProvider(const FedDataset* data);
 
   int num_clients() const override;
-  int64_t TrainSize(int id) const override;
   SplitDataset MaterializeClient(int id) const override;
   const Dataset& server_test() const override;
 
@@ -65,9 +62,6 @@ class ProceduralDataProvider : public ClientDataProvider {
   explicit ProceduralDataProvider(ProceduralDataOptions options);
 
   int num_clients() const override { return options_.num_clients; }
-  int64_t TrainSize(int /*id*/) const override {
-    return options_.train_per_client;
-  }
   SplitDataset MaterializeClient(int id) const override;
   const Dataset& server_test() const override { return server_test_; }
 

@@ -101,16 +101,20 @@ std::string FleetToTrace(const std::vector<DeviceProfile>& fleet) {
   return out;
 }
 
+double ResponsivenessScore(const DeviceProfile& device) {
+  // Harmonic combination of compute and communication capability: the
+  // response time is dominated by the slower of the two resources.
+  const double compute = device.compute_speed;
+  const double bw = std::min(device.up_bandwidth, device.down_bandwidth);
+  return 2.0 / (1.0 / std::max(compute, 1e-9) +
+                1.0 / std::max(bw / 1e4, 1e-9));
+}
+
 std::vector<double> ResponsivenessScores(
     const std::vector<DeviceProfile>& fleet) {
   std::vector<double> scores(fleet.size());
   for (size_t i = 0; i < fleet.size(); ++i) {
-    // Harmonic combination of compute and communication capability: the
-    // response time is dominated by the slower of the two resources.
-    const double compute = fleet[i].compute_speed;
-    const double bw = std::min(fleet[i].up_bandwidth, fleet[i].down_bandwidth);
-    scores[i] = 2.0 / (1.0 / std::max(compute, 1e-9) +
-                       1.0 / std::max(bw / 1e4, 1e-9));
+    scores[i] = ResponsivenessScore(fleet[i]);
   }
   return scores;
 }

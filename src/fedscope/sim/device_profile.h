@@ -54,9 +54,13 @@ Result<std::vector<DeviceProfile>> ParseFleetTrace(const std::string& csv);
 /// Renders a fleet back into the trace format (round-trips ParseFleetTrace).
 std::string FleetToTrace(const std::vector<DeviceProfile>& fleet);
 
-/// Ranks clients by a responsiveness score (higher = faster). Used by the
-/// responsiveness-related and group sampling strategies, and by the
-/// bias-CIFAR data generator that couples rare labels to slow clients.
+/// A device's responsiveness score (higher = faster): the prior a client
+/// reports when it joins.
+double ResponsivenessScore(const DeviceProfile& device);
+
+/// Ranks clients by ResponsivenessScore. Used by the responsiveness-related
+/// and group sampling strategies, and by the bias-CIFAR data generator that
+/// couples rare labels to slow clients.
 std::vector<double> ResponsivenessScores(
     const std::vector<DeviceProfile>& fleet);
 

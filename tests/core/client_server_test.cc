@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <vector>
+
+#include "fedscope/core/checkpoint.h"
 #include "fedscope/core/client.h"
 #include "fedscope/core/events.h"
+#include "fedscope/core/id_set.h"
 #include "fedscope/core/server.h"
 #include "fedscope/nn/model_zoo.h"
 #include "fedscope/tensor/tensor_ops.h"
@@ -632,6 +638,123 @@ TEST(ServerTest, StalenessOnePastToleranceIsDropped) {
   EXPECT_EQ(server->round(), 2);  // dropped: no aggregation happened
   EXPECT_EQ(server->stats().dropped_stale, 1);
   EXPECT_EQ(server->stats().staleness_log.size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Batch join and multicast (DESIGN.md §13)
+// ---------------------------------------------------------------------------
+
+constexpr double kBatchScores[] = {0.5, 2.0, 1.0, 3.0, 0.25};
+
+/// One join_in announcing ids 1..5 with kBatchScores, as FedRunner sends
+/// a population's join.
+Message BatchJoin() {
+  Message msg;
+  msg.sender = kBroadcast;
+  msg.receiver = kServerId;
+  msg.msg_type = events::kJoinIn;
+  SetPackedIdSet(&msg.payload, kJoinIdsKey, IdSet::Range(1, 5));
+  SetPackedDoubles(&msg.payload, kJoinScoresKey,
+                   std::vector<double>(std::begin(kBatchScores),
+                                       std::end(kBatchScores)));
+  return msg;
+}
+
+ServerOptions ResponsivenessOptions() {
+  ServerOptions options;
+  options.sampler = "responsiveness";
+  options.expected_clients = 5;
+  options.concurrency = 3;
+  options.seed = 9;
+  return options;
+}
+
+/// Drains `channel`, returning the receivers of its model_para messages.
+std::vector<int> DrainCohort(QueueChannel* channel) {
+  std::vector<int> cohort;
+  while (!channel->Empty()) {
+    const Message m = channel->Pop();
+    if (m.msg_type == events::kModelPara) cohort.push_back(m.receiver);
+  }
+  return cohort;
+}
+
+TEST(ServerTest, BatchJoinMatchesSingleJoins) {
+  // The distinct scores steer the responsiveness sampler, so a score
+  // landing on the wrong id would change the cohort.
+  QueueChannel batch_channel;
+  auto batch = MakeServer(&batch_channel, ResponsivenessOptions());
+  batch->HandleMessage(BatchJoin());
+
+  QueueChannel single_channel;
+  auto single = MakeServer(&single_channel, ResponsivenessOptions());
+  for (int id = 1; id <= 5; ++id) {
+    Message join = JoinFrom(id);
+    join.payload.SetDouble("resp_score", kBatchScores[id - 1]);
+    single->HandleMessage(join);
+  }
+
+  EXPECT_EQ(batch->joined_clients(), 5);
+  EXPECT_EQ(single->joined_clients(), 5);
+  const std::vector<int> cohort = DrainCohort(&batch_channel);
+  EXPECT_EQ(cohort.size(), 3u);
+  EXPECT_EQ(cohort, DrainCohort(&single_channel));
+  Checkpoint from_batch;
+  Checkpoint from_single;
+  batch->ExportSnapshot(&from_batch);
+  single->ExportSnapshot(&from_single);
+  EXPECT_EQ(GetPackedU64s(from_batch.course, "rng"),
+            GetPackedU64s(from_single.course, "rng"));
+  // Membership, scores and the busy cohort agree too.
+  EXPECT_TRUE(from_batch.course == from_single.course);
+}
+
+TEST(ServerTest, BatchJoinIsAckedByOneMulticast) {
+  QueueChannel channel;
+  auto server = MakeServer(&channel, ResponsivenessOptions());
+  server->HandleMessage(BatchJoin());
+  int acks = 0;
+  while (!channel.Empty()) {
+    const Message m = channel.Pop();
+    if (m.msg_type != events::kAssignId) continue;
+    ++acks;
+    EXPECT_EQ(m.receiver, kBroadcast);
+    const Result<IdSet> receivers = GetReceivers(m);
+    ASSERT_TRUE(receivers.ok()) << receivers.status().ToString();
+    EXPECT_EQ(receivers->ToVector(), (std::vector<int>{1, 2, 3, 4, 5}));
+  }
+  EXPECT_EQ(acks, 1);
+}
+
+TEST(ServerTest, QuarantinedClientIsNotAFinishReceiver) {
+  QueueChannel channel;
+  ServerOptions options;
+  options.expected_clients = 3;
+  options.concurrency = 3;
+  options.max_rounds = 1;
+  options.guard.enabled = true;
+  options.guard.quarantine_after = 1;
+  auto server = MakeServer(&channel, options);
+  for (int id = 1; id <= 3; ++id) server->HandleMessage(JoinFrom(id));
+  while (!channel.Empty()) channel.Pop();
+
+  Model ref = TestModel(7);
+  server->HandleMessage(UpdateFrom(2, 0, &ref, std::nanf("")));
+  ASSERT_EQ(server->stats().quarantined, std::vector<int>{2});
+  server->HandleMessage(UpdateFrom(1, 0, &ref, 0.1f));
+  server->HandleMessage(UpdateFrom(3, 0, &ref, 0.1f));
+  ASSERT_TRUE(server->finished());
+
+  int finishes = 0;
+  while (!channel.Empty()) {
+    const Message m = channel.Pop();
+    if (m.msg_type != events::kFinish) continue;
+    ++finishes;
+    const Result<IdSet> receivers = GetReceivers(m);
+    ASSERT_TRUE(receivers.ok()) << receivers.status().ToString();
+    EXPECT_EQ(receivers->ToVector(), (std::vector<int>{1, 3}));
+  }
+  EXPECT_EQ(finishes, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -64,9 +64,11 @@ TEST(CrashRecoveryTest, StandaloneCrashResumeIsBitIdentical) {
 
   RunResult baseline = FedRunner(MakeStandaloneJob(&data)).Run();
 
-  // Crash at the very first delivery (restores a round-0 snapshot), in the
-  // thick of training, and late in the course.
-  for (const int64_t crash_at : {int64_t{0}, int64_t{7}, int64_t{51}}) {
+  // Crash at the very first delivery (restores a round-0 snapshot),
+  // between the batch join and its assign_id multicast, in the thick of
+  // training, and late in the course.
+  for (const int64_t crash_at :
+       {int64_t{0}, int64_t{1}, int64_t{7}, int64_t{51}}) {
     FedJob job = MakeStandaloneJob(&data);
     job.fault.server_crash_at_event = crash_at;
     FedRunner runner(std::move(job));
@@ -98,8 +100,9 @@ TEST(CrashRecoveryTest, VirtualizedCrashResumeIsBitIdentical) {
   // is killed and restored while the population exists only as descriptors
   // plus a bounded live-client cache. Suspended clients are untouched by
   // the server restore, so resume must still be bit-identical to the
-  // uninterrupted *eager* run.
-  for (const int64_t crash_at : {int64_t{0}, int64_t{7}, int64_t{51}}) {
+  // uninterrupted *eager* run. Crash points as in the eager drill above.
+  for (const int64_t crash_at :
+       {int64_t{0}, int64_t{1}, int64_t{7}, int64_t{51}}) {
     FedJob job = MakeStandaloneJob(&data);
     job.virtualize = true;
     job.fault.server_crash_at_event = crash_at;

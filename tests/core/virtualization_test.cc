@@ -15,7 +15,9 @@
 
 #include "fedscope/comm/codec.h"
 #include "fedscope/core/client_cache.h"
+#include "fedscope/core/events.h"
 #include "fedscope/core/fed_runner.h"
+#include "fedscope/core/id_set.h"
 #include "fedscope/core/trainer.h"
 #include "fedscope/data/client_data_provider.h"
 #include "fedscope/nn/model_zoo.h"
@@ -191,6 +193,48 @@ TEST_F(VirtualizationTest, CapacityOneEvictionRestoresIdenticalState) {
 }
 
 // ---------------------------------------------------------------------------
+// The finish multicast reaches non-live clients as one range operation
+// ---------------------------------------------------------------------------
+
+TEST_F(VirtualizationTest, FinishMulticastMarksPopulationWithoutInstantiating) {
+  constexpr int kPopulation = 100000;
+  ProceduralDataOptions data_options;
+  data_options.num_clients = kPopulation;
+  data_options.train_per_client = 8;
+  data_options.server_test_examples = 16;
+  const ProceduralDataProvider provider(data_options);
+
+  FedJob job;
+  job.virtualize = true;
+  job.provider = &provider;
+  Rng model_rng(3);
+  job.init_model = MakeLogisticRegression(
+      static_cast<int>(data_options.features),
+      static_cast<int>(data_options.classes), &model_rng);
+  job.server.concurrency = 4;
+  job.server.max_rounds = 1;
+  job.deploy_eval = false;
+  FedRunner* runner_ptr = nullptr;
+  int finish_deliveries = 0;
+  int64_t instantiated_at_finish = -1;
+  job.delivery_tap = [&](const Message& msg) {
+    if (msg.msg_type != events::kFinish) return;
+    ++finish_deliveries;
+    instantiated_at_finish = runner_ptr->client_cache()->stats().instantiations;
+  };
+  FedRunner runner(std::move(job));
+  runner_ptr = &runner;
+  runner.Run();
+
+  EXPECT_EQ(finish_deliveries, 1);  // one multicast for the population
+  const ClientCache* cache = runner.client_cache();
+  EXPECT_EQ(cache->stats().instantiations, instantiated_at_finish);
+  int finished = 0;
+  for (int id = 1; id <= kPopulation; ++id) finished += cache->Finished(id);
+  EXPECT_EQ(finished, kPopulation);
+}
+
+// ---------------------------------------------------------------------------
 // ClientCache checkpoint round-trip (course checkpoint surface, §10/§13)
 // ---------------------------------------------------------------------------
 
@@ -224,7 +268,7 @@ TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
   a.Get(1);
   a.Get(2);
   a.Trim();         // client 1 suspended, client 2 live
-  a.MarkFinished(3);  // finish recorded without instantiating client 3
+  a.MarkFinished(IdSet::Range(3, 3));  // recorded without instantiating 3
   Payload checkpoint;
   a.ExportState(&checkpoint);
 

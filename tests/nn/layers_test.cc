@@ -195,6 +195,13 @@ struct GradCheckCase {
   double tolerance = 2e-2;
 };
 
+// gtest's default printer dumps the struct's raw bytes, heap pointers
+// included, so the discovered ctest names would change with every run of
+// the binary. Print the case name instead.
+void PrintTo(const GradCheckCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class LayerGradCheck : public ::testing::TestWithParam<GradCheckCase> {};
 
 TEST_P(LayerGradCheck, AnalyticMatchesNumeric) {
