@@ -12,6 +12,8 @@
 #include "fedscope/comm/codec.h"
 #include "fedscope/core/aggregator.h"
 #include "fedscope/core/checkpoint.h"
+#include "fedscope/core/trainer.h"
+#include "fedscope/exec/worker_pool.h"
 #include "fedscope/nn/loss.h"
 #include "fedscope/nn/model_zoo.h"
 #include "fedscope/obs/obs_context.h"
@@ -108,6 +110,30 @@ void BM_ModelForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModelForwardBackward);
+
+// -- server evaluation (DESIGN.md §12) ---------------------------------------
+// The convnet_sync server test set: ConvNet2 on 512 rows of 8×8. Arg 0:
+// inline on the model (the serial backend). Arg N: the row blocks on a
+// pool of N helpers plus the calling thread (the threaded backend's default
+// evaluator). Wall time, since the helpers' work is off the timed thread.
+
+void BM_ServerEvaluate(benchmark::State& state) {
+  const int helpers = static_cast<int>(state.range(0));
+  constexpr int64_t kRows = 512;
+  Rng rng(5);
+  Model model = MakeConvNet2(1, 8, 10, 64, 0.0, &rng);
+  Dataset test;
+  test.x = Tensor::Randn({kRows, 1, 8, 8}, &rng);
+  for (int64_t i = 0; i < kRows; ++i) test.labels.push_back(i % 10);
+  std::unique_ptr<WorkerPool> pool;
+  if (helpers > 0) pool = std::make_unique<WorkerPool>(helpers);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        EvaluateClassifier(&model, test, pool.get()).loss);
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_ServerEvaluate)->Arg(0)->Arg(3)->UseRealTime();
 
 void BM_MessageEncode(benchmark::State& state) {
   Message msg;

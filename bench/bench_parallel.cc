@@ -1,12 +1,16 @@
 // Wall-clock throughput of the threaded execution backend (DESIGN.md
-// §12): the same course, same seed, run serially and on a worker pool at
-// 1/2/4/8 threads. Every threaded run is checked bit-identical to the
-// serial reference before its time is reported — a speedup that changes
-// the result would be worthless.
+// §12): the same course, same seed, run serially and on a worker pool of
+// 1/2/4/8 helper threads, with the pump thread running tasks as well.
+// Every threaded run is checked bit-identical to the serial reference
+// before its time is reported — a speedup that changes the result would
+// be worthless.
 //
 //   bench_parallel [--rounds=N] [--out=BENCH_parallel.json] [--smoke]
 //
-// --smoke shrinks to one tiny course for the CI release-bench-smoke job.
+// Each of 5 reps runs the serial arm and then every threaded arm once;
+// the table and the JSON report each arm's median over the reps. --smoke
+// shrinks to one tiny course and one rep for the CI release-bench-smoke
+// job.
 //
 // Truthfulness note: speedup is bounded by the CPUs of the machine the
 // bench runs on; the JSON records host.num_cpus and the printout says so
@@ -23,6 +27,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "fedscope/util/stats.h"
 
 namespace fedscope {
 namespace bench {
@@ -155,67 +160,87 @@ int Main(int argc, char** argv) {
                                                     : std::vector<int>{1, 2, 4, 8};
   const int num_clients = args.smoke ? 8 : 40;
   const int rounds = args.smoke ? 2 : args.rounds;
+  const int reps = args.smoke ? 1 : 5;
 
   std::vector<Course> courses;
   courses.push_back(MakeMlpCourse(num_clients));
   if (!args.smoke) courses.push_back(MakeConvNet2Course(num_clients));
 
   std::printf("bench_parallel: threaded execution backend throughput\n");
-  std::printf("host CPUs: %u — speedup is capped at min(threads, CPUs);\n",
+  std::printf("host CPUs: %u — each arm runs its helpers plus the pump "
+              "thread;\nspeedup is capped at min(helpers + 1, CPUs);\n",
               num_cpus);
-  std::printf("on a 1-CPU host the threaded rows measure pure overhead.\n\n");
+  std::printf("on a 1-CPU host the threaded rows measure pure overhead.\n");
+  std::printf("wall ms: median of %d reps\n\n", reps);
 
-  Table table({"course", "backend", "threads", "wall ms", "ms/round",
+  Table table({"course", "backend", "helpers", "wall ms", "ms/round",
                "speedup", "bit-identical"});
   std::string json = "{\n  \"schema\": 1,\n  \"time_unit\": \"ms\",\n";
-  json += "  \"note\": \"wall-clock per course, serial vs threaded backend; "
-          "speedup = serial_ms / threaded_ms. Threaded runs are verified "
-          "bit-identical to serial before timing is reported. Speedup is "
-          "bounded by host.num_cpus — on a 1-CPU host threaded rows measure "
-          "scheduling overhead, not parallelism.\",\n";
+  json += "  \"note\": \"wall-clock per course, serial vs threaded backend, "
+          "each the median of `reps` interleaved runs; speedup = serial_ms / "
+          "threaded_ms. threaded_ms is keyed by helper threads; the pump "
+          "thread runs pool tasks too, so N helpers run up to N + 1 tasks at "
+          "once. Threaded runs are verified bit-identical to serial before "
+          "timing is reported. Speedup is bounded by host.num_cpus — on a "
+          "1-CPU host threaded rows measure scheduling overhead, not "
+          "parallelism.\",\n";
+  json += "  \"reps\": " + std::to_string(reps) + ",\n";
   json += "  \"host\": {\n    \"num_cpus\": " + std::to_string(num_cpus) +
           "\n  },\n  \"courses\": {\n";
 
   bool all_identical = true;
   for (size_t ci = 0; ci < courses.size(); ++ci) {
     const Course& c = courses[ci];
-    Sample serial = TimeRun(c, rounds, ExecutionBackend::kSerial, 0);
+    // Interleaved reps: a slow spell of the host lands on every arm alike.
+    RunResult reference;
+    std::vector<double> serial_samples;
+    std::vector<std::vector<double>> threaded_samples(thread_counts.size());
+    std::vector<bool> identical(thread_counts.size(), true);
+    for (int rep = 0; rep < reps; ++rep) {
+      Sample serial = TimeRun(c, rounds, ExecutionBackend::kSerial, 0);
+      serial_samples.push_back(serial.wall_ms);
+      if (rep == 0) reference = std::move(serial.result);
+      for (size_t ti = 0; ti < thread_counts.size(); ++ti) {
+        Sample threaded = TimeRun(c, rounds, ExecutionBackend::kThreaded,
+                                  thread_counts[ti]);
+        threaded_samples[ti].push_back(threaded.wall_ms);
+        identical[ti] =
+            identical[ti] && BitIdentical(reference, threaded.result);
+      }
+    }
+    const double serial_ms = Quantile(serial_samples, 0.5);
     const int done_rounds =
-        serial.result.server.rounds > 0 ? serial.result.server.rounds : 1;
+        reference.server.rounds > 0 ? reference.server.rounds : 1;
     table.Row()
         .Str(c.name)
         .Str("serial")
         .Str("-")
-        .Num(serial.wall_ms, 1)
-        .Num(serial.wall_ms / done_rounds, 1)
+        .Num(serial_ms, 1)
+        .Num(serial_ms / done_rounds, 1)
         .Str("1.00x")
         .Str("ref");
     json += "    \"" + c.name + "\": {\n";
     json += "      \"rounds\": " + std::to_string(done_rounds) + ",\n";
-    json += "      \"serial_ms\": " +
-            std::to_string(serial.wall_ms) + ",\n";
+    json += "      \"serial_ms\": " + std::to_string(serial_ms) + ",\n";
     json += "      \"threaded_ms\": {";
     bool course_identical = true;
     for (size_t ti = 0; ti < thread_counts.size(); ++ti) {
       const int threads = thread_counts[ti];
-      Sample threaded =
-          TimeRun(c, rounds, ExecutionBackend::kThreaded, threads);
-      const bool identical = BitIdentical(serial.result, threaded.result);
-      course_identical = course_identical && identical;
-      const double speedup = serial.wall_ms / threaded.wall_ms;
+      const double threaded_ms = Quantile(threaded_samples[ti], 0.5);
+      course_identical = course_identical && identical[ti];
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.2fx", speedup);
+      std::snprintf(buf, sizeof(buf), "%.2fx", serial_ms / threaded_ms);
       table.Row()
           .Str(c.name)
           .Str("threaded")
           .Int(threads)
-          .Num(threaded.wall_ms, 1)
-          .Num(threaded.wall_ms / done_rounds, 1)
+          .Num(threaded_ms, 1)
+          .Num(threaded_ms / done_rounds, 1)
           .Str(buf)
-          .Str(identical ? "yes" : "NO");
+          .Str(identical[ti] ? "yes" : "NO");
       json += std::string(ti == 0 ? "" : ", ") + "\"" +
               std::to_string(threads) +
-              "\": " + std::to_string(threaded.wall_ms);
+              "\": " + std::to_string(threaded_ms);
     }
     all_identical = all_identical && course_identical;
     json += "},\n      \"bit_identical\": ";

@@ -58,6 +58,7 @@ class Reader {
   }
   bool Raw(void* data, size_t size) {
     if (pos_ + size > in_.size()) return false;
+    if (size == 0) return true;  // an empty tensor's data() may be null
     std::memcpy(data, in_.data() + pos_, size);
     pos_ += size;
     return true;

@@ -86,6 +86,15 @@ void FedRunner::BuildWorkers() {
   }
 
   worker_channel_ = channel;
+  if (job_.exec.backend == ExecutionBackend::kThreaded) {
+    // The pump thread runs pool tasks too, so the default leaves it one
+    // core of its own.
+    int helpers = job_.exec.num_threads;
+    if (helpers <= 0) {
+      helpers = static_cast<int>(std::thread::hardware_concurrency()) - 1;
+    }
+    pool_ = std::make_unique<WorkerPool>(std::max(helpers, 0));
+  }
   server_ = MakeServer();
   snapshot_writer_ = SnapshotWriter(job_.snapshot);
 
@@ -229,8 +238,11 @@ std::unique_ptr<Server> FedRunner::MakeServer() {
   } else {
     const Dataset* test = provider_ != nullptr ? &provider_->server_test()
                                                : &job_.data->server_test;
-    server->set_evaluator(
-        [test](Model* model) { return EvaluateClassifier(model, *test); });
+    // Null on the serial backend: the row blocks run inline.
+    WorkerPool* pool = pool_.get();
+    server->set_evaluator([test, pool](Model* model) {
+      return EvaluateClassifier(model, *test, pool);
+    });
   }
   return server;
 }
@@ -572,13 +584,6 @@ RunResult FedRunner::Run() {
   // are dropped. The loop ends when the course terminated and the queue
   // drained, or when nothing remains to deliver.
   const bool threaded = job_.exec.backend == ExecutionBackend::kThreaded;
-  if (threaded && pool_ == nullptr) {
-    int threads = job_.exec.num_threads;
-    if (threads <= 0) {
-      threads = static_cast<int>(std::thread::hardware_concurrency());
-    }
-    pool_ = std::make_unique<WorkerPool>(threads < 1 ? 1 : threads);
-  }
   int64_t delivered = 0;
   int last_seen_round = server_->round();
   while (!queue_.Empty()) {

@@ -272,8 +272,8 @@ class FedRunner : public CommChannel {
   CommChannel* worker_channel_ = nullptr;
   /// Threaded backend only: per-client send buffers (index 0 -> client 1)
   /// between each client and worker_channel_, and the pool that runs the
-  /// batches. Both absent under kSerial — wiring is byte-identical to
-  /// before the backend existed.
+  /// batches and the default evaluator's row blocks. Both absent under
+  /// kSerial — wiring is byte-identical to before the backend existed.
   std::vector<std::unique_ptr<BufferingChannel>> ports_;
   std::unique_ptr<WorkerPool> pool_;
   SnapshotWriter snapshot_writer_;

@@ -14,6 +14,8 @@
 
 namespace fedscope {
 
+class WorkerPool;
+
 /// Local-training hyperparameters. Mirrors the client-side knobs of the
 /// paper's experiments (§5.2 / Appendix F): Q local SGD steps of a given
 /// batch size at learning rate eta, plus optional regularization.
@@ -99,8 +101,15 @@ class GeneralTrainer : public BaseTrainer {
 double SgdStepOnBatch(Model* model, Sgd* optimizer, const Tensor& x,
                       const std::vector<int64_t>& labels);
 
-/// Cross-entropy evaluation used by all built-in trainers.
-EvalResult EvaluateClassifier(Model* model, const Dataset& data);
+/// Cross-entropy evaluation used by all built-in trainers and the default
+/// server evaluator. Evaluates contiguous blocks of 64 rows and sums the
+/// per-row loss terms in row order once every block is done, so the result
+/// is bit-identical however the blocks are scheduled. With a `pool`, the
+/// blocks run as pool tasks, each on its own copy of `model` (which is
+/// only read); without one, they run in order on `model`. Must not be
+/// given the pool that runs the calling task.
+EvalResult EvaluateClassifier(Model* model, const Dataset& data,
+                              WorkerPool* pool = nullptr);
 
 /// Draws `batch_size` example indices with replacement.
 std::vector<int64_t> SampleBatchIndices(int64_t dataset_size,

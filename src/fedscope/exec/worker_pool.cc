@@ -5,7 +5,7 @@
 namespace fedscope {
 
 WorkerPool::WorkerPool(int num_threads) {
-  FS_CHECK_GE(num_threads, 1);
+  FS_CHECK_GE(num_threads, 0);
   threads_.reserve(static_cast<size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -31,8 +31,19 @@ void WorkerPool::Run(std::vector<std::function<void()>>* tasks) {
   remaining_ = tasks->size();
   ++generation_;
   work_cv_.notify_all();
+  Drain(&lock);
   done_cv_.wait(lock, [this] { return remaining_ == 0; });
   tasks_ = nullptr;
+}
+
+void WorkerPool::Drain(std::unique_lock<std::mutex>* lock) {
+  while (tasks_ != nullptr && next_ < tasks_->size()) {
+    const size_t i = next_++;
+    lock->unlock();
+    (*tasks_)[i]();
+    lock->lock();
+    if (--remaining_ == 0) done_cv_.notify_all();
+  }
 }
 
 void WorkerPool::WorkerLoop() {
@@ -43,13 +54,7 @@ void WorkerPool::WorkerLoop() {
                   [this, seen] { return shutdown_ || generation_ != seen; });
     if (shutdown_) return;
     seen = generation_;
-    while (tasks_ != nullptr && next_ < tasks_->size()) {
-      const size_t i = next_++;
-      lock.unlock();
-      (*tasks_)[i]();
-      lock.lock();
-      if (--remaining_ == 0) done_cv_.notify_all();
-    }
+    Drain(&lock);
   }
 }
 

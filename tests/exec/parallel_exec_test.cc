@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fedscope/core/fed_runner.h"
@@ -16,6 +19,7 @@
 #include "fedscope/exec/buffering_channel.h"
 #include "fedscope/exec/worker_pool.h"
 #include "fedscope/nn/model_zoo.h"
+#include "fedscope/obs/course_log.h"
 
 namespace fedscope {
 namespace {
@@ -48,11 +52,46 @@ TEST(WorkerPoolTest, ReusableAcrossBatchesAndEmptyBatchIsNoop) {
 
 TEST(WorkerPoolTest, SingleThreadPoolWorks) {
   WorkerPool pool(1);
-  int sum = 0;
+  std::atomic<int> sum{0};  // the helper and the caller both run tasks
   std::vector<std::function<void()>> tasks;
   for (int i = 1; i <= 4; ++i) tasks.push_back([&sum, i] { sum += i; });
   pool.Run(&tasks);
-  EXPECT_EQ(sum, 10);
+  EXPECT_EQ(sum.load(), 10);
+}
+
+TEST(WorkerPoolTest, CallerRunsTasks) {
+  // Each task waits for the other to start. On a one-helper pool both
+  // finish only if the calling thread runs one of them; the wait is
+  // bounded so a pool that leaves the caller idle fails instead of hangs.
+  WorkerPool pool(1);
+  std::atomic<int> started{0};
+  std::atomic<int> met{0};
+  auto meet = [&started, &met] {
+    ++started;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (started.load() == 2) ++met;
+  };
+  std::vector<std::function<void()>> tasks = {meet, meet};
+  pool.Run(&tasks);
+  EXPECT_EQ(met.load(), 2);
+}
+
+TEST(WorkerPoolTest, ZeroHelpersRunEveryTaskOnTheCaller) {
+  WorkerPool pool(0);
+  EXPECT_EQ(pool.num_threads(), 0);
+  std::vector<std::thread::id> ran_on(3);
+  std::vector<std::function<void()>> tasks;
+  for (size_t i = 0; i < ran_on.size(); ++i) {
+    tasks.push_back([&ran_on, i] { ran_on[i] = std::this_thread::get_id(); });
+  }
+  pool.Run(&tasks);
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 TEST(BufferingChannelTest, PassthroughOutsideCaptureBufferInside) {
@@ -82,13 +121,13 @@ TEST(BufferingChannelTest, PassthroughOutsideCaptureBufferInside) {
 
 // -- course-level bit-identity ----------------------------------------------
 
-FedDataset SmallData(uint64_t seed = 2) {
+FedDataset SmallData(uint64_t seed = 2, int64_t server_test_size = 128) {
   SyntheticCifarOptions options;
   options.num_clients = 8;
   options.pool_size = 400;
   options.alpha = 1.0;
   options.image_size = 8;
-  options.server_test_size = 128;
+  options.server_test_size = server_test_size;
   options.seed = seed;
   return MakeSyntheticCifar(options);
 }
@@ -202,6 +241,43 @@ TEST(ParallelExecTest, CrashDrillMatchesSerialUnderThreadedBackend) {
   RunResult serial = FedRunner(crashing(0)).Run();
   RunResult threaded = FedRunner(crashing(4)).Run();
   ExpectSameRun(serial, threaded);
+}
+
+// -- server evaluation on the pool -------------------------------------------
+
+struct EvalRecord {
+  int round = 0;
+  bool evaluated = false;
+  uint64_t accuracy_bits = 0;
+  uint64_t loss_bits = 0;
+  bool operator==(const EvalRecord&) const = default;
+};
+
+std::vector<EvalRecord> EvalRecords(FedJob job) {
+  CourseLog log;
+  job.obs.course_log = &log;
+  FedRunner(std::move(job)).Run();
+  std::vector<EvalRecord> out;
+  for (const CourseRoundRecord& r : log.rounds()) {
+    out.push_back({r.round, r.evaluated,
+                   std::bit_cast<uint64_t>(r.eval_accuracy),
+                   std::bit_cast<uint64_t>(r.eval_loss)});
+  }
+  return out;
+}
+
+TEST(ParallelExecTest, EvalLossMatchesSerialRoundByRound) {
+  // The threaded backend evaluates the server's row blocks on the pool.
+  // The accuracy curve cannot see a reordered loss sum; the CourseLog's
+  // per-round eval_loss can. 200 rows: three full blocks and a tail.
+  FedDataset data = SmallData(2, 200);
+  const std::vector<EvalRecord> serial = EvalRecords(SmallJob(&data));
+  ASSERT_FALSE(serial.empty());
+  ASSERT_TRUE(serial.back().evaluated);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(serial, EvalRecords(ThreadedJob(&data, threads)));
+  }
 }
 
 // -- satellite: tap ordering under the threaded backend ---------------------

@@ -189,8 +189,8 @@ TEST(ObsIntegrationTest, AsyncStalenessFlowsIntoLogAndHistogram) {
   for (const auto& round : obs.course_log.rounds()) {
     EXPECT_EQ(round.trigger, events::kGoalAchieved);
   }
-  const MetricSample* staleness =
-      obs.metrics.Snapshot().Find("fs_server_staleness");
+  const MetricsSnapshot snapshot = obs.metrics.Snapshot();
+  const MetricSample* staleness = snapshot.Find("fs_server_staleness");
   ASSERT_NE(staleness, nullptr);
   EXPECT_EQ(static_cast<size_t>(staleness->value),
             result.server.staleness_log.size());
