@@ -118,20 +118,12 @@ Sample TimeRun(const ClientDataProvider* provider, int rounds) {
   return s;
 }
 
-/// Eager twin of the virtualized course (EagerDataProvider materializes
-/// the identical partitions), for the smallest-population identity check.
-RunResult RunEager(const ProceduralDataOptions& data_options, int rounds) {
-  const ProceduralDataProvider provider(data_options);
-  FedDataset data;
-  data.clients.reserve(data_options.num_clients);
-  for (int id = 1; id <= data_options.num_clients; ++id) {
-    data.clients.push_back(provider.MaterializeClient(id));
-  }
-  data.server_test = provider.server_test();
-  FedJob job = MakeJob(nullptr, rounds);
+/// Eager twin of the virtualized course over the same provider (every
+/// client built at construction), for the smallest-population identity
+/// check.
+RunResult RunEager(const ClientDataProvider* provider, int rounds) {
+  FedJob job = MakeJob(provider, rounds);
   job.virtualize = false;
-  job.provider = nullptr;
-  job.data = &data;
   return FedRunner(std::move(job)).Run();
 }
 
@@ -216,7 +208,7 @@ int Main(int argc, char** argv) {
     // eager twin must actually fit).
     if (pi == 0) {
       Sample virt = TimeRun(&provider, 4);
-      RunResult eager = RunEager(data_options, 4);
+      RunResult eager = RunEager(&provider, 4);
       identity_ok = BitIdentical(eager, virt.result);
       identity_checked = true;
       ok = ok && identity_ok;

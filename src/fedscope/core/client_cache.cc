@@ -1,18 +1,11 @@
 #include "fedscope/core/client_cache.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
-#include "fedscope/core/checkpoint.h"
 #include "fedscope/util/logging.h"
 
 namespace fedscope {
-namespace {
-
-std::string IdPrefix(int id) { return "vc/" + std::to_string(id) + "/"; }
-
-}  // namespace
 
 ClientCache::ClientCache(int population, int capacity, EntryFactory factory)
     : population_(population),
@@ -29,10 +22,8 @@ Client* ClientCache::Get(int id) {
   FS_CHECK_LE(id, population_);
   auto it = live_.find(id);
   if (it != live_.end()) {
-    auto pos = lru_pos_.find(id);
-    lru_.erase(pos->second);
-    lru_.push_front(id);
-    pos->second = lru_.begin();
+    // Relinks the node in place: no allocation, and lru_pos_ stays valid.
+    lru_.splice(lru_.begin(), lru_, lru_pos_.find(id)->second);
     return it->second.client.get();
   }
   Entry entry = factory_(id);
@@ -125,44 +116,6 @@ void ClientCache::EvictOne() {
 
 void ClientCache::Trim() {
   while (static_cast<int>(live_.size()) > capacity_) EvictOne();
-}
-
-void ClientCache::ExportState(Payload* p) {
-  p->SetInt("population", population_);
-  std::vector<int64_t> suspended_ids;
-  suspended_ids.reserve(suspended_.size() + live_.size());
-  for (const auto& [id, payload] : suspended_) {
-    suspended_ids.push_back(id);
-    MergePayloadWithPrefix(p, IdPrefix(id), payload);
-  }
-  // Live clients checkpoint through the same resume path but stay live.
-  for (auto& [id, entry] : live_) {
-    suspended_ids.push_back(id);
-    Payload resume;
-    entry.client->ExportResume(&resume);
-    MergePayloadWithPrefix(p, IdPrefix(id), resume);
-  }
-  std::sort(suspended_ids.begin(), suspended_ids.end());
-  SetPackedInt64s(p, "suspended_ids", suspended_ids);
-  std::vector<int64_t> finished_ids;
-  for (int id = 1; id <= population_; ++id) {
-    if (finished_[id] != 0) finished_ids.push_back(id);
-  }
-  SetPackedInt64s(p, "finished_ids", finished_ids);
-}
-
-void ClientCache::RestoreState(const Payload& p) {
-  FS_CHECK(live_.empty());
-  FS_CHECK_EQ(p.GetInt("population"), population_);
-  suspended_.clear();
-  std::fill(finished_.begin(), finished_.end(), 0);
-  for (int64_t id : GetPackedInt64s(p, "suspended_ids")) {
-    suspended_[static_cast<int>(id)] =
-        ExtractPayloadPrefix(p, IdPrefix(static_cast<int>(id)));
-  }
-  for (int64_t id : GetPackedInt64s(p, "finished_ids")) {
-    finished_[static_cast<size_t>(id)] = 1;
-  }
 }
 
 }  // namespace fedscope

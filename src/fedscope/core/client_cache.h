@@ -29,15 +29,17 @@ struct ClientCacheStats {
   int64_t live_peak = 0;
 };
 
-/// Bounded LRU cache of live Clients for the virtualized FedRunner
-/// (DESIGN.md §13). The population exists only as descriptors; Get(id)
-/// instantiates a real Client on demand via the runner-owned factory
-/// (re-deriving its options/Rng stream and materializing data lazily) and
-/// Trim() reclaims least-recently-used clients beyond capacity, saving
-/// their resume payload (Client::ExportResume) so a later Get restores
-/// bit-identical state. Capacity is a pure performance knob: any
-/// eviction/restore sequence yields the same course, so peak live
-/// clients — not correctness — is what it bounds.
+/// LRU cache of live Clients: the only place FedRunner keeps clients
+/// (DESIGN.md §13). An eager course is a cache as large as its
+/// population, filled at construction. A virtualized course keeps the
+/// population as descriptors only; Get(id) instantiates a real Client on
+/// demand via the runner-owned factory (re-deriving its options/Rng stream
+/// and materializing data lazily) and Trim() reclaims least-recently-used
+/// clients beyond capacity, saving their resume payload
+/// (Client::ExportResume) so a later Get restores bit-identical state.
+/// Capacity is a pure performance knob: any eviction/restore sequence
+/// yields the same course, so peak live clients — not correctness — is
+/// what it bounds.
 class ClientCache {
  public:
   /// A live client plus its threaded-backend port (null when the course
@@ -46,8 +48,8 @@ class ClientCache {
     std::unique_ptr<Client> client;
     std::unique_ptr<BufferingChannel> port;
   };
-  /// Builds client `id` exactly as the eager path would (same options,
-  /// same forked seed, same channel wiring). Must be deterministic.
+  /// Builds client `id` with its options, forked seed and channel wiring,
+  /// identically on every call. Must be deterministic.
   using EntryFactory = std::function<Entry(int id)>;
 
   /// `capacity` >= 1: Trim never evicts the most recently used client,
@@ -84,14 +86,6 @@ class ClientCache {
   /// call at safe points: after a serial HandleMessage or a parallel
   /// commit, never while a returned Client*/batch is in use.
   void Trim();
-
-  /// Serializes every client with non-fresh state (live ones are
-  /// snapshotted via ExportResume without evicting them) for the course
-  /// checkpoint (DESIGN.md §10).
-  void ExportState(Payload* p);
-
-  /// Restores ExportState output into a cache with no live clients.
-  void RestoreState(const Payload& p);
 
   const ClientCacheStats& stats() const { return stats_; }
 

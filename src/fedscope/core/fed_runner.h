@@ -27,7 +27,8 @@ namespace fedscope {
 
 /// Everything needed to stand up one FL course in standalone simulation.
 struct FedJob {
-  /// The federated dataset (not owned; must outlive the runner).
+  /// The federated dataset (not owned; must outlive the runner). Ignored
+  /// when `provider` is set.
   const FedDataset* data = nullptr;
   /// Initial global model; every client starts from a copy.
   Model init_model;
@@ -88,33 +89,29 @@ struct FedJob {
   /// deliveries on a worker pool and commits their effects in canonical
   /// order, bit-identical to kSerial under the same seed.
   ExecutionOptions exec;
-  /// Client virtualization (DESIGN.md §13). Off by default: all clients
-  /// are instantiated eagerly at construction, exactly as before. On: the
-  /// population exists as descriptors only; a bounded ClientCache
-  /// instantiates a Client when a message must be delivered to it and
-  /// reclaims it afterwards, so peak live clients is O(cohort) rather
-  /// than O(population). Bit-identical to the eager path under the same
-  /// seed (oracle 12).
+  /// Client virtualization (DESIGN.md §13). Every course keeps its
+  /// clients in one ClientCache. Off by default: the cache holds the
+  /// whole population and is filled at construction, so every client is
+  /// live from the start and never evicted. On: the population exists as
+  /// descriptors only; the bounded cache instantiates a Client when a
+  /// message must be delivered to it and reclaims it afterwards, so peak
+  /// live clients is O(cohort) rather than O(population). Bit-identical
+  /// to the eager course under the same seed (oracle 12).
   bool virtualize = false;
-  /// Live-client bound for the virtualized cache. 0 = auto: the cohort
-  /// size (concurrency plus the over-selection margin) plus slack. A pure
-  /// performance knob — any capacity >= 1 yields the same course.
+  /// Live-client bound for the virtualized cache (ignored when virtualize
+  /// is off). 0 = auto: the cohort size (concurrency plus the
+  /// over-selection margin) plus slack. A pure performance knob — any
+  /// capacity >= 1 yields the same course.
   int client_cache_capacity = 0;
   /// Run the end-of-course deployment evaluation over every client
   /// (RunResult::client_test_accuracy). On by default (paper Figure 12);
   /// turn off for cross-device-scale courses where the O(population)
   /// final sweep dominates. Honoured by both eager and virtualized runs.
   bool deploy_eval = true;
-  /// Lazy data source for virtualized courses (borrowed; must outlive the
-  /// runner). Null with virtualize on: `data` is wrapped in an
-  /// EagerDataProvider. Requires virtualize.
+  /// Data source every client is built from (borrowed; must outlive the
+  /// runner), eager or virtualized. Null: `data` is wrapped in an
+  /// EagerDataProvider.
   const ClientDataProvider* provider = nullptr;
-  /// Optional hook applied to every Client the virtualized cache
-  /// instantiates (handler overrides, poisoners). When set, deliveries
-  /// never short-circuit past instantiation — every targeted client is
-  /// materialized so the decorated behaviour runs. Eager runs ignore it
-  /// (decorate via runner.client(id) before Run()).
-  std::function<void(int, Client*)> client_decorator;
   uint64_t seed = 1234;
 };
 
@@ -131,8 +128,9 @@ struct RunResult {
   CompletenessReport completeness;
 };
 
-/// Standalone-mode runner: instantiates the server and all clients,
-/// connects them through a virtual-time event queue, and pumps messages
+/// Standalone-mode runner: instantiates the server and the clients (all
+/// of them at construction unless virtualized), connects them through a
+/// virtual-time event queue, and pumps messages
 /// until the course terminates (paper §5.3.1's virtual-timestamp
 /// simulation). The runner itself is the CommChannel: workers' Send calls
 /// become queue pushes.
@@ -147,13 +145,16 @@ class FedRunner : public CommChannel {
   void Send(const Message& msg) override;
 
   Server* server() { return server_.get(); }
-  /// The client with id `id` (1-based). Virtualized: instantiates it if
+  /// The client with id `id` (1-based), read through the client cache. An
+  /// eager course's clients are all live, so the pointer stays valid for
+  /// the runner's lifetime. Virtualized: instantiates the client if
   /// needed; the pointer stays valid until the next delivery to a
   /// different client (which may reclaim it).
   Client* client(int id);
-  /// Population size (== live client count only in eager mode).
+  /// Population size (the live client count too, unless virtualized).
   int num_clients() const { return population_; }
-  /// The virtualized client cache (null in eager mode).
+  /// The cache holding every client (never null). Its capacity is the
+  /// population unless the course is virtualized.
   const ClientCache* client_cache() const { return cache_.get(); }
   /// Edge aggregator of `shard` × `slot` (hierarchical topologies only;
   /// null when the incarnation does not exist).
@@ -193,23 +194,23 @@ class FedRunner : public CommChannel {
   /// Client `id`'s fleet entry (the default profile for an empty fleet).
   DeviceProfile FleetDevice(int id) const;
   /// Client `id`'s effective options — base + fleet device + forked seed +
-  /// customizer — derived identically by the eager construction loop and
-  /// every virtualized (re-)instantiation.
+  /// customizer — derived identically on every (re-)instantiation.
   ClientOptions DeriveClientOptions(int id) const;
   /// The course-start join_in for the whole population: ids 1..population
   /// as one interval plus each id's responsiveness score.
   Message MakeBatchJoin() const;
-  /// Factory for the virtualized cache: builds client `id` wired exactly
-  /// as the eager path would (port included on the threaded backend).
+  /// The cache's factory: builds client `id` from the provider's data,
+  /// with its port on the threaded backend.
   ClientCache::Entry MakeCacheEntry(int id);
-  /// Effective cache capacity (client_cache_capacity, or the auto bound).
+  /// Cache capacity: the population when eager; when virtualized,
+  /// client_cache_capacity or the auto bound.
   int CacheCapacity() const;
   /// Delivers a pump-loop message to client msg.receiver (instantiating
-  /// it first when virtualized and not live).
+  /// it first when it is not live).
   void DeliverToClient(const Message& msg);
   /// Expands a multicast into one delivery per receiver, ascending. For
-  /// virtualized receivers that are not live, finish and assign_id
-  /// short-circuit past instantiation as one ClientCache range operation.
+  /// receivers that are not live, finish and assign_id short-circuit past
+  /// instantiation as one ClientCache range operation.
   void DeliverMulticast(const Message& msg);
   /// Threaded backend: forms the maximal batch of equal-virtual-time
   /// client-targeted deliveries at the queue front, handles them on the
@@ -244,11 +245,9 @@ class FedRunner : public CommChannel {
   FedJob job_;
   /// Total participant count (descriptors in virtualized mode).
   int population_ = 0;
-  /// Wraps job_.data when virtualize is on without an explicit provider.
+  /// Wraps job_.data when the job names no provider.
   std::unique_ptr<EagerDataProvider> owned_provider_;
-  /// Data source of virtualized courses (null in eager mode).
-  const ClientDataProvider* provider_ = nullptr;
-  /// Bounded live-client cache (null in eager mode).
+  /// Every live client, with its port on the threaded backend.
   std::unique_ptr<ClientCache> cache_;
   EventQueue queue_;
   FaultPlan fault_plan_;
@@ -256,7 +255,6 @@ class FedRunner : public CommChannel {
   std::unique_ptr<TapChannel> tap_channel_;
   PairwiseDuplicateSuppressor dedup_;
   std::unique_ptr<Server> server_;
-  std::vector<std::unique_ptr<Client>> clients_;  // index 0 -> client id 1
   /// All edge-aggregator incarnations (hierarchical topologies only),
   /// indexed through aggregator_index_ by worker id.
   std::vector<std::unique_ptr<EdgeAggregator>> aggregators_;
@@ -270,11 +268,9 @@ class FedRunner : public CommChannel {
   /// The channel handed to workers (outermost decorator); kept so a
   /// crash-restored server is wired identically to the original.
   CommChannel* worker_channel_ = nullptr;
-  /// Threaded backend only: per-client send buffers (index 0 -> client 1)
-  /// between each client and worker_channel_, and the pool that runs the
-  /// batches and the default evaluator's row blocks. Both absent under
-  /// kSerial — wiring is byte-identical to before the backend existed.
-  std::vector<std::unique_ptr<BufferingChannel>> ports_;
+  /// Threaded backend only: the pool that runs the batches and the
+  /// default evaluator's row blocks. Absent under kSerial — wiring is
+  /// byte-identical to before the backend existed.
   std::unique_ptr<WorkerPool> pool_;
   SnapshotWriter snapshot_writer_;
   int64_t recoveries_ = 0;

@@ -165,14 +165,23 @@ void Server::OnJoinIn(const Message& msg) {
     return;
   }
 
-  if (ids.max() > static_cast<int>(resp_scores_.size())) {
-    resp_scores_.resize(ids.max(), 1.0);
-  }
-  auto score = scores.begin();
-  for (const IdSet::Interval& in : ids.intervals()) {
-    const int64_t len = static_cast<int64_t>(in.hi) - in.lo + 1;
-    std::copy(score, score + len, resp_scores_.begin() + (in.lo - 1));
-    score += len;
+  if (resp_scores_.empty() && ids.min() == 1 &&
+      ids.max() == static_cast<int>(scores.size())) {
+    // Ids 1..n into an empty table, as a standalone population's batch join
+    // brings: the decoded scores are the table. Taking them spares a second
+    // population-sized block while the join message is alive (see the
+    // reserve in FedRunner::Run).
+    resp_scores_ = std::move(scores);
+  } else {
+    if (ids.max() > static_cast<int>(resp_scores_.size())) {
+      resp_scores_.resize(ids.max(), 1.0);
+    }
+    auto score = scores.begin();
+    for (const IdSet::Interval& in : ids.intervals()) {
+      const int64_t len = static_cast<int64_t>(in.hi) - in.lo + 1;
+      std::copy(score, score + len, resp_scores_.begin() + (in.lo - 1));
+      score += len;
+    }
   }
   members_.InsertAll(ids);
 

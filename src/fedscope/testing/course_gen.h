@@ -93,8 +93,8 @@ struct CourseSpec {
   /// 0 = num_clients (the historical default; every pre-population corpus
   /// line keeps its form). > 0 draws a population larger than any cohort
   /// (clamped to [12, 32]), so virtualized runs exercise eviction and
-  /// re-instantiation. The eager-vs-virtualized differential (oracle 12)
-  /// runs on every spec either way.
+  /// re-instantiation. The client-cache capacity sweep (oracle 12) runs
+  /// on every spec either way.
   int population = 0;
 
   // -- fault plan -----------------------------------------------------------

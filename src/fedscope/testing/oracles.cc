@@ -98,10 +98,50 @@ std::string StripVirtualSeries(const std::string& text) {
   return out.str();
 }
 
+/// Requires `run` to reproduce the reference run `ref` bit for bit:
+/// termination, final model, accuracy curve, message and fault counters,
+/// client accuracies, and round structure. `tag` names the rerun in every
+/// violation. (Non-const: Model::GetStateDict is a mutating accessor.)
+void CheckReproduces(std::vector<Violation>* v, const std::string& oracle,
+                     const std::string& tag, CourseObservation& ref,
+                     CourseObservation& run) {
+  Check(v, run.finished == ref.finished, oracle, tag + "termination differs");
+  std::string detail;
+  const bool same_model =
+      StateDictsBitEqual(ref.result.final_model.GetStateDict(),
+                         run.result.final_model.GetStateDict(), &detail);
+  Check(v, same_model, oracle, tag + "final model differs: " + detail);
+  Check(v, ref.result.server.curve == run.result.server.curve, oracle,
+        tag + "accuracy curve differs");
+  Check(v, ref.sent == run.sent && ref.delivered == run.delivered, oracle,
+        tag + Vs("message counts differ (sent)", ref.sent, run.sent) +
+            " / " + Vs("delivered", ref.delivered, run.delivered));
+  Check(v, ref.suppressed == run.suppressed, oracle,
+        tag + Vs("suppressed differs", ref.suppressed, run.suppressed));
+  Check(v,
+        ref.fault.dropout_suppressed == run.fault.dropout_suppressed &&
+            ref.fault.crashes == run.fault.crashes &&
+            ref.fault.lost == run.fault.lost &&
+            ref.fault.duplicated == run.fault.duplicated &&
+            ref.fault.delayed == run.fault.delayed &&
+            ref.fault.aggregator_dropped == run.fault.aggregator_dropped,
+        oracle,
+        tag + "fault-plan counters differ (fault rng consumed off-order)");
+  Check(v,
+        ref.result.client_test_accuracy == run.result.client_test_accuracy,
+        oracle, tag + "client accuracies differ");
+  Check(v,
+        ref.result.server.rounds == run.result.server.rounds &&
+            ref.result.server.staleness_log ==
+                run.result.server.staleness_log &&
+            ref.result.server.agg_count == run.result.server.agg_count,
+        oracle, tag + "round structure differs");
+}
+
 /// The cohort-derived auto capacity of the virtualized client cache
 /// (FedRunner::CacheCapacity) plus the one-client transient a delivery to
 /// a non-live client creates before Trim runs — the bound oracle 12 holds
-/// live_peak to.
+/// the auto-capacity arm's live_peak to.
 int64_t CohortCacheBound(const CourseSpec& spec) {
   int cohort = spec.concurrency;
   if (spec.strategy == "sync_overselect") {
@@ -123,7 +163,7 @@ std::string FormatViolations(const std::vector<Violation>& violations) {
 
 CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
                                         int64_t crash_at_event,
-                                        int exec_threads, bool virtualize,
+                                        int exec_threads, int cache_capacity,
                                         std::string* metrics_export) {
   auto fixture = MakeCourseFixture(spec);
   FedJob job = fixture->MakeJob();
@@ -132,7 +172,8 @@ CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
     job.exec.backend = ExecutionBackend::kThreaded;
     job.exec.num_threads = exec_threads;
   }
-  job.virtualize = virtualize;
+  job.virtualize = cache_capacity != kPopulationCapacity;
+  job.client_cache_capacity = std::max(cache_capacity, 0);
 
   CourseObservation obs;
   MetricsRegistry metrics;
@@ -181,7 +222,7 @@ CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
     obs.promotions += agg->promotions();
     obs.partials_forwarded += agg->partials_forwarded();
   }
-  if (runner.client_cache() != nullptr) obs.cache = runner.client_cache()->stats();
+  obs.cache = runner.client_cache()->stats();
   if (metrics_export != nullptr) *metrics_export = metrics.PrometheusText();
   return obs;
 }
@@ -542,104 +583,49 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
 
   // -- oracle 11: serial-vs-threaded differential ---------------------------
   // The threaded backend commits parallel client work in canonical order
-  // (DESIGN.md §12), so at every worker count the course must reproduce
+  // (DESIGN.md §12), so at every helper count the course must reproduce
   // the base run bit for bit — models, curve, counters, round structure.
   for (int threads : options.parallel_threads) {
     CourseObservation p = RunInstrumentedCourse(spec, -1, threads);
-    const std::string tag = "threads=" + std::to_string(threads) + ": ";
-    Check(&v, p.finished == a.finished, "parallel_differential",
-          tag + "termination differs");
-    Check(&v,
-          StateDictsBitEqual(a.result.final_model.GetStateDict(),
-                             p.result.final_model.GetStateDict(), &detail),
-          "parallel_differential",
-          tag + "threaded backend changed the final model: " + detail);
-    Check(&v, a.result.server.curve == p.result.server.curve,
-          "parallel_differential",
-          tag + "threaded backend changed the accuracy curve");
-    Check(&v, a.sent == p.sent && a.delivered == p.delivered,
-          "parallel_differential",
-          tag + Vs("message counts differ (sent)", a.sent, p.sent) + " / " +
-              Vs("delivered", a.delivered, p.delivered));
-    Check(&v, a.suppressed == p.suppressed, "parallel_differential",
-          tag + Vs("suppressed differs", a.suppressed, p.suppressed));
-    Check(&v,
-          a.fault.dropout_suppressed == p.fault.dropout_suppressed &&
-              a.fault.crashes == p.fault.crashes &&
-              a.fault.lost == p.fault.lost &&
-              a.fault.duplicated == p.fault.duplicated &&
-              a.fault.delayed == p.fault.delayed &&
-              a.fault.aggregator_dropped == p.fault.aggregator_dropped,
-          "parallel_differential",
-          tag + "fault-plan counters differ (fault rng consumed off-order)");
-    Check(&v, a.result.client_test_accuracy == p.result.client_test_accuracy,
-          "parallel_differential",
-          tag + "threaded backend changed client accuracies");
-    Check(&v,
-          a.result.server.rounds == p.result.server.rounds &&
-              a.result.server.staleness_log == p.result.server.staleness_log &&
-              a.result.server.agg_count == p.result.server.agg_count,
-          "parallel_differential",
-          tag + "threaded backend changed the round structure");
+    CheckReproduces(&v, "parallel_differential",
+                    "threads=" + std::to_string(threads) + ": ", a, p);
   }
 
-  // -- oracle 12: eager-vs-virtualized differential -------------------------
-  // Client virtualization (DESIGN.md §13) is a pure execution-strategy
-  // change: descriptors plus a bounded cache must reproduce the eager run
-  // bit for bit. Both sides re-run with a metrics registry attached so the
-  // full obs exposition is compared too — the virtualized run may add only
-  // its fs_virtual_* gauges, which are stripped before comparing.
+  // -- oracle 12: client-cache capacity sweep ------------------------------
+  // Every course keeps its clients in one ClientCache (DESIGN.md §13), and
+  // capacity is a pure performance knob. The eager course — a cache as
+  // large as the population, filled at construction — is the reference;
+  // the virtualized auto capacity and the pathological capacity 1 must
+  // reproduce it bit for bit. Every arm runs with a metrics registry
+  // attached so the full obs exposition is compared too — a virtualized
+  // run may add only its fs_virtual_* gauges, which are stripped before
+  // comparing.
   {
     std::string eager_metrics;
-    std::string virt_metrics;
-    CourseObservation e = RunInstrumentedCourse(spec, -1, options.exec_threads,
-                                                /*virtualize=*/false,
-                                                &eager_metrics);
-    CourseObservation vv = RunInstrumentedCourse(spec, -1, options.exec_threads,
-                                                 /*virtualize=*/true,
-                                                 &virt_metrics);
-    Check(&v, vv.finished == e.finished, "virtualization_differential",
-          "termination differs");
-    Check(&v,
-          StateDictsBitEqual(e.result.final_model.GetStateDict(),
-                             vv.result.final_model.GetStateDict(), &detail),
-          "virtualization_differential",
-          "virtualization changed the final model: " + detail);
-    Check(&v, e.result.server.curve == vv.result.server.curve,
-          "virtualization_differential",
-          "virtualization changed the accuracy curve");
-    Check(&v, e.sent == vv.sent && e.delivered == vv.delivered,
-          "virtualization_differential",
-          Vs("message counts differ (sent)", e.sent, vv.sent) + " / " +
-              Vs("delivered", e.delivered, vv.delivered));
-    Check(&v, e.suppressed == vv.suppressed, "virtualization_differential",
-          Vs("suppressed differs", e.suppressed, vv.suppressed));
-    Check(&v,
-          e.fault.dropout_suppressed == vv.fault.dropout_suppressed &&
-              e.fault.crashes == vv.fault.crashes &&
-              e.fault.lost == vv.fault.lost &&
-              e.fault.duplicated == vv.fault.duplicated &&
-              e.fault.delayed == vv.fault.delayed &&
-              e.fault.aggregator_dropped == vv.fault.aggregator_dropped,
-          "virtualization_differential",
-          "fault-plan counters differ (fault rng consumed off-order)");
-    Check(&v, e.result.client_test_accuracy == vv.result.client_test_accuracy,
-          "virtualization_differential",
-          "virtualization changed client accuracies");
-    Check(&v,
-          e.result.server.rounds == vv.result.server.rounds &&
-              e.result.server.staleness_log == vv.result.server.staleness_log &&
-              e.result.server.agg_count == vv.result.server.agg_count,
-          "virtualization_differential",
-          "virtualization changed the round structure");
-    Check(&v, StripVirtualSeries(virt_metrics) == eager_metrics,
-          "virtualization_differential",
-          "metrics exposition differs beyond the fs_virtual_ gauges");
-    const int64_t bound = CohortCacheBound(spec);
-    Check(&v, vv.cache.live_peak >= 1 && vv.cache.live_peak <= bound,
-          "virtualization_differential",
-          Vs("peak live clients outside [1, cohort bound]", bound,
-             vv.cache.live_peak));
+    CourseObservation e =
+        RunInstrumentedCourse(spec, -1, options.exec_threads,
+                              kPopulationCapacity, &eager_metrics);
+    struct Arm {
+      int capacity;
+      int64_t live_bound;  // Get runs before Trim: capacity + 1 at most
+      const char* tag;
+    };
+    for (const Arm& arm :
+         {Arm{kAutoCapacity, CohortCacheBound(spec), "auto capacity: "},
+          Arm{1, 2, "capacity 1: "}}) {
+      const std::string tag = arm.tag;
+      std::string virt_metrics;
+      CourseObservation vv = RunInstrumentedCourse(
+          spec, -1, options.exec_threads, arm.capacity, &virt_metrics);
+      CheckReproduces(&v, "virtualization_differential", tag, e, vv);
+      Check(&v, StripVirtualSeries(virt_metrics) == eager_metrics,
+            "virtualization_differential",
+            tag + "metrics exposition differs beyond the fs_virtual_ gauges");
+      Check(&v, vv.cache.live_peak >= 1 && vv.cache.live_peak <= arm.live_bound,
+            "virtualization_differential",
+            tag + Vs("peak live clients outside [1, bound]", arm.live_bound,
+                     vv.cache.live_peak));
+    }
 
     // Virtualized crash drill — oracle 8 under virtualization: the cache
     // (the "other processes") survives the server kill, and the resumed
@@ -650,7 +636,7 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
           static_cast<int64_t>(spec.crash_frac *
                                static_cast<double>(e.delivered)));
       CourseObservation vc = RunInstrumentedCourse(
-          spec, crash_at, options.exec_threads, /*virtualize=*/true);
+          spec, crash_at, options.exec_threads, kAutoCapacity);
       Check(&v, vc.recoveries == 1, "virtualization_differential",
             Vs("virtualized server restores performed", int64_t{1},
                vc.recoveries));
@@ -689,9 +675,9 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
     std::string on_metrics;
     std::string off_metrics;
     CourseObservation gon = RunInstrumentedCourse(
-        on, -1, options.exec_threads, /*virtualize=*/false, &on_metrics);
+        on, -1, options.exec_threads, kPopulationCapacity, &on_metrics);
     CourseObservation goff = RunInstrumentedCourse(
-        off, -1, options.exec_threads, /*virtualize=*/false, &off_metrics);
+        off, -1, options.exec_threads, kPopulationCapacity, &off_metrics);
     Check(&v, gon.finished == goff.finished, "guard_transparency",
           "guard toggle changed termination");
     Check(&v,

@@ -44,7 +44,7 @@ struct CourseObservation {
   /// Per-round course record; attached only for hierarchical specs (flat
   /// courses run with the all-null ObsContext, preserving byte-identity).
   CourseLog course_log;
-  /// Virtualized runs only: the client-cache counters at course end.
+  /// The client-cache counters at course end.
   ClientCacheStats cache;
   /// Hostile-client set drawn by the fault plan (empty for benign specs).
   std::set<int> hostile;
@@ -54,31 +54,40 @@ struct CourseObservation {
   int64_t nonfinite_updates_delivered = 0;
 };
 
+/// Client-cache capacities for RunInstrumentedCourse. kPopulationCapacity
+/// runs the eager course: a cache as large as the population, filled at
+/// construction. kAutoCapacity virtualizes with the cohort-derived auto
+/// bound. Any value >= 1 virtualizes with that explicit capacity
+/// (DESIGN.md §13).
+inline constexpr int kPopulationCapacity = -1;
+inline constexpr int kAutoCapacity = 0;
+
 /// `crash_at_event` >= 0 kills the server between the crash_at_event-th
 /// and the next delivery and restores it from a wire-codec-serialized
 /// snapshot (FaultPlanOptions::server_crash_at_event); -1 runs untouched.
 /// `exec_threads` > 0 runs the course under ExecutionBackend::kThreaded
-/// with that many pool workers; 0 keeps the serial default. `virtualize`
-/// runs the course with FedJob::virtualize (client descriptors + bounded
-/// cache, DESIGN.md §13). A non-null `metrics_export` attaches a private
-/// MetricsRegistry and stores its Prometheus exposition after the run.
-CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
-                                        int64_t crash_at_event = -1,
-                                        int exec_threads = 0,
-                                        bool virtualize = false,
-                                        std::string* metrics_export = nullptr);
+/// with that many pool helper threads; 0 keeps the serial default.
+/// `cache_capacity` picks the client lifecycle (kPopulationCapacity,
+/// kAutoCapacity, or an explicit capacity). A non-null `metrics_export`
+/// attaches a private MetricsRegistry and stores its Prometheus exposition
+/// after the run.
+CourseObservation RunInstrumentedCourse(
+    const CourseSpec& spec, int64_t crash_at_event = -1, int exec_threads = 0,
+    int cache_capacity = kPopulationCapacity,
+    std::string* metrics_export = nullptr);
 
 struct OracleOptions {
   /// Also run the standalone-vs-distributed differential when the spec is
   /// eligible (threads + loopback TCP; ~50-200 ms per course).
   bool run_distributed = false;
-  /// Worker counts for the serial-vs-threaded differential (oracle 11):
-  /// each entry reruns the course under ExecutionBackend::kThreaded and
-  /// requires a bit-identical result. Empty disables the oracle.
+  /// Helper-thread counts for the serial-vs-threaded differential (oracle
+  /// 11): each entry reruns the course under ExecutionBackend::kThreaded
+  /// on a pool of that many helpers plus the pump thread, and requires a
+  /// bit-identical result. Empty disables the oracle.
   std::vector<int> parallel_threads = {2, 4};
   /// Backend for every base oracle run: 0 = serial (the default), > 0 =
-  /// kThreaded with that many workers. fuzz_course --threads sets this so
-  /// shrunk repros replay under either backend.
+  /// kThreaded with that many pool helpers. fuzz_course --threads sets
+  /// this so shrunk repros replay under either backend.
   int exec_threads = 0;
 };
 
@@ -112,15 +121,17 @@ bool DistributedEligible(const CourseSpec& spec);
 ///      failover boundary),
 ///  11. serial-vs-threaded differential: the course rerun under
 ///      ExecutionBackend::kThreaded at each OracleOptions::parallel_threads
-///      worker count must reproduce the base run bit for bit (final model,
+///      helper count must reproduce the base run bit for bit (final model,
 ///      curve, client accuracies, message counts, round structure),
-///  12. eager-vs-virtualized differential (DESIGN.md §13): the course
-///      rerun with FedJob::virtualize must reproduce the eager run bit for
-///      bit — final model, curve, client accuracies, message and fault
-///      counters, round structure, and the metrics exposition (up to the
-///      fs_virtual_* gauges only the virtualized run emits); peak live
-///      clients must stay within the cohort-derived cache bound, and the
-///      virtualized crash drill must resume bit-identically too,
+///  12. client-cache capacity sweep (DESIGN.md §13): the eager course (a
+///      cache as large as the population, the reference) is rerun
+///      virtualized at the auto capacity and at capacity 1, and each must
+///      reproduce it bit for bit — final model, curve, client accuracies,
+///      message and fault counters, round structure, and the metrics
+///      exposition (up to the fs_virtual_* gauges only virtualized runs
+///      emit). Peak live clients must stay within the cohort-derived bound
+///      at the auto capacity and within 2 at capacity 1, and the
+///      auto-capacity crash drill must resume bit-identically too,
 ///  13. guard transparency (benign specs, DESIGN.md §14): a pure-screening
 ///      ingress guard (no norm bound) over a course with zero hostile
 ///      clients must be bit-invisible — final model, curve, counters,

@@ -445,5 +445,60 @@ TEST(FedRunnerTest, ClientAccessorBounds) {
   EXPECT_DEATH(runner.client(9), "");
 }
 
+TEST(FedRunnerTest, EagerCourseIsAFullClientCache) {
+  // Without virtualize the runner keeps its clients in a cache as large as
+  // the population, filled at construction and never evicted.
+  FedDataset data = SmallData();
+  FedRunner runner(FlattenedJob(&data));
+  const ClientCache* cache = runner.client_cache();
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->capacity(), data.num_clients());
+  Client* third = runner.client(3);
+  runner.Run();
+  const ClientCacheStats& stats = cache->stats();
+  EXPECT_EQ(stats.instantiations, data.num_clients());
+  EXPECT_EQ(stats.live_peak, data.num_clients());
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.restores, 0);
+  EXPECT_EQ(runner.client(3), third);
+}
+
+TEST(FedRunnerTest, EagerCourseDeliversFinishToEveryClient) {
+  // The eager course is the reference the virtualized capacities are held
+  // to: every client is live from construction, so finish reaches each as
+  // a real delivery, never the cache's short-circuit for clients that are
+  // not live. One round samples half the clients and no deployment sweep
+  // touches the rest, so a lazily built cache would show here.
+  FedDataset data = SmallData();
+  FedJob job = FlattenedJob(&data);
+  job.server.max_rounds = 1;
+  job.deploy_eval = false;
+  FedRunner runner(std::move(job));
+  runner.Run();
+  const ClientCacheStats& stats = runner.client_cache()->stats();
+  EXPECT_EQ(stats.instantiations, runner.num_clients());
+  for (int id = 1; id <= runner.num_clients(); ++id) {
+    EXPECT_TRUE(runner.client(id)->finished()) << "client " << id;
+  }
+  EXPECT_EQ(stats.instantiations, runner.num_clients());
+  EXPECT_EQ(stats.restores, 0);
+}
+
+TEST(FedRunnerTest, EagerProviderCourseMatchesDataCourse) {
+  // A provider works without virtualize: wrapping the same FedDataset in
+  // an EagerDataProvider reproduces the job.data course bit for bit.
+  FedDataset data = SmallData();
+  RunResult direct = FedRunner(FlattenedJob(&data, 9)).Run();
+  const EagerDataProvider provider(&data);
+  FedJob job = FlattenedJob(nullptr, 9);
+  job.provider = &provider;
+  job.virtualize = false;
+  RunResult wrapped = FedRunner(std::move(job)).Run();
+  EXPECT_TRUE(direct.final_model.GetStateDict() ==
+              wrapped.final_model.GetStateDict());
+  EXPECT_EQ(direct.server.curve, wrapped.server.curve);
+  EXPECT_EQ(direct.client_test_accuracy, wrapped.client_test_accuracy);
+}
+
 }  // namespace
 }  // namespace fedscope

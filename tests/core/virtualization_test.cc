@@ -31,6 +31,7 @@ namespace {
 using testing::CourseGen;
 using testing::CourseObservation;
 using testing::CourseSpec;
+using testing::kAutoCapacity;
 using testing::MakeCourseFixture;
 using testing::RunInstrumentedCourse;
 
@@ -105,7 +106,7 @@ TEST_F(VirtualizationTest, LivePeakBoundedByCohortAcrossCourseShapes) {
     ASSERT_GT(spec.EffectiveClients(), CohortBound(spec)) << c.name;
 
     const CourseObservation obs = RunInstrumentedCourse(
-        spec, /*crash_at_event=*/-1, c.exec_threads, /*virtualize=*/true);
+        spec, /*crash_at_event=*/-1, c.exec_threads, kAutoCapacity);
     EXPECT_TRUE(obs.finished) << c.name;
     EXPECT_GE(obs.cache.live_peak, 1) << c.name;
     EXPECT_LE(obs.cache.live_peak, CohortBound(spec)) << c.name;
@@ -128,7 +129,7 @@ TEST_F(VirtualizationTest, VirtualizedCourseBitIdenticalToEager) {
   const CourseSpec spec = BaseSpec();
   CourseObservation eager = RunInstrumentedCourse(spec);
   CourseObservation virt =
-      RunInstrumentedCourse(spec, -1, /*exec_threads=*/0, /*virtualize=*/true);
+      RunInstrumentedCourse(spec, -1, /*exec_threads=*/0, kAutoCapacity);
   EXPECT_EQ(eager.finished, virt.finished);
   EXPECT_TRUE(BitEqual(eager.result.final_model.GetStateDict(),
                        virt.result.final_model.GetStateDict()));
@@ -143,7 +144,7 @@ TEST_F(VirtualizationTest, ThreadedVirtualizedCourseBitIdenticalToSerialEager) {
   const CourseSpec spec = BaseSpec();
   CourseObservation eager = RunInstrumentedCourse(spec);
   CourseObservation virt =
-      RunInstrumentedCourse(spec, -1, /*exec_threads=*/3, /*virtualize=*/true);
+      RunInstrumentedCourse(spec, -1, /*exec_threads=*/3, kAutoCapacity);
   EXPECT_EQ(eager.finished, virt.finished);
   EXPECT_TRUE(BitEqual(eager.result.final_model.GetStateDict(),
                        virt.result.final_model.GetStateDict()));
@@ -235,7 +236,7 @@ TEST_F(VirtualizationTest, FinishMulticastMarksPopulationWithoutInstantiating) {
 }
 
 // ---------------------------------------------------------------------------
-// ClientCache checkpoint round-trip (course checkpoint surface, §10/§13)
+// ClientCache per-client checkpoint: eviction and the finish flag
 // ---------------------------------------------------------------------------
 
 class NullChannel : public CommChannel {
@@ -264,39 +265,45 @@ TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
     return entry;
   };
 
-  ClientCache a(options.num_clients, /*capacity=*/1, factory);
-  a.Get(1);
-  a.Get(2);
-  a.Trim();         // client 1 suspended, client 2 live
-  a.MarkFinished(IdSet::Range(3, 3));  // recorded without instantiating 3
-  Payload checkpoint;
-  a.ExportState(&checkpoint);
+  ClientCache cache(options.num_clients, /*capacity=*/1, factory);
+  // Give client 1 non-fresh state: a trained model and an advanced rng.
+  Message para;
+  para.sender = kServerId;
+  para.receiver = 1;
+  para.msg_type = events::kModelPara;
+  Model global = init;
+  para.payload.SetStateDict("model", global.GetStateDict());
+  cache.Get(1)->HandleMessage(para);
+  ASSERT_EQ(cache.Get(1)->rounds_trained(), 1);
+  Payload before;
+  cache.Get(1)->ExportResume(&before);
+  cache.Get(2);
+  cache.Trim();  // client 1 suspended, client 2 live
+  EXPECT_FALSE(cache.IsLive(1));
+  cache.MarkFinished(IdSet::Range(3, 3));  // recorded without instantiating 3
+  EXPECT_FALSE(cache.IsLive(3));
+  EXPECT_TRUE(cache.Finished(3));
 
-  // Restore into a fresh cache; re-exporting must be byte-identical.
-  ClientCache b(options.num_clients, /*capacity=*/1, factory);
-  b.RestoreState(checkpoint);
-  Payload roundtrip;
-  b.ExportState(&roundtrip);
-  EXPECT_EQ(EncodePayload(checkpoint), EncodePayload(roundtrip));
-
-  // A restored client resumes the exact serialized state.
+  // An evicted client restores its exact pre-eviction resume payload.
   Payload resumed;
-  b.Get(1)->ExportResume(&resumed);
-  const Payload want = ExtractPayloadPrefix(checkpoint, "vc/1/");
-  EXPECT_EQ(EncodePayload(resumed), EncodePayload(want));
-  EXPECT_EQ(b.stats().restores, 1);
+  cache.Get(1)->ExportResume(&resumed);
+  EXPECT_EQ(EncodePayload(before), EncodePayload(resumed));
+  EXPECT_EQ(cache.stats().restores, 1);
+  cache.Trim();
 
-  // The finish flag survives the round trip: instantiating client 3 in the
-  // restored cache behaves exactly like a fresh client told to finish.
-  Payload restored_finished;
-  b.Get(3)->ExportResume(&restored_finished);
+  // A client marked finished while not live instantiates exactly like a
+  // fresh client told to finish.
+  Payload marked_finished;
+  cache.Get(3)->ExportResume(&marked_finished);
   ClientCache::Entry fresh = factory(3);
-  Payload finish_only;
-  finish_only.SetInt("finished", 1);
-  fresh.client->RestoreResume(finish_only);
+  Message finish;
+  finish.sender = kServerId;
+  finish.receiver = 3;
+  finish.msg_type = events::kFinish;
+  fresh.client->HandleMessage(finish);
   Payload want_finished;
   fresh.client->ExportResume(&want_finished);
-  EXPECT_EQ(EncodePayload(restored_finished), EncodePayload(want_finished));
+  EXPECT_EQ(EncodePayload(marked_finished), EncodePayload(want_finished));
 }
 
 }  // namespace
