@@ -153,7 +153,7 @@ void Server::OnJoinIn(const Message& msg) {
       }
       FS_LOG(Info) << "client " << id << " re-joined at round " << round_;
       rejoined.Insert(id);
-      if (busy_.erase(id) > 0) restart.push_back(id);
+      if (ledger_.InFlight(id)) restart.push_back(id);
     });
     if (rejoined.empty()) return;
     Message ack;
@@ -207,17 +207,20 @@ void Server::StartTraining(const Message& context) {
                << " clients; strategy handlers: "
                << registry_.RegisteredEvents().size();
   Replenish(context.timestamp);
-  if (options_.strategy == Strategy::kAsyncTime || deadline_active()) {
-    ScheduleTimer(context.timestamp);
-  }
+  ScheduleTimer(context.timestamp);
 }
 
 std::vector<int> Server::SampleIdle(int k) {
+  if (k <= 0) return {};
   // The idle set is [1, largest member] minus the membership gaps and the
-  // busy ids, so the sampler draws without enumerating the population
-  // (DESIGN.md §13).
+  // in-flight ids, so the sampler draws without enumerating the population
+  // (DESIGN.md §13). A buffered partial fixes its contributors' weight in
+  // the round, so they are not idle until it aggregates.
   IdSet idle = members_;
-  for (const auto& [id, round] : busy_) idle.Erase(id);
+  for (const auto& [id, round] : ledger_.in_flight()) idle.Erase(id);
+  for (const std::vector<int>& contributors : buffer_contributors_) {
+    for (int id : contributors) idle.Erase(id);
+  }
   const int population = members_.empty() ? 0 : members_.max();
   return sampler_->SampleIds(
       CandidateView(population, idle.Complement(1, population).ToVector()),
@@ -226,59 +229,47 @@ std::vector<int> Server::SampleIdle(int k) {
 
 void Server::BroadcastModel(const std::vector<int>& client_ids,
                             double timestamp) {
-  if (options_.topology.hierarchical()) {
-    BroadcastModelSharded(client_ids, timestamp);
-    return;
-  }
-  const StateDict shared = global_model_.GetStateDict(options_.share_filter);
+  if (client_ids.empty()) return;
+  // Flat: one model_para per client. Hierarchical: one per shard, to the
+  // shard's active edge aggregator, naming the shard's part of the cohort.
+  std::vector<std::pair<int, std::vector<int64_t>>> sends;  // receiver, cohort
+  std::map<int, std::vector<int64_t>> by_shard;
   for (int id : client_ids) {
+    ledger_.Open(id, round_);
+    if (options_.topology.hierarchical()) {
+      by_shard[ShardOfClient(options_.topology, id, options_.expected_clients)]
+          .push_back(id);
+    } else {
+      sends.push_back({id, {}});
+    }
+  }
+  for (auto& [shard, cohort] : by_shard) {
+    sends.push_back({ActiveAggregatorId(shard), std::move(cohort)});
+  }
+  FS_CHECK(by_shard.empty() || config_provider_ == nullptr)
+      << "hierarchical topologies do not support per-client HPO configs";
+  const StateDict shared = global_model_.GetStateDict(options_.share_filter);
+  for (auto& [receiver, cohort] : sends) {
     Message msg;
-    msg.receiver = id;
+    msg.receiver = receiver;
     msg.msg_type = events::kModelPara;
     msg.state = round_;
     msg.timestamp = timestamp;
     msg.payload.SetStateDict(kModelKey, shared);
-    if (config_provider_) {
-      Config config = config_provider_(id, round_);
+    if (!cohort.empty()) {  // an edge aggregator
+      SetPackedInt64s(&msg.payload, "cohort", cohort);
+      msg.payload.SetInt("shard_epoch",
+                         shard_epochs_[AggregatorShard(receiver)]);
+    } else if (config_provider_) {
+      Config config = config_provider_(receiver, round_);
       for (const auto& key : config.Keys()) {
         msg.payload.SetDouble(key, config.GetDouble(key, 0.0));
       }
       msg.payload.SetInt("hpo.want_feedback", 1);
     }
-    busy_[id] = round_;
     if (obs_ != nullptr && obs_->enabled()) {
       pending_downlink_bytes_ += msg.payload.ByteSize();
-      ++pending_broadcasts_;
-    }
-    Send(std::move(msg));
-  }
-}
-
-void Server::BroadcastModelSharded(const std::vector<int>& client_ids,
-                                   double timestamp) {
-  if (client_ids.empty()) return;
-  FS_CHECK(config_provider_ == nullptr)
-      << "hierarchical topologies do not support per-client HPO configs";
-  std::map<int, std::vector<int64_t>> by_shard;
-  for (int id : client_ids) {
-    by_shard[ShardOfClient(options_.topology, id, options_.expected_clients)]
-        .push_back(id);
-    busy_[id] = round_;
-  }
-  const StateDict shared = global_model_.GetStateDict(options_.share_filter);
-  const bool record_obs = obs_ != nullptr && obs_->enabled();
-  for (auto& [shard, cohort] : by_shard) {
-    Message msg;
-    msg.receiver = ActiveAggregatorId(shard);
-    msg.msg_type = events::kModelPara;
-    msg.state = round_;
-    msg.timestamp = timestamp;
-    msg.payload.SetStateDict(kModelKey, shared);
-    SetPackedInt64s(&msg.payload, "cohort", cohort);
-    msg.payload.SetInt("shard_epoch", shard_epochs_[shard]);
-    if (record_obs) {
-      pending_downlink_bytes_ += msg.payload.ByteSize();
-      pending_broadcasts_ += static_cast<int>(cohort.size());
+      pending_broadcasts_ += std::max<int>(1, cohort.size());
     }
     Send(std::move(msg));
   }
@@ -312,26 +303,23 @@ void Server::OnPartialUpdate(const Message& msg) {
   std::vector<int> contributors;
   for (int64_t id : GetPackedInt64s(msg.payload, "contributors")) {
     contributors.push_back(static_cast<int>(id));
-    busy_.erase(static_cast<int>(id));
   }
-  const std::vector<int64_t> declined =
-      GetPackedInt64s(msg.payload, "declined_ids");
-  for (int64_t id : declined) {
-    busy_.erase(static_cast<int>(id));
+  std::vector<int> declined;
+  for (int64_t id : GetPackedInt64s(msg.payload, "declined_ids")) {
+    declined.push_back(static_cast<int>(id));
     ++stats_.declined;
     if (record_obs) {
       ++pending_declined_;
       obs_->Count("fs_server_declined_total");
     }
   }
-  // Members whose updates the edge aggregator's guard rejected: they
-  // covered their cohort slot (the shard saw their reply) but contributed
-  // nothing; the root books the violation so quarantine is course-global.
-  const std::vector<int64_t> rejected =
-      GetPackedInt64s(msg.payload, "rejected_ids");
-  for (int64_t id64 : rejected) {
+  // Members whose updates the edge aggregator's guard rejected: the shard
+  // saw their reply but they contributed nothing; the root books the
+  // violation so quarantine is course-global.
+  std::vector<int> rejected;
+  for (int64_t id64 : GetPackedInt64s(msg.payload, "rejected_ids")) {
     const int id = static_cast<int>(id64);
-    busy_.erase(id);
+    rejected.push_back(id);
     ++stats_.updates_rejected;
     if (record_obs) {
       ++pending_rejected_;
@@ -342,9 +330,6 @@ void Server::OnPartialUpdate(const Message& msg) {
       QuarantineClient(id);
     }
   }
-  covered_this_round_ += static_cast<int>(contributors.size() +
-                                          declined.size() + rejected.size());
-
   if (!contributors.empty()) {
     const int staleness = round_ - msg.state;
     if (staleness > options_.staleness_tolerance) {
@@ -392,14 +377,18 @@ void Server::OnPartialUpdate(const Message& msg) {
       }
       if (usable) {
         buffer_.push_back(std::move(update));
-        buffer_contributors_.push_back(std::move(contributors));
+        buffer_contributors_.push_back(contributors);
+      } else {
+        // The partial carried their updates; its rejection is theirs.
+        rejected.insert(rejected.end(), contributors.begin(),
+                        contributors.end());
+        contributors.clear();
       }
     }
   }
-
-  if (covered_this_round_ >= sampled_this_round_) {
-    RaiseEvent(events::kAllReceived, msg);
-  }
+  for (int id : contributors) ledger_.End(id, SlotOutcome::kReceived);
+  if (!rejected.empty()) RepairSlots(SlotOutcome::kRejected, rejected, msg);
+  RepairSlots(SlotOutcome::kDeclined, declined, msg);
 }
 
 void Server::OnStandbyPromoted(const Message& msg) {
@@ -424,13 +413,13 @@ void Server::OnStandbyPromoted(const Message& msg) {
   // re-broadcast the shard's in-flight cohort through the new aggregator
   // (stale-epoch rejection keeps any late survivor output out).
   std::vector<int> inflight;
-  for (const auto& [id, round] : busy_) {
+  for (const auto& [id, round] : ledger_.in_flight()) {
     if (ShardOfClient(options_.topology, id, options_.expected_clients) ==
         shard) {
       inflight.push_back(id);
     }
   }
-  if (!inflight.empty()) BroadcastModelSharded(inflight, msg.timestamp);
+  BroadcastModel(inflight, msg.timestamp);
 }
 
 void Server::Replenish(double timestamp) {
@@ -439,22 +428,20 @@ void Server::Replenish(double timestamp) {
     want = static_cast<int>(options_.concurrency *
                             (1.0 + options_.overselect_frac));
   }
-  // Only workers whose eventual update can still be tolerated count
-  // against the concurrency target; workers stuck on rounds older than
-  // the staleness toleration will be dropped anyway (with toleration 0
-  // this is exactly the fresh-cohort rule of over-selection).
-  int in_flight = 0;
-  for (const auto& [id, round] : busy_) {
-    if (round_ - round <= options_.staleness_tolerance) ++in_flight;
-  }
-  const int missing = want - in_flight;
-  if (missing <= 0) return;
-  auto cohort = SampleIdle(missing);
-  sampled_this_round_ = in_flight + static_cast<int>(cohort.size());
+  // Only slots whose eventual update can still be tolerated count against
+  // the concurrency target; slots stuck on rounds older than the
+  // staleness toleration will be dropped anyway (with toleration 0 this
+  // is exactly the fresh-cohort rule of over-selection).
+  const int carried =
+      ledger_.OpenedSince(round_ - options_.staleness_tolerance);
+  if (carried >= want) return;
+  const std::vector<int> cohort = SampleIdle(want - carried);
+  ledger_.set_awaited(carried + static_cast<int>(cohort.size()));
   BroadcastModel(cohort, timestamp);
 }
 
 void Server::ScheduleTimer(double now) {
+  if (!timed()) return;
   const double delay = options_.strategy == Strategy::kAsyncTime
                            ? options_.time_budget
                            : options_.receive_deadline;
@@ -468,33 +455,19 @@ void Server::ScheduleTimer(double now) {
 
 void Server::OnModelUpdate(const Message& msg) {
   if (finished_ || !started_) return;
-  busy_.erase(msg.sender);
   const bool record_obs = obs_ != nullptr && obs_->enabled();
   if (record_obs) pending_uplink_bytes_ += msg.payload.ByteSize();
 
+  // The reply ends the sender's slot, if one is in flight; what the reply
+  // carries decides the outcome.
   if (msg.payload.GetInt("declined", 0) != 0) {
-    // The client declined this round (low_bandwidth behaviour): free the
-    // slot, shrink the cohort the synchronous trigger waits for, and keep
-    // the concurrency up under after-receiving broadcasts.
+    // The client declined this round (low_bandwidth behaviour).
     ++stats_.declined;
     if (record_obs) {
       ++pending_declined_;
       obs_->Count("fs_server_declined_total");
     }
-    if (sampled_this_round_ > 0) --sampled_this_round_;
-    switch (options_.strategy) {
-      case Strategy::kSyncVanilla:
-        if (static_cast<int>(buffer_.size()) >= sampled_this_round_) {
-          RaiseEvent(events::kAllReceived, msg);
-        }
-        break;
-      default:
-        break;
-    }
-    if (!finished_ &&
-        options_.broadcast == BroadcastManner::kAfterReceiving) {
-      BroadcastModel(SampleIdle(1), msg.timestamp);
-    }
+    RepairSlots(SlotOutcome::kDeclined, {msg.sender}, msg);
     return;
   }
 
@@ -523,6 +496,7 @@ void Server::OnModelUpdate(const Message& msg) {
         FS_LOG(Warning) << "dropping undecodable quant8 update from "
                         << msg.sender << ": "
                         << decoded.status().ToString();
+        ledger_.End(msg.sender, SlotOutcome::kReceived);
         return;
       }
       update.delta = std::move(decoded.value());
@@ -532,6 +506,7 @@ void Server::OnModelUpdate(const Message& msg) {
         FS_LOG(Warning) << "dropping undecodable topk update from "
                         << msg.sender << ": "
                         << decoded.status().ToString();
+        ledger_.End(msg.sender, SlotOutcome::kReceived);
         return;
       }
       update.delta = std::move(decoded.value());
@@ -551,7 +526,18 @@ void Server::OnModelUpdate(const Message& msg) {
         if (record_obs) obs_->Count("fs_server_updates_clipped_total");
       }
       if (decision.rejected()) {
-        HandleRejectedUpdate(msg, decision);
+        ++stats_.updates_rejected;
+        if (record_obs) {
+          ++pending_rejected_;
+          obs_->Count("fs_server_updates_rejected_total", 1.0,
+                      {{"reason", GuardReasonLabel(decision.verdict)}});
+        }
+        FS_LOG(Warning) << "rejecting update from client " << msg.sender
+                        << " (" << GuardReasonLabel(decision.verdict)
+                        << "): " << decision.detail;
+        // An offender stays drawable until quarantine exiles it.
+        if (decision.quarantine) QuarantineClient(msg.sender);
+        RepairSlots(SlotOutcome::kRejected, {msg.sender}, msg);
         return;
       }
     }
@@ -567,172 +553,146 @@ void Server::OnModelUpdate(const Message& msg) {
       buffer_.push_back(std::move(update));
     }
   }
+  const bool ended_slot = ledger_.End(msg.sender, SlotOutcome::kReceived);
 
   if (feedback_consumer_) {
     feedback_consumer_(msg.sender, msg.state, msg.payload);
   }
 
-  // Condition checking (§3.2): has the aggregation trigger fired?
+  CheckTrigger(msg);
+
+  // After-receiving broadcast (§3.3.1-iii): hand the up-to-date model to
+  // one idle client as soon as feedback ends a slot, keeping concurrency
+  // constant (FedBuff-style).
+  if (!finished_ && ended_slot &&
+      options_.broadcast == BroadcastManner::kAfterReceiving) {
+    BroadcastModel(SampleIdle(1), msg.timestamp);
+  }
+}
+
+void Server::CheckTrigger(const Message& msg) {
+  // Condition checking (§3.2): has the aggregation trigger fired? A
+  // synchronous round waits for every awaited update; over-selection for
+  // the first `concurrency` of them.
+  const int buffered = BufferedUpdates();
   switch (options_.strategy) {
     case Strategy::kSyncVanilla:
-      if (static_cast<int>(buffer_.size()) >= sampled_this_round_) {
+      if (buffered >= ledger_.awaited()) {
         RaiseEvent(events::kAllReceived, msg);
       }
       break;
     case Strategy::kSyncOverselect:
-      if (static_cast<int>(buffer_.size()) >= options_.concurrency) {
+      if (buffered >= std::min(options_.concurrency, ledger_.awaited())) {
         RaiseEvent(events::kGoalAchieved, msg);
       }
       break;
     case Strategy::kAsyncGoal:
-      if (static_cast<int>(buffer_.size()) >= options_.aggregation_goal) {
+      if (buffered >= options_.aggregation_goal) {
         RaiseEvent(events::kGoalAchieved, msg);
       }
       break;
     case Strategy::kAsyncTime:
       break;  // aggregation is driven by the timer
   }
+}
 
-  // After-receiving broadcast (§3.3.1-iii): hand the up-to-date model to
-  // one idle client as soon as feedback arrives, keeping concurrency
-  // constant (FedBuff-style).
-  if (!finished_ && options_.broadcast == BroadcastManner::kAfterReceiving) {
-    BroadcastModel(SampleIdle(1), msg.timestamp);
+int Server::BufferedUpdates() const {
+  if (!options_.topology.hierarchical()) {
+    return static_cast<int>(buffer_.size());
   }
+  // A partial carries one update per contributor.
+  int n = 0;
+  for (const std::vector<int>& contributors : buffer_contributors_) {
+    n += static_cast<int>(contributors.size());
+  }
+  return n;
 }
 
 void Server::OnTimer(const Message& msg) {
   if (finished_ || !started_) return;
   if (msg.state != round_) return;  // a timer from a completed round
-  if (deadline_active()) {
-    HandleReceiveDeadline(msg);
+  if (!timed()) return;  // stray timer
+  // One termination rule for both timers (DESIGN.md §7): the receive
+  // deadline of the synchronous strategies and kAsyncTime's time_up.
+  const char* event =
+      deadline_active() ? events::kReceiveDeadline : events::kTimeUp;
+  if (BufferedUpdates() >= options_.min_received) {
+    RaiseEvent(event, msg);
     return;
   }
-  if (options_.strategy != Strategy::kAsyncTime) return;  // stray timer
-  if (static_cast<int>(buffer_.size()) >= options_.min_received) {
-    RaiseEvent(events::kTimeUp, msg);
-  } else {
-    // Remedial measures (§3.3.2): extend the round, pull in more clients.
-    FS_LOG(Debug) << "round " << round_
-                  << " time budget expired with too little feedback; "
-                     "extending round";
-    if (CountExtensionAndCheckBackstop(events::kTimeUp, msg)) return;
-    Replenish(msg.timestamp);
-    ScheduleTimer(msg.timestamp);
-  }
-}
-
-bool Server::CountExtensionAndCheckBackstop(const std::string& aggregate_event,
-                                            const Message& msg) {
+  // Remedial measures (§3.3.2) for a starved expiry. A rejected slot was
+  // answered, so with quarantine on each one buys the round one more
+  // expiry; quarantine bounds how often that can happen.
   ++stats_.round_extensions;
-  ++extensions_this_round_;
-  if (obs_ != nullptr && obs_->enabled()) {
-    obs_->Count("fs_server_round_extensions_total");
-  }
-  if (extensions_this_round_ <= options_.max_round_extensions) return false;
-  // Liveness backstop: a round that stays starved through this many
-  // extensions will never complete normally (e.g. the whole fleet is
-  // dead). Aggregate whatever arrived, or give the course up.
-  if (!buffer_.empty()) {
-    FS_LOG(Warning) << "round " << round_ << " starved after "
-                    << options_.max_round_extensions
-                    << " extensions; aggregating " << buffer_.size()
-                    << " updates below min_received";
-    RaiseEvent(aggregate_event, msg);
-    return true;
-  }
-  if (aggregate_event == events::kTimeUp && stats_.updates_rejected > 0 &&
-      restaffs_this_round_ < kMaxStarvationRestaffs) {
-    // The course has rejected feedback, so the fleet is (or was) provably
-    // alive: the silence here is typically phantom in-flight slots — a
-    // rejection's replacement handed to a dead client, which Replenish
-    // then counts against concurrency forever. Presume the outstanding
-    // cohort dead and let the caller restaff it instead of giving the
-    // course up. A course that never rejected keeps the legacy abort
-    // bit-exactly (the guard-transparency oracle depends on that), and
-    // the per-round budget keeps a genuinely dead fleet terminating.
-    ++restaffs_this_round_;
-    std::vector<int> outstanding;
-    outstanding.reserve(busy_.size());
-    for (const auto& [id, round] : busy_) outstanding.push_back(id);
-    for (int id : outstanding) busy_.erase(id);
-    stats_.dropouts += static_cast<int64_t>(outstanding.size());
-    if (obs_ != nullptr && obs_->enabled()) {
-      pending_dropouts_ += static_cast<int64_t>(outstanding.size());
-      obs_->Count("fs_server_dropouts_total",
-                  static_cast<double>(outstanding.size()));
+  const bool record_obs = obs_ != nullptr && obs_->enabled();
+  if (record_obs) obs_->Count("fs_server_round_extensions_total");
+  const int budget =
+      options_.max_round_extensions +
+      (options_.guard.quarantine_after > 0 ? ledger_.rejected() : 0);
+  if (ledger_.CountStarved() > budget) {
+    // The round will not complete normally (e.g. the whole fleet is dead):
+    // aggregate what arrived, and give the course up if that does not end
+    // the round.
+    FS_LOG(Warning) << "round " << round_ << " starved after " << budget
+                    << " extensions; ending it with " << buffer_.size()
+                    << " buffered updates";
+    const int round = round_;
+    if (!buffer_.empty()) RaiseEvent(event, msg);
+    if (!finished_ && round_ == round) {
+      stats_.aborted = true;
+      FinishCourse(msg);
     }
-    extensions_this_round_ = 0;
-    FS_LOG(Warning) << "round " << round_ << " starved after "
-                    << options_.max_round_extensions
-                    << " extensions with rejected feedback on record; "
-                    << "presuming " << outstanding.size()
-                    << " in-flight clients dead and restaffing the cohort ("
-                    << restaffs_this_round_ << "/" << kMaxStarvationRestaffs
-                    << ")";
-    return false;
-  }
-  FS_LOG(Warning) << "round " << round_ << " starved after "
-                  << options_.max_round_extensions
-                  << " extensions with no feedback at all; aborting course";
-  stats_.aborted = true;
-  FinishCourse(msg);
-  return true;
-}
-
-void Server::RestartStarvationBackstop() {
-  // A rejection is proof the fleet is alive, and the replacement broadcast
-  // just put fresh work in flight — the backstop must time the wait for
-  // *that* work, not charge it against the poisoned cohort's extensions
-  // (a whole-cohort attack late in a round would otherwise abort the
-  // course while honest replacements are still training). Bounded:
-  // quarantine exiles each offender after `quarantine_after` rejections,
-  // so the reset cannot recur forever. With quarantine disabled there is
-  // no such bound, so the backstop keeps its presumed-dead semantics.
-  if (options_.guard.quarantine_after > 0) extensions_this_round_ = 0;
-}
-
-void Server::HandleReceiveDeadline(const Message& msg) {
-  if (static_cast<int>(buffer_.size()) >= options_.min_received) {
-    // Graceful degradation: aggregate the partial cohort instead of
-    // blocking on the missing members.
-    RaiseEvent(events::kReceiveDeadline, msg);
     return;
   }
-  if (CountExtensionAndCheckBackstop(events::kReceiveDeadline, msg)) return;
-  // Too little feedback to degrade onto: presume the outstanding cohort
-  // dead and hand its slots to idle clients. Replacements are sampled
-  // before the slots are freed, so a presumed-dead client cannot be drawn
-  // as its own replacement.
-  std::vector<int> outstanding;
-  for (const auto& [id, round] : busy_) {
-    if (round == round_) outstanding.push_back(id);
-  }
-  std::vector<int> replacements =
-      SampleIdle(static_cast<int>(outstanding.size()));
-  for (int id : outstanding) busy_.erase(id);
+  // Presume the round's outstanding slots dead and repair them. The
+  // awaited count is rebased first, so slots still in flight from older
+  // rounds stop counting toward this round's trigger.
+  const std::vector<int> outstanding = ledger_.OpenedOn(round_);
+  ledger_.set_awaited(BufferedUpdates() +
+                      static_cast<int>(outstanding.size()));
   stats_.dropouts += static_cast<int64_t>(outstanding.size());
-  stats_.replacements += static_cast<int64_t>(replacements.size());
-  if (obs_ != nullptr && obs_->enabled()) {
+  if (record_obs) {
     pending_dropouts_ += static_cast<int64_t>(outstanding.size());
-    pending_replacements_ += static_cast<int64_t>(replacements.size());
     obs_->Count("fs_server_dropouts_total",
                 static_cast<double>(outstanding.size()));
-    obs_->Count("fs_server_replacements_total",
-                static_cast<double>(replacements.size()));
   }
-  FS_LOG(Debug) << "round " << round_ << " receive deadline expired; "
-                << outstanding.size() << " presumed dead, "
-                << replacements.size() << " replacements";
-  sampled_this_round_ =
-      static_cast<int>(buffer_.size() + replacements.size());
-  BroadcastModel(replacements, msg.timestamp);
+  FS_LOG(Debug) << "round " << round_ << " " << event << " with too little "
+                << "feedback; " << outstanding.size() << " presumed dead";
   ScheduleTimer(msg.timestamp);
-  if (replacements.empty() && busy_.empty() && !buffer_.empty()) {
-    // Nobody is left in flight, so no further update can arrive; waiting
-    // out more deadlines cannot improve on what is buffered.
-    RaiseEvent(events::kReceiveDeadline, msg);
+  RepairSlots(SlotOutcome::kPresumedDead, outstanding, msg);
+}
+
+void Server::RepairSlots(SlotOutcome outcome, const std::vector<int>& ids,
+                         const Message& msg) {
+  if (finished_) return;
+  std::vector<int> ended;
+  for (int id : ids) {
+    if (ledger_.InFlight(id)) ended.push_back(id);
   }
+  // A client that answered (declined, rejected) may be drawn again; a
+  // silent one (failed, presumed dead) must not refill its own slot, so
+  // its slot ends only after the draw.
+  const bool answered =
+      outcome == SlotOutcome::kDeclined || outcome == SlotOutcome::kRejected;
+  if (answered) {
+    for (int id : ended) ledger_.End(id, outcome);
+  }
+  const std::vector<int> refills =
+      SampleIdle(static_cast<int>(ended.size()));
+  if (!answered) {
+    for (int id : ended) ledger_.End(id, outcome);
+  }
+  if (!ended.empty()) {
+    stats_.replacements += static_cast<int64_t>(refills.size());
+    if (obs_ != nullptr && obs_->enabled()) {
+      pending_replacements_ += static_cast<int64_t>(refills.size());
+      obs_->Count("fs_server_replacements_total",
+                  static_cast<double>(refills.size()));
+    }
+  }
+  ledger_.Lower(static_cast<int>(ended.size() - refills.size()));
+  BroadcastModel(refills, msg.timestamp);
+  CheckTrigger(msg);
 }
 
 void Server::OnClientFailure(const Message& msg) {
@@ -741,96 +701,17 @@ void Server::OnClientFailure(const Message& msg) {
   FS_LOG(Warning) << "client " << id << " failed; removed from the course";
   members_.Erase(id);
   ++stats_.dropouts;
-  const bool record_obs = obs_ != nullptr && obs_->enabled();
-  if (record_obs) {
+  if (obs_ != nullptr && obs_->enabled()) {
     ++pending_dropouts_;
     obs_->Count("fs_server_dropouts_total");
   }
-  const auto it = busy_.find(id);
-  if (it == busy_.end()) return;  // nothing was in flight on this client
-  busy_.erase(it);
-  if (!started_) return;
-  // Hand the dead client's cohort slot to an idle client, keeping the
-  // cohort (and the synchronous trigger) at its size; shrink the cohort
-  // when nobody is available.
-  std::vector<int> replacement = SampleIdle(1);
-  if (!replacement.empty()) {
-    ++stats_.replacements;
-    if (record_obs) {
-      ++pending_replacements_;
-      obs_->Count("fs_server_replacements_total");
-    }
-    BroadcastModel(replacement, msg.timestamp);
-    return;
-  }
-  if (sampled_this_round_ > 0) --sampled_this_round_;
-  if (options_.strategy != Strategy::kSyncVanilla) return;
-  if (options_.topology.hierarchical()) {
-    if (covered_this_round_ >= sampled_this_round_ && !buffer_.empty()) {
-      RaiseEvent(events::kAllReceived, msg);
-    }
-    return;
-  }
-  if (!buffer_.empty() &&
-      static_cast<int>(buffer_.size()) >= sampled_this_round_) {
-    RaiseEvent(events::kAllReceived, msg);
-  }
-}
-
-void Server::HandleRejectedUpdate(const Message& msg,
-                                  const GuardDecision& decision) {
-  const bool record_obs = obs_ != nullptr && obs_->enabled();
-  ++stats_.updates_rejected;
-  if (record_obs) {
-    ++pending_rejected_;
-    obs_->Count("fs_server_updates_rejected_total", 1.0,
-                {{"reason", GuardReasonLabel(decision.verdict)}});
-  }
-  FS_LOG(Warning) << "rejecting update from client " << msg.sender << " ("
-                  << GuardReasonLabel(decision.verdict) << "): "
-                  << decision.detail;
-  if (decision.quarantine) QuarantineClient(msg.sender);
-
-  if (options_.broadcast == BroadcastManner::kAfterReceiving) {
-    // The rebroadcast below refills the pipeline; shrink the cohort the
-    // synchronous trigger waits for, exactly like a declined round.
-    if (sampled_this_round_ > 0) --sampled_this_round_;
-    if (options_.strategy == Strategy::kSyncVanilla &&
-        static_cast<int>(buffer_.size()) >= sampled_this_round_) {
-      RaiseEvent(events::kAllReceived, msg);
-    }
-    if (!finished_) {
-      std::vector<int> refill = SampleIdle(1);
-      BroadcastModel(refill, msg.timestamp);
-      if (!refill.empty()) RestartStarvationBackstop();
-    }
-    return;
-  }
-  // After-aggregating broadcasts: hand the freed slot to an idle client so
-  // the cohort trigger stays whole. A persistent offender is re-drawable
-  // until quarantine exiles it, which bounds the retries at the violation
-  // bar; when nobody is idle the cohort shrinks like a declined round.
-  std::vector<int> replacement = SampleIdle(1);
-  if (!replacement.empty()) {
-    ++stats_.replacements;
-    if (record_obs) {
-      ++pending_replacements_;
-      obs_->Count("fs_server_replacements_total");
-    }
-    BroadcastModel(replacement, msg.timestamp);
-    RestartStarvationBackstop();
-    return;
-  }
-  if (sampled_this_round_ > 0) --sampled_this_round_;
-  if (options_.strategy == Strategy::kSyncVanilla && !buffer_.empty() &&
-      static_cast<int>(buffer_.size()) >= sampled_this_round_) {
-    RaiseEvent(events::kAllReceived, msg);
+  if (started_ && ledger_.InFlight(id)) {
+    RepairSlots(SlotOutcome::kFailed, {id}, msg);
   }
 }
 
 void Server::QuarantineClient(int id) {
   members_.Erase(id);
-  busy_.erase(id);
   stats_.quarantined.push_back(id);
   if (obs_ != nullptr && obs_->enabled()) {
     ++pending_quarantined_;
@@ -875,13 +756,10 @@ void Server::PerformAggregation(const std::string& trigger,
   }
   buffer_.clear();
   buffer_contributors_.clear();
-  covered_this_round_ = 0;
   if (usable.empty()) {
     // Everything buffered had gone stale: keep the round's timer chain
     // alive so a deadline/budget-driven course cannot silently stall.
-    if (options_.strategy == Strategy::kAsyncTime || deadline_active()) {
-      ScheduleTimer(context.timestamp);
-    }
+    ScheduleTimer(context.timestamp);
     return;
   }
 
@@ -916,17 +794,14 @@ void Server::PerformAggregation(const std::string& trigger,
     FS_LOG(Warning) << "aggregation failed at round " << round_ << ": "
                     << next.status().ToString();
     if (record_obs) obs_->Count("fs_server_aggregation_failures_total");
-    if (options_.strategy == Strategy::kAsyncTime || deadline_active()) {
-      ScheduleTimer(context.timestamp);
-    }
+    ScheduleTimer(context.timestamp);
     return;
   }
   FS_CHECK_OK(global_model_.LoadStateDict(next.value()));
 
   ++round_;
   stats_.rounds = round_;
-  extensions_this_round_ = 0;
-  restaffs_this_round_ = 0;
+  ledger_.NewRound();
 
   const size_t curve_size_before = stats_.curve.size();
   const bool stopped = EvaluateAndCheckStop(context);
@@ -939,9 +814,7 @@ void Server::PerformAggregation(const std::string& trigger,
   if (options_.broadcast == BroadcastManner::kAfterAggregating) {
     Replenish(context.timestamp);
   }
-  if (options_.strategy == Strategy::kAsyncTime || deadline_active()) {
-    ScheduleTimer(context.timestamp);
-  }
+  ScheduleTimer(context.timestamp);
 }
 
 void Server::RecordRound(const std::string& trigger, const Message& context,

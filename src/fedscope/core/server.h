@@ -9,6 +9,7 @@
 
 #include "fedscope/core/aggregator.h"
 #include "fedscope/core/checkpoint.h"
+#include "fedscope/core/cohort_ledger.h"
 #include "fedscope/core/id_set.h"
 #include "fedscope/core/sampler.h"
 #include "fedscope/core/topology.h"
@@ -61,10 +62,9 @@ struct ServerOptions {
   /// deadline (the paper-faithful blocking behaviour). Needs the
   /// simulator's timer service, so standalone-only like kAsyncTime.
   double receive_deadline = 0.0;
-  /// Backstop for the deadline / time-budget extension loop: after this
-  /// many consecutive extensions within one round the server aggregates
-  /// whatever is buffered, or aborts the course when the buffer is empty
-  /// (every participant presumed dead).
+  /// Starved timer expiries (deadline or time budget) a round may take
+  /// before the server ends it: it aggregates whatever is buffered, and
+  /// aborts the course when that does not end the round (DESIGN.md §7).
   int max_round_extensions = 25;
   int max_rounds = 50;
   /// Stop once global test accuracy reaches this (0 disables).
@@ -108,16 +108,17 @@ struct ServerStats {
   int64_t dropped_stale = 0;
   /// Training requests declined by clients (e.g. low_bandwidth behaviour).
   int64_t declined = 0;
-  /// Clients presumed dead: receive-deadline expiries in standalone mode,
+  /// Clients presumed dead: starved timer expiries in standalone mode,
   /// mid-course connection failures in distributed mode.
   int64_t dropouts = 0;
-  /// Replacement clients sampled into slots vacated by presumed-dead ones.
+  /// Clients drawn to refill cohort slots that ended without an update
+  /// (declined, rejected, failed or presumed dead).
   int64_t replacements = 0;
-  /// Round extensions taken (receive-deadline expiries with too little
-  /// feedback, plus the time_up remedial measures of §3.3.2).
+  /// Starved timer expiries: receive deadlines or time budgets that found
+  /// fewer than min_received updates (the remedial measures of §3.3.2).
   int64_t round_extensions = 0;
-  /// The extension backstop gave up on a starved round and ended the
-  /// course early.
+  /// A round stayed starved past max_round_extensions and could not be
+  /// ended by aggregation, so the course was given up.
   bool aborted = false;
   /// Client-reported test accuracy from the final metrics round
   /// (client id -> accuracy); filled when collect_client_metrics is on.
@@ -210,31 +211,24 @@ class Server : public BaseWorker {
   /// Hierarchical topologies: one weighted pre-aggregated update from an
   /// edge aggregator, covering (part of) its shard's cohort.
   void OnPartialUpdate(const Message& msg);
-  /// Guard bookkeeping for one rejected update, then the declined-style
-  /// cohort repair: refill the freed slot (after-aggregating) or lean on
-  /// the after-receiving rebroadcast, so an all-rejected cohort extends
-  /// the round instead of stalling or crashing.
-  void HandleRejectedUpdate(const Message& msg, const GuardDecision& decision);
-  /// Resets the round-extension backstop after a rejection put a
-  /// replacement broadcast in flight; quarantine bounds the recurrence,
-  /// so the reset is skipped when quarantine is disabled.
-  void RestartStarvationBackstop();
-  /// Exiles a client via the presume-dead machinery (leaves members_): it
-  /// is out of the sampling pool for the rest of the course.
+  /// Exiles a client (leaves members_): it is out of the sampling pool for
+  /// the rest of the course.
   void QuarantineClient(int id);
   /// Hierarchical topologies: a standby took over a shard. Bumps the
   /// shard's epoch, reroutes to the new aggregator, and re-broadcasts the
   /// shard's in-flight cohort through it.
   void OnStandbyPromoted(const Message& msg);
-  /// Sync-strategy receive-deadline expiry: partial aggregation when
-  /// enough updates are buffered, otherwise replace the presumed-dead
-  /// cohort and extend the round.
-  void HandleReceiveDeadline(const Message& msg);
-  /// Extension bookkeeping shared by the deadline and time_up remedial
-  /// paths. Returns true when the backstop fired (aggregate-or-abort was
-  /// taken and the caller must not extend further).
-  bool CountExtensionAndCheckBackstop(const std::string& aggregate_event,
-                                      const Message& msg);
+  /// The one slot repair (DESIGN.md §7): ends the in-flight slots among
+  /// `ids` with `outcome`, refills each from idle members, lowers the
+  /// awaited count by the slots it could not refill, then evaluates the
+  /// round's trigger once.
+  void RepairSlots(SlotOutcome outcome, const std::vector<int>& ids,
+                   const Message& msg);
+  /// Raises the strategy's aggregation event when its condition holds.
+  void CheckTrigger(const Message& msg);
+  /// Updates in the buffer: one per flat update, one per contributor of a
+  /// hierarchical partial.
+  int BufferedUpdates() const;
 
   /// Handler bodies for the condition events. `trigger` names the
   /// condition event that fired (all_received / goal_achieved / time_up);
@@ -251,24 +245,28 @@ class Server : public BaseWorker {
                    const std::vector<std::vector<int>>& usable_contribs,
                    bool evaluated);
 
-  /// Sends the current global model to the given clients at round round_.
+  /// Sends the current global model to the given clients at round round_,
+  /// opening their cohort slots (a client in flight keeps its slot).
   /// Hierarchical topologies group the cohort by shard and send one
   /// model_para per shard to its active edge aggregator instead.
   void BroadcastModel(const std::vector<int>& client_ids, double timestamp);
-  void BroadcastModelSharded(const std::vector<int>& client_ids,
-                             double timestamp);
   /// Worker id of the aggregator currently serving `shard`.
   int ActiveAggregatorId(int shard) const {
     return AggregatorId(shard, shard_active_slot_[shard]);
   }
-  /// Samples up to `k` idle clients: members minus the busy ones.
+  /// Samples up to `k` idle clients: members minus the in-flight ones.
   std::vector<int> SampleIdle(int k);
   /// Brings the number of in-flight clients back up to the configured
   /// concurrency (+ over-selection margin for kSyncOverselect).
   void Replenish(double timestamp);
   /// Schedules a "timer" message to self at now + time_budget (kAsyncTime)
-  /// or now + receive_deadline (sync strategies with a deadline).
+  /// or now + receive_deadline (sync strategies with a deadline); a no-op
+  /// for courses without a timer.
   void ScheduleTimer(double now);
+  /// True when the course runs on a timer (time_up or a receive deadline).
+  bool timed() const {
+    return options_.strategy == Strategy::kAsyncTime || deadline_active();
+  }
   /// True when the sync receive deadline is configured and applies.
   bool deadline_active() const {
     return options_.receive_deadline > 0.0 &&
@@ -295,29 +293,17 @@ class Server : public BaseWorker {
   /// (failures, quarantine), as id intervals — one interval for a dense
   /// population of any size (DESIGN.md §13).
   IdSet members_;
-  std::map<int, int> busy_;      // in-flight clients -> round they work on
+  /// Every cohort slot: in flight, awaited, and how the round is starving.
+  CohortLedger ledger_;
   std::vector<double> resp_scores_;  // by client id - 1
   std::vector<ClientUpdate> buffer_;
   /// Hierarchical: client ids covered by the buffered partial at the same
   /// index (per-client attribution of stats; empty vectors in flat mode).
   std::vector<std::vector<int>> buffer_contributors_;
-  /// Hierarchical: cohort members accounted for this round (contributors
-  /// plus declines reported through partials) — the sync trigger compares
-  /// this against sampled_this_round_ because one partial covers many.
-  int covered_this_round_ = 0;
   /// Hierarchical: per-shard session epoch (bumped on failover) and the
   /// slot of the shard's currently active aggregator.
   std::vector<int64_t> shard_epochs_;
   std::vector<int> shard_active_slot_;
-  int sampled_this_round_ = 0;   // cohort size for all_received
-  int extensions_this_round_ = 0;  // consecutive extensions (backstop)
-  /// Starved-round restaff cycles this round: once the course has
-  /// rejected feedback (so the fleet is provably alive), a starved
-  /// backstop presumes the in-flight cohort dead and restaffs it instead
-  /// of aborting — at most this many times per round, so a genuinely
-  /// dead fleet still terminates.
-  static constexpr int kMaxStarvationRestaffs = 3;
-  int restaffs_this_round_ = 0;
   int round_ = 0;
   bool started_ = false;
   bool finished_ = false;

@@ -4,12 +4,13 @@
 //
 // Schema (all keys inside Checkpoint::course):
 //   strategy, seed, expected_clients        identity guard
-//   started, finished, sampled_this_round,
-//   extensions_this_round, restaffs_this_round,
+//   started, finished,
 //   evals_since_best, last_eval_loss        progress scalars
+//   awaited_this_round, busy/ids, busy/rounds,
+//   extensions_this_round,
+//   rejected_this_round                     cohort-slot ledger (CohortLedger)
 //   rng                                     packed u64 words (Rng::SaveState)
-//   clients, busy/ids, busy/rounds,
-//   resp_scores                             membership
+//   clients, resp_scores                    membership
 //   buffer/count, buffer/<i>/...            pending cohort incl. deltas
 //   sampler/..., aggregator/...             plug-in state (their SaveState)
 //   stats/...                               full ServerStats
@@ -45,9 +46,7 @@ void Server::ExportSnapshot(Checkpoint* checkpoint) {
 
   p.SetInt("started", started_ ? 1 : 0);
   p.SetInt("finished", finished_ ? 1 : 0);
-  p.SetInt("sampled_this_round", sampled_this_round_);
-  p.SetInt("extensions_this_round", extensions_this_round_);
-  p.SetInt("restaffs_this_round", restaffs_this_round_);
+  ledger_.Save(&p);
   p.SetInt("evals_since_best", evals_since_best_);
   p.SetDouble("last_eval_loss", last_eval_loss_);
 
@@ -57,15 +56,6 @@ void Server::ExportSnapshot(Checkpoint* checkpoint) {
   member_ids.reserve(static_cast<size_t>(members_.size()));
   members_.ForEach([&member_ids](int id) { member_ids.push_back(id); });
   SetPackedInt64s(&p, "clients", member_ids);
-  std::vector<int64_t> busy_ids, busy_rounds;
-  busy_ids.reserve(busy_.size());
-  busy_rounds.reserve(busy_.size());
-  for (const auto& [id, r] : busy_) {
-    busy_ids.push_back(id);
-    busy_rounds.push_back(r);
-  }
-  SetPackedInt64s(&p, "busy/ids", busy_ids);
-  SetPackedInt64s(&p, "busy/rounds", busy_rounds);
   SetPackedDoubles(&p, "resp_scores", resp_scores_);
 
   p.SetInt("buffer/count", static_cast<int64_t>(buffer_.size()));
@@ -88,7 +78,6 @@ void Server::ExportSnapshot(Checkpoint* checkpoint) {
     SetPackedInt64s(&p, "topology/active_slots",
                     std::vector<int64_t>(shard_active_slot_.begin(),
                                          shard_active_slot_.end()));
-    p.SetInt("topology/covered_this_round", covered_this_round_);
     for (int64_t i = 0; i < static_cast<int64_t>(buffer_.size()); ++i) {
       SetPackedInt64s(&p, BufferKey(i, "contributors"),
                       std::vector<int64_t>(buffer_contributors_[i].begin(),
@@ -188,9 +177,8 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
   current_time_ = checkpoint.virtual_time;
   started_ = p.GetInt("started") != 0;
   finished_ = p.GetInt("finished") != 0;
-  sampled_this_round_ = static_cast<int>(p.GetInt("sampled_this_round"));
-  extensions_this_round_ = static_cast<int>(p.GetInt("extensions_this_round"));
-  restaffs_this_round_ = static_cast<int>(p.GetInt("restaffs_this_round"));
+  Status ledger_status = ledger_.Load(p);
+  if (!ledger_status.ok()) return ledger_status;
   evals_since_best_ = static_cast<int>(p.GetInt("evals_since_best"));
   last_eval_loss_ = p.GetDouble("last_eval_loss");
 
@@ -203,15 +191,6 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
       return Status::DataLoss("snapshot member id out of range");
     }
     members_.Insert(static_cast<int>(id));
-  }
-  const std::vector<int64_t> busy_ids = GetPackedInt64s(p, "busy/ids");
-  const std::vector<int64_t> busy_rounds = GetPackedInt64s(p, "busy/rounds");
-  if (busy_ids.size() != busy_rounds.size()) {
-    return Status::DataLoss("snapshot busy id/round length mismatch");
-  }
-  busy_.clear();
-  for (size_t i = 0; i < busy_ids.size(); ++i) {
-    busy_[static_cast<int>(busy_ids[i])] = static_cast<int>(busy_rounds[i]);
   }
   resp_scores_ = GetPackedDoubles(p, "resp_scores");
 
@@ -241,7 +220,6 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
     }
   }
 
-  covered_this_round_ = 0;
   if (options_.topology.hierarchical()) {
     const std::vector<int64_t> epochs =
         GetPackedInt64s(p, "topology/shard_epochs");
@@ -256,8 +234,6 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
     for (int shard = 0; shard < options_.topology.num_shards; ++shard) {
       shard_active_slot_[shard] = static_cast<int>(slots[shard]);
     }
-    covered_this_round_ =
-        static_cast<int>(p.GetInt("topology/covered_this_round"));
   }
 
   // The sampler object is reconstructed from options + scores (fixed after

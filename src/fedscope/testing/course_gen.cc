@@ -111,6 +111,7 @@ Config CourseSpec::ToConfig() const {
   c.Set("fault.hostile_mode", hostile_mode);
   c.Set("fault.hostile_prob", hostile_prob);
   c.Set("fault.hostile_scale", hostile_scale);
+  c.Set("low_bandwidth_frac", low_bandwidth_frac);
   return c;
 }
 
@@ -207,6 +208,8 @@ Result<CourseSpec> CourseSpec::FromConfig(const Config& config) {
   s.hostile_mode = config.GetString("fault.hostile_mode", s.hostile_mode);
   s.hostile_prob = config.GetDouble("fault.hostile_prob", s.hostile_prob);
   s.hostile_scale = config.GetDouble("fault.hostile_scale", s.hostile_scale);
+  s.low_bandwidth_frac =
+      config.GetDouble("low_bandwidth_frac", s.low_bandwidth_frac);
   FS_RETURN_IF_ERROR(CourseGen::Validate(s));
   return s;
 }
@@ -362,6 +365,12 @@ CourseSpec CourseGen::Sample(uint64_t seed) {
     s.guard = true;
   }
 
+  // Decline axis (low_bandwidth clients), drawn last for the same
+  // corpus-stability reason. Half of its draws make the whole fleet slow,
+  // so round 0's cohort declines entirely.
+  if (rng.Bernoulli(0.2)) {
+    s.low_bandwidth_frac = rng.Bernoulli(0.5) ? 1.0 : rng.Uniform(0.2, 0.8);
+  }
   return Clamp(s);
 }
 
@@ -422,6 +431,7 @@ CourseSpec CourseGen::Clamp(CourseSpec s) {
   s.compression_keep_frac = clamp_double(s.compression_keep_frac, 0.05, 1.0);
   s.dp_noise = clamp_double(s.dp_noise, 0.0, 0.2);
   s.dp_clip = clamp_double(s.dp_clip, 0.1, 5.0);
+  s.low_bandwidth_frac = clamp_double(s.low_bandwidth_frac, 0.0, 1.0);
 
   s.crash_frac = clamp_double(s.crash_frac, 0.0, 1.0);
   s.fault_dropout_frac = clamp_double(s.fault_dropout_frac, 0.0, 1.0);
@@ -777,6 +787,19 @@ FedJob CourseFixture::MakeJob() const {
   job.fault.hostile_mode = s.hostile_mode;
   job.fault.hostile_prob = s.hostile_prob;
   job.fault.hostile_scale = s.hostile_scale;
+
+  if (s.low_bandwidth_frac > 0.0) {
+    // The first round(frac * N) clients get a link below the threshold.
+    constexpr double kThreshold = 2e5;  // bytes/s
+    job.client.low_bandwidth_threshold = kThreshold;
+    const int n = s.EffectiveClients();
+    if (job.fleet.empty()) job.fleet.assign(n, DeviceProfile{});
+    const int slow = static_cast<int>(std::lround(s.low_bandwidth_frac * n));
+    for (int i = 0; i < slow; ++i) {
+      job.fleet[i].up_bandwidth = kThreshold / 2;
+      job.fleet[i].down_bandwidth = kThreshold / 2;
+    }
+  }
 
   if (s.personalization == "fedbn") ApplyFedBn(&job);
   return job;

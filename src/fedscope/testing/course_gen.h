@@ -126,6 +126,12 @@ struct CourseSpec {
   double hostile_prob = 1.0;
   double hostile_scale = 1e6;
 
+  // -- bandwidth-aware clients (the paper's §3.2 low_bandwidth behaviour) ---
+  /// Fraction of the fleet below the low-bandwidth threshold; those
+  /// clients decline every other training request, so at 1 a whole
+  /// cohort declines round 0.
+  double low_bandwidth_frac = 0.0;
+
   bool operator==(const CourseSpec& other) const;
   bool operator!=(const CourseSpec& other) const { return !(*this == other); }
 

@@ -235,7 +235,8 @@ bool DistributedEligible(const CourseSpec& spec) {
          spec.fault_dropout_frac == 0.0 && spec.fault_crash_prob == 0.0 &&
          spec.fault_straggler_frac == 0.0 && spec.fault_msg_loss_prob == 0.0 &&
          spec.fault_msg_duplicate_prob == 0.0 &&
-         spec.fault_msg_delay_prob == 0.0 && spec.hostile_frac == 0.0;
+         spec.fault_msg_delay_prob == 0.0 && spec.hostile_frac == 0.0 &&
+         spec.low_bandwidth_frac == 0.0;
 }
 
 namespace {
@@ -403,6 +404,24 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
   }
   Check(&v, a.time_regression.empty(), "time_monotonicity", a.time_regression);
 
+  // -- oracle 15: round liveness --------------------------------------------
+  // A round ends on its (max_round_extensions + 1)-th starved timer expiry
+  // at the latest, plus one expiry per slot rejected in it while
+  // quarantine is on; each plan-hostile client is rejected at most guard_k
+  // times before it is exiled (DESIGN.md §7). The rounds that can starve
+  // are the completed ones and an aborted last one. Termination itself is
+  // checked above; slot conservation is FS_CHECKed by the server's ledger.
+  const int64_t starvable_rounds = stats.rounds + (stats.aborted ? 1 : 0);
+  int64_t extension_bound =
+      starvable_rounds * (spec.max_round_extensions + 1);
+  if (spec.guard && spec.guard_k > 0) {
+    extension_bound += static_cast<int64_t>(spec.guard_k) *
+                       static_cast<int64_t>(a.hostile.size());
+  }
+  Check(&v, stats.round_extensions <= extension_bound, "round_liveness",
+        Vs("starved expiries beyond the course's bound", extension_bound,
+           stats.round_extensions));
+
   // aggregator_dropped is deliberately absent from `vanished`: messages
   // addressed to a crashed aggregator are dispatched by the pump (the
   // delivery tap sees them) and then eaten by the dead endpoint, so at
@@ -517,9 +536,12 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
   // reassociation tolerance.
   // Hostile specs are excluded: the hostile draws consume the plan's rng in
   // send order, and the sharded and flat message sequences differ, so the
-  // two runs are attacked differently (and a flat root replaces rejected
-  // senders where an edge only covers them) — no equivalence to check.
-  if (spec.Hierarchical() && spec.topology_kill_shard < 0 && !spec.Hostile()) {
+  // two runs are attacked differently — no equivalence to check. Specs
+  // with declining clients are excluded too: a flat root refills each
+  // declined slot as the decline arrives, a sharded one when the shard's
+  // partial reports it, so the two draw different refills.
+  if (spec.Hierarchical() && spec.topology_kill_shard < 0 && !spec.Hostile() &&
+      spec.low_bandwidth_frac == 0.0) {
     CourseSpec flat_spec = spec;
     flat_spec.topology_shards = 0;
     flat_spec = CourseGen::Clamp(std::move(flat_spec));
@@ -727,11 +749,11 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
     // business blaming on the adversary. Accepted mutations (sign-flip or
     // scale inside the norm bound) are counted like honest updates and
     // cannot stall a round either, so rejections are the exact signal that
-    // hostility touched liveness — the same condition that arms the
-    // server's starved-round restaff escape, making this check the mirror
-    // of that guarantee. Finiteness, quarantine soundness, and the
-    // delivered-vs-rejected reconciliation below still bind
-    // unconditionally.
+    // hostility touched liveness. The server answers each rejected slot
+    // with a refill and one more expiry of budget for the round (DESIGN.md
+    // §7), so the fleet's honest members get to finish it. Finiteness,
+    // quarantine soundness, and the delivered-vs-rejected reconciliation
+    // below still bind unconditionally.
     if (stats.updates_rejected > 0) {
       Check(&v, a.finished && !stats.aborted, "byzantine_tolerance",
             "hostile course did not complete cleanly");

@@ -141,7 +141,14 @@ bool DistributedEligible(const CourseSpec& spec);
 ///      aborting, the final shared model is finite, only plan-hostile
 ///      clients are ever quarantined (each at most once), and every
 ///      non-finite update delivered while the course was live was rejected
-///      at ingress (delivered-poison count <= rejection count).
+///      at ingress (delivered-poison count <= rejection count),
+///  15. round liveness: the course's starved timer expiries
+///      (ServerStats::round_extensions) stay within (max_round_extensions
+///      + 1) per completed or aborted round, plus guard_k per plan-hostile
+///      client when quarantine is on (DESIGN.md §7); termination is check
+///      1, and
+///      slot conservation is FS_CHECKed by the server's cohort ledger on
+///      every transition.
 /// Returns every violation found (empty = course passed).
 std::vector<Violation> CheckCourse(const CourseSpec& spec,
                                    const OracleOptions& options = {});

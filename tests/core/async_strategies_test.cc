@@ -163,9 +163,10 @@ TEST(AsyncStrategiesTest, CrashyFleetStallsSyncButNotTimeUp) {
 
 TEST(AsyncStrategiesTest, TimeUpRemedialExtensionsAreCounted) {
   // min_received = 8 of 10 concurrent with a budget far below even the
-  // fastest device's response time forces the remedial path (replenish +
-  // extend); the extension counter surfaces how often it fired. The cap is
-  // raised so the short budget cannot trip the starvation backstop.
+  // fastest device's response time forces the remedial path (presume the
+  // round's outstanding slots dead, refill them, re-arm the timer); the
+  // extension counter surfaces how often it fired. The cap is raised so
+  // the short budget cannot trip the starvation backstop.
   FedJob job = BaseJob();
   job.server.strategy = Strategy::kAsyncTime;
   job.server.time_budget = 0.02;
@@ -181,17 +182,21 @@ TEST(AsyncStrategiesTest, TimeUpRemedialExtensionsAreCounted) {
 TEST(AsyncStrategiesTest, TimeUpBackstopAbortsWhenFleetIsDead) {
   // Every device crashes on every task, so no extension can ever gather
   // min_received updates. Without the backstop this configuration would
-  // re-arm timers forever; with it the course aborts after the cap.
-  FedJob job = BaseJob();
-  for (auto& device : job.fleet) device.crash_prob = 1.0;
-  job.server.strategy = Strategy::kAsyncTime;
-  job.server.time_budget = 5.0;
-  job.server.max_round_extensions = 2;
-  job.server.max_rounds = 4;
-  RunResult result = FedRunner(std::move(job)).Run();
-  EXPECT_TRUE(result.server.aborted);
-  EXPECT_EQ(result.server.rounds, 0);
-  EXPECT_GT(result.server.round_extensions, 0);
+  // re-arm timers forever; with it the course aborts on the first starved
+  // expiry past the cap, including the cap-0 case.
+  for (int max_extensions : {0, 2}) {
+    FedJob job = BaseJob();
+    for (auto& device : job.fleet) device.crash_prob = 1.0;
+    job.server.strategy = Strategy::kAsyncTime;
+    job.server.time_budget = 5.0;
+    job.server.max_round_extensions = max_extensions;
+    job.server.max_rounds = 4;
+    RunResult result = FedRunner(std::move(job)).Run();
+    EXPECT_TRUE(result.server.aborted) << "max=" << max_extensions;
+    EXPECT_EQ(result.server.rounds, 0) << "max=" << max_extensions;
+    EXPECT_EQ(result.server.round_extensions, max_extensions + 1)
+        << "max=" << max_extensions;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -551,7 +551,8 @@ TEST(ServerTest, DeclinedUpdateFreesSlotInSync) {
   server->HandleMessage(JoinFrom(2));
   while (!channel.Empty()) channel.Pop();
 
-  // Client 2 declines; the sync trigger must fire on client 1 alone.
+  // Client 2 declines: its slot is refilled from the idle members. A
+  // client that declined did answer, so it may be drawn again.
   Message decline;
   decline.sender = 2;
   decline.receiver = kServerId;
@@ -561,10 +562,140 @@ TEST(ServerTest, DeclinedUpdateFreesSlotInSync) {
   server->HandleMessage(decline);
   EXPECT_EQ(server->round(), 0);
   EXPECT_EQ(server->stats().declined, 1);
+  EXPECT_EQ(server->stats().replacements, 1);
+  ASSERT_FALSE(channel.Empty());
+  const Message refill = channel.Pop();
+  EXPECT_EQ(refill.msg_type, events::kModelPara);
+  EXPECT_EQ(refill.receiver, 2);
 
   Model ref = TestModel(7);
   server->HandleMessage(UpdateFrom(1, 0, &ref, 1.0f));
-  EXPECT_EQ(server->round(), 1);  // aggregated without client 2
+  EXPECT_EQ(server->round(), 0);  // the refilled slot is still awaited
+  server->HandleMessage(UpdateFrom(2, 0, &ref, 1.0f));
+  EXPECT_EQ(server->round(), 1);
+}
+
+/// Drains the channel and returns the receivers of its model_para messages.
+std::vector<int> DrainBroadcasts(QueueChannel* channel) {
+  std::vector<int> receivers;
+  while (!channel->Empty()) {
+    const Message m = channel->Pop();
+    if (m.msg_type == events::kModelPara) receivers.push_back(m.receiver);
+  }
+  return receivers;
+}
+
+Message DeclineFrom(int id, int round) {
+  Message msg;
+  msg.sender = id;
+  msg.receiver = kServerId;
+  msg.msg_type = events::kModelUpdate;
+  msg.state = round;
+  msg.payload.SetInt("declined", 1);
+  return msg;
+}
+
+TEST(ServerTest, AfterReceivingDeclineRefillsTheSlot) {
+  // Under after-receiving broadcasts the refill is the mode's one draw per
+  // answer; the round keeps awaiting the refilled slot.
+  QueueChannel channel;
+  ServerOptions options;
+  options.expected_clients = 3;
+  options.concurrency = 2;
+  options.broadcast = BroadcastManner::kAfterReceiving;
+  auto server = MakeServer(&channel, options);
+  for (int id = 1; id <= 3; ++id) server->HandleMessage(JoinFrom(id));
+  const std::vector<int> cohort = DrainBroadcasts(&channel);
+  ASSERT_EQ(cohort.size(), 2u);
+
+  server->HandleMessage(DeclineFrom(cohort[0], 0));
+  const std::vector<int> refill = DrainBroadcasts(&channel);
+  ASSERT_EQ(refill.size(), 1u);
+  EXPECT_NE(refill[0], cohort[1]);
+  EXPECT_EQ(server->stats().replacements, 1);
+
+  Model ref = TestModel(7);
+  server->HandleMessage(UpdateFrom(cohort[1], 0, &ref, 0.1f));
+  EXPECT_EQ(server->round(), 0);  // the refilled slot is still awaited
+  server->HandleMessage(UpdateFrom(refill[0], 0, &ref, 0.1f));
+  EXPECT_EQ(server->round(), 1);
+}
+
+TEST(ServerTest, ReplyWithoutSlotOpensNoSlot) {
+  // A reply from a client with no slot in flight (late, duplicated) ends
+  // nothing, so it draws no refill: not for a rejection, and not as the
+  // after-receiving per-answer broadcast.
+  Model ref = TestModel(7);
+  for (BroadcastManner manner :
+       {BroadcastManner::kAfterAggregating, BroadcastManner::kAfterReceiving}) {
+    QueueChannel channel;
+    ServerOptions options;
+    options.expected_clients = 3;
+    options.concurrency = 2;
+    options.strategy = Strategy::kAsyncGoal;
+    options.aggregation_goal = 5;
+    options.broadcast = manner;
+    options.guard.enabled = true;
+    options.guard.quarantine_after = 0;
+    auto server = MakeServer(&channel, options);
+    for (int id = 1; id <= 3; ++id) server->HandleMessage(JoinFrom(id));
+    std::vector<int> cohort = DrainBroadcasts(&channel);
+    ASSERT_EQ(cohort.size(), 2u);
+    const int idle = 6 - cohort[0] - cohort[1];
+
+    server->HandleMessage(UpdateFrom(idle, 0, &ref, std::nanf("")));
+    EXPECT_EQ(server->stats().updates_rejected, 1);
+    server->HandleMessage(UpdateFrom(idle, 0, &ref, 0.1f));
+    EXPECT_EQ(server->buffer().size(), 1u);
+    EXPECT_TRUE(DrainBroadcasts(&channel).empty());
+    EXPECT_EQ(server->stats().replacements, 0);
+  }
+}
+
+TEST(ServerTest, OverselectTriggerFollowsLostSlots) {
+  // Over-selection waits for the first `concurrency` updates, or for every
+  // awaited one once lost slots that found no refill leave fewer.
+  QueueChannel channel;
+  ServerOptions options;
+  options.expected_clients = 2;
+  options.concurrency = 2;
+  options.strategy = Strategy::kSyncOverselect;
+  options.overselect_frac = 0.0;
+  auto server = MakeServer(&channel, options);
+  server->HandleMessage(JoinFrom(1));
+  server->HandleMessage(JoinFrom(2));
+  ASSERT_EQ(DrainBroadcasts(&channel).size(), 2u);
+
+  Message failure;
+  failure.sender = 2;
+  failure.receiver = kServerId;
+  failure.msg_type = events::kClientFailure;
+  server->HandleMessage(failure);  // nobody idle to refill the slot
+  EXPECT_EQ(server->stats().replacements, 0);
+
+  Model ref = TestModel(7);
+  server->HandleMessage(UpdateFrom(1, 0, &ref, 0.1f));
+  EXPECT_EQ(server->round(), 1);
+}
+
+TEST(ServerTest, FlatBroadcastReachesLargeClientIds) {
+  // A flat population may use ids at or above the edge-aggregator id base
+  // (a million-client course does); each still gets its own model_para.
+  QueueChannel channel;
+  ServerOptions options;
+  options.expected_clients = 1;
+  options.concurrency = 1;
+  auto server = MakeServer(&channel, options);
+  server->HandleMessage(JoinFrom(kAggregatorIdBase + 1));
+  int broadcasts = 0;
+  while (!channel.Empty()) {
+    const Message m = channel.Pop();
+    if (m.msg_type != events::kModelPara) continue;
+    ++broadcasts;
+    EXPECT_EQ(m.receiver, kAggregatorIdBase + 1);
+    EXPECT_FALSE(m.payload.HasScalar("cohort"));
+  }
+  EXPECT_EQ(broadcasts, 1);
 }
 
 TEST(ServerTest, StalenessLogRecordsContributions) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "fedscope/core/events.h"
 #include "fedscope/core/fed_runner.h"
 #include "fedscope/data/synthetic_twitter.h"
@@ -177,7 +180,7 @@ TEST(FaultInjectionTest, AllDeadFleetAbortsViaBackstop) {
 }
 
 TEST(FaultInjectionTest, DeadlineWithExactlyMinReceivedAggregatesAtOnce) {
-  // Boundary of HandleReceiveDeadline's `buffer >= min_received`: when the
+  // Boundary of the timer rule's `buffer >= min_received`: when the
   // deadline fires with EXACTLY min_received updates in the buffer, the
   // round must aggregate immediately — no extension, no presumed-dead
   // replacements.
@@ -204,7 +207,7 @@ TEST(FaultInjectionTest, DeadlineWithExactlyMinReceivedAggregatesAtOnce) {
 }
 
 TEST(FaultInjectionTest, BackstopAbortsExactlyAfterLastAllowedExtension) {
-  // Boundary of CountExtensionAndCheckBackstop: with a fully dead cohort
+  // Boundary of the starved-round budget: with a fully dead cohort
   // the server extends max_round_extensions times and gives up on the
   // next deadline — the counter must read exactly max + 1, including the
   // max = 0 degenerate case (abort on the very first starved deadline).
@@ -291,6 +294,77 @@ TEST(FaultInjectionTest, OverselectToleratesCrashesWithoutDeadline) {
   RunResult result = runner.Run();
   EXPECT_EQ(result.server.rounds, 4);
   EXPECT_FALSE(result.server.aborted);
+}
+
+TEST(FaultInjectionTest, AllDeclinedCohortCompletes) {
+  // Every client is below the low_bandwidth threshold, so each declines
+  // every other request and a whole cohort declines round 0. A decline is
+  // an answer: its slot is refilled from the idle members (the decliner
+  // included), so the course finishes with or without a deadline, and
+  // behind edge aggregators, whose partials report the declines.
+  FedDataset data = TinyData();
+  struct Arm {
+    double deadline;
+    int shards;
+  };
+  for (const Arm arm : {Arm{0.0, 0}, Arm{240.0, 0}, Arm{0.0, 2}}) {
+    FedJob job = TinyJob(&data);
+    job.server.strategy = Strategy::kSyncVanilla;
+    job.server.concurrency = 2;
+    job.server.receive_deadline = arm.deadline;
+    job.server.topology.num_shards = arm.shards;
+    job.fleet.assign(8, DeviceProfile{});
+    for (DeviceProfile& device : job.fleet) {
+      device.up_bandwidth = 100.0;
+      device.down_bandwidth = 100.0;
+    }
+    job.client_customizer = [](int, ClientOptions* options) {
+      options->low_bandwidth_threshold = 1000.0;
+    };
+    FedRunner runner(std::move(job));
+    RunResult result = runner.Run();
+    const std::string tag = "deadline=" + std::to_string(arm.deadline) +
+                            " shards=" + std::to_string(arm.shards);
+    EXPECT_TRUE(runner.server()->finished()) << tag;
+    EXPECT_FALSE(result.server.aborted) << tag;
+    EXPECT_EQ(result.server.rounds, 4) << tag;
+    EXPECT_GT(result.server.declined, 0) << tag;
+    EXPECT_EQ(result.server.round_extensions, 0) << tag;
+  }
+}
+
+TEST(FaultInjectionTest, CarriedSlotsCountTowardTheDeadlineTarget) {
+  // Full participation with two clients that never answer. Their round-0
+  // slots stay in flight and count toward each round's target while they
+  // are within the staleness toleration, so rounds 0-2 end at the
+  // deadline (partial cohort, no starvation); from round 3 on they are
+  // past it, the target is the six live clients, and rounds end on
+  // all_received. Nothing is presumed dead or replaced.
+  FedDataset data = TinyData();
+  FedJob job = TinyJob(&data);
+  job.server.strategy = Strategy::kSyncVanilla;
+  job.server.concurrency = 8;
+  job.server.min_received = 3;
+  job.server.staleness_tolerance = 2;
+  job.server.receive_deadline = 30.0;
+  job.server.max_rounds = 5;
+  DeviceProfile fast;
+  fast.compute_speed = 1e6;
+  DeviceProfile dead;
+  dead.crash_prob = 1.0;
+  job.fleet = {fast, fast, fast, fast, fast, fast, dead, dead};
+  CourseLog log;
+  job.obs.course_log = &log;
+  RunResult result = FedRunner(std::move(job)).Run();
+  std::vector<std::string> triggers;
+  for (const CourseRoundRecord& r : log.rounds()) triggers.push_back(r.trigger);
+  EXPECT_EQ(triggers, (std::vector<std::string>{
+                          events::kReceiveDeadline, events::kReceiveDeadline,
+                          events::kReceiveDeadline, events::kAllReceived,
+                          events::kAllReceived}));
+  EXPECT_EQ(result.server.dropouts, 0);
+  EXPECT_EQ(result.server.replacements, 0);
+  EXPECT_EQ(result.server.round_extensions, 0);
 }
 
 }  // namespace
