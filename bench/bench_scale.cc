@@ -5,18 +5,26 @@
 // start and end both runs pay; an untimed warm-up run first absorbs the
 // allocator/page-fault noise that would otherwise swamp the
 // sub-millisecond round signal) and the process peak RSS after each
-// population's runs.
+// population's runs. A rounds axis then runs the 1M population for 100,
+// 1000 and 3000 rounds: every round suspends about 32 more clients, so
+// the growth of peak RSS between two rows, divided by the growth of the
+// suspended count (evictions - restores), is the heap a suspended client
+// costs. The headline reading is the last two rows'.
 //
 //   bench_scale [--out=BENCH_scale.json] [--smoke]
 //
-// --smoke shrinks to 1k/10k for the CI scale-smoke job.
+// --smoke shrinks the population curve to 1k/10k and the rounds axis to
+// 10k clients at 10/100/300 rounds, for the CI scale-smoke job.
 //
 // Truthfulness notes:
 // * peak_rss_kb is the process-wide VmHWM high-water mark sampled after
 //   each population's runs. It is monotone across the curve; populations
 //   run in ascending order so each reading is dominated by its own
 //   stage, but it is a ceiling, not an isolated measurement. -1 means
-//   /proc/self/status was unavailable.
+//   /proc/self/status was unavailable. The rounds axis runs last, in
+//   ascending rounds, so each of its rows raises the ceiling by what its
+//   longer course adds; sanitizer builds inflate RSS, so nothing gates
+//   on it.
 // * The memory proof is the live-client counter, not RSS: peak live
 //   Clients must stay within the cache capacity + 1 (the pre-Trim
 //   transient) at every population, or the bench fails.
@@ -26,6 +34,7 @@
 //   instantiate eagerly — which is the point.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -133,6 +142,27 @@ bool BitIdentical(RunResult& a, RunResult& b) {  // GetStateDict is non-const
          a.server.rounds == b.server.rounds;
 }
 
+/// One row of the rounds axis.
+struct RoundsRow {
+  int rounds = 0;
+  double wall_ms = 0.0;
+  int64_t suspended = 0;
+  int64_t rss_kb = -1;
+};
+
+/// Heap bytes per suspended client between rows `a` and `b`: the peak RSS
+/// growth over the suspended-count growth; -1 when RSS is unavailable or
+/// nothing more was suspended.
+double BytesPerSuspended(const RoundsRow& a, const RoundsRow& b) {
+  if (a.rss_kb < 0 || b.rss_kb < 0 || b.suspended <= a.suspended) return -1;
+  return 1024.0 * static_cast<double>(b.rss_kb - a.rss_kb) /
+         static_cast<double>(b.suspended - a.suspended);
+}
+
+std::string JsonNumber(double v) {
+  return v < 0 ? "null" : std::to_string(v);
+}
+
 bool ParseArgs(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -175,7 +205,12 @@ int Main(int argc, char** argv) {
       "process-wide VmHWM sampled after each population, monotone across "
       "the ascending curve (-1 = unavailable). peak_live_clients counts "
       "concurrently instantiated Clients and must stay within "
-      "cache_capacity + 1 regardless of population.\",\n";
+      "cache_capacity + 1 regardless of population. rounds_axis runs "
+      "one population for more and more rounds after the curve; suspended "
+      "= evictions - restores at course end, and bytes_per_suspended is "
+      "the VmHWM growth over the suspended growth between consecutive "
+      "rows; bytes_per_suspended_client is the last two rows' reading, "
+      "because the first row reads the ceiling the curve left.\",\n";
   json += "  \"host\": {\n    \"num_cpus\": " +
           std::to_string(std::thread::hardware_concurrency()) + "\n  },\n";
   json += "  \"populations\": {\n";
@@ -245,13 +280,67 @@ int Main(int argc, char** argv) {
   }
   json += "  },\n  \"eager_bit_identical_at_smallest\": ";
   json += identity_checked ? (identity_ok ? "true" : "false") : "null";
-  json += "\n}\n";
+  json += ",\n";
 
   table.Print();
   if (identity_checked) {
     std::printf("\neager-vs-virtualized identity at %d clients: %s\n",
                 populations[0], identity_ok ? "bit-identical" : "DIVERGED");
   }
+
+  // Rounds axis: suspended clients are the one per-client cost that grows
+  // with rounds rather than population.
+  const int axis_population = args.smoke ? 10000 : 1000000;
+  const std::vector<int> axis_rounds = args.smoke
+                                           ? std::vector<int>{10, 100, 300}
+                                           : std::vector<int>{100, 1000, 3000};
+  const ProceduralDataProvider axis_provider(
+      MakeDataOptions(axis_population));
+  std::printf("\nrounds axis: %d clients\n", axis_population);
+  Table rounds_table({"rounds", "course ms", "suspended", "peak RSS MB",
+                      "B/suspended"});
+  json += "  \"rounds_axis\": {\n    \"population\": " +
+          std::to_string(axis_population) + ",\n    \"rounds\": {\n";
+  std::vector<RoundsRow> rows;
+  for (size_t ri = 0; ri < axis_rounds.size(); ++ri) {
+    Sample run = TimeRun(&axis_provider, axis_rounds[ri]);
+    RoundsRow row;
+    row.rounds = axis_rounds[ri];
+    row.wall_ms = run.wall_ms;
+    row.suspended = run.cache.evictions - run.cache.restores;
+    row.rss_kb = PeakRssKb();
+    const double per_client =
+        ri == 0 ? -1.0 : BytesPerSuspended(rows.back(), row);
+    rows.push_back(row);
+    rounds_table.Row()
+        .Int(row.rounds)
+        .Num(row.wall_ms, 1)
+        .Int(row.suspended)
+        .Num(row.rss_kb >= 0 ? row.rss_kb / 1024.0 : -1.0, 1)
+        .Str(per_client < 0 ? "-" : std::to_string(std::lround(per_client)));
+    json += "      \"" + std::to_string(row.rounds) + "\": {\n";
+    json += "        \"wall_ms\": " + std::to_string(row.wall_ms) + ",\n";
+    json += "        \"evictions\": " + std::to_string(run.cache.evictions) +
+            ",\n";
+    json += "        \"restores\": " + std::to_string(run.cache.restores) +
+            ",\n";
+    json += "        \"suspended\": " + std::to_string(row.suspended) +
+            ",\n";
+    json += "        \"peak_rss_kb\": " + std::to_string(row.rss_kb) + ",\n";
+    json += "        \"bytes_per_suspended_vs_previous\": " +
+            JsonNumber(per_client) + "\n";
+    json += "      }";
+    json += ri + 1 < axis_rounds.size() ? ",\n" : "\n";
+  }
+  // The last two rows: the first row's reading is the ceiling the
+  // population curve left, so only rows above it measure the records.
+  const RoundsRow& from = rows[rows.size() - 2];
+  const double per_client = BytesPerSuspended(from, rows.back());
+  json += "    },\n    \"bytes_per_suspended_client\": " +
+          JsonNumber(per_client) + "\n  }\n}\n";
+  rounds_table.Print();
+  std::printf("heap per suspended client, %d to %d rounds: %.0f B\n",
+              from.rounds, rows.back().rounds, per_client);
   if (!ok) return 1;
 
   if (!args.out.empty()) {

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "fedscope/comm/codec.h"
 #include "fedscope/comm/compression.h"
-#include "fedscope/core/checkpoint.h"
 #include "fedscope/core/events.h"
 #include "fedscope/obs/obs_context.h"
 #include "fedscope/util/logging.h"
@@ -33,11 +33,13 @@ int64_t StateDictPayloadBytes(const StateDict& state, size_t prefix_size) {
 }  // namespace
 
 Client::Client(int id, ClientOptions options, Model model, SplitDataset data,
-               std::unique_ptr<BaseTrainer> trainer, CommChannel* channel)
+               std::unique_ptr<BaseTrainer> trainer, CommChannel* channel,
+               HeldOutSource held_out)
     : BaseWorker(id, channel),
       options_(std::move(options)),
       model_(std::move(model)),
       data_(std::move(data)),
+      held_out_(std::move(held_out)),
       trainer_(std::move(trainer)),
       rng_(options_.seed != 0 ? options_.seed
                               : static_cast<uint64_t>(id) + 77),
@@ -111,58 +113,79 @@ void Client::JoinIn() {
   Send(std::move(msg));
 }
 
-void Client::ExportResume(Payload* p) {
-  SetPackedU64s(p, "rng", rng_.SaveState());
-  p->SetDouble("time", current_time_);
-  p->SetInt("finished", finished_ ? 1 : 0);
-  p->SetInt("rounds_trained", rounds_trained_);
-  p->SetInt("perf_drops", perf_drop_count_);
-  p->SetInt("declined", declined_count_);
-  // The every-other-request parity of the low_bandwidth behaviour lives in
-  // this counter — dropping it would flip which requests get declined.
-  p->SetInt("lb_requests", low_bandwidth_requests_);
-  p->SetInt("rejected_globals", rejected_globals_);
-  p->SetInt("shard_epoch", shard_epoch_);
-  p->SetInt("stale_epoch_rejected", stale_epoch_rejected_);
-  p->SetDouble("last_val_accuracy", last_val_accuracy_);
-  const StateDict model_state = model_.GetStateDict();
-  p->SetInt("model_params", static_cast<int64_t>(model_state.size()));
-  p->SetStateDict("model", model_state);
-  p->SetInt("trainer_saved", 1);
-  trainer_->SaveState(p, "trainer");
+ClientResume Client::ExportResume() {
+  ClientResume resume;
+  resume.rng = rng_;
+  resume.time = current_time_;
+  resume.last_val_accuracy = last_val_accuracy_;
+  resume.shard_epoch = shard_epoch_;
+  resume.stale_epoch_rejected = stale_epoch_rejected_;
+  resume.rounds_trained = rounds_trained_;
+  resume.perf_drops = perf_drop_count_;
+  resume.declined = declined_count_;
+  resume.low_bandwidth_requests = low_bandwidth_requests_;
+  resume.rejected_globals = rejected_globals_;
+  resume.finished = finished_;
+  // Reserved to the exact size: the record is what a suspended client
+  // costs, so it must not carry a doubling vector's slack.
+  const std::vector<ParamRef> params = model_.Params();
+  size_t numel = 0;
+  for (const ParamRef& p : params) numel += p.value->storage().size();
+  resume.params.reserve(numel);
+  for (const ParamRef& p : params) {
+    const std::vector<float>& values = p.value->storage();
+    resume.params.insert(resume.params.end(), values.begin(), values.end());
+  }
+  Payload trainer_state;
+  trainer_->SaveState(&trainer_state, "trainer");
+  if (!trainer_state.scalars().empty() || !trainer_state.tensors().empty()) {
+    resume.trainer_state = EncodePayload(trainer_state);
+  }
+  return resume;
 }
 
-void Client::RestoreResume(const Payload& p) {
-  if (p.HasScalar("rng")) {
-    FS_CHECK_OK(rng_.LoadState(GetPackedU64s(p, "rng")));
+void Client::RestoreResume(const ClientResume& resume) {
+  rng_ = resume.rng;
+  current_time_ = resume.time;
+  last_val_accuracy_ = resume.last_val_accuracy;
+  shard_epoch_ = resume.shard_epoch;
+  stale_epoch_rejected_ = resume.stale_epoch_rejected;
+  rounds_trained_ = resume.rounds_trained;
+  perf_drop_count_ = resume.perf_drops;
+  declined_count_ = resume.declined;
+  low_bandwidth_requests_ = resume.low_bandwidth_requests;
+  rejected_globals_ = resume.rejected_globals;
+  finished_ = resume.finished;
+  size_t offset = 0;
+  for (const ParamRef& p : model_.Params()) {
+    std::vector<float>& values = p.value->storage();
+    FS_CHECK_LE(offset + values.size(), resume.params.size());
+    std::copy_n(resume.params.begin() + offset, values.size(),
+                values.begin());
+    offset += values.size();
   }
-  current_time_ = p.GetDouble("time", current_time_);
-  finished_ = p.GetInt("finished", 0) != 0;
-  rounds_trained_ = static_cast<int>(p.GetInt("rounds_trained", 0));
-  perf_drop_count_ = static_cast<int>(p.GetInt("perf_drops", 0));
-  declined_count_ = static_cast<int>(p.GetInt("declined", 0));
-  low_bandwidth_requests_ = static_cast<int>(p.GetInt("lb_requests", 0));
-  rejected_globals_ = static_cast<int>(p.GetInt("rejected_globals", 0));
-  shard_epoch_ = p.GetInt("shard_epoch", 0);
-  stale_epoch_rejected_ = p.GetInt("stale_epoch_rejected", 0);
-  last_val_accuracy_ = p.GetDouble("last_val_accuracy", -1.0);
-  if (p.HasScalar("model_params")) {
-    const StateDict model_state = p.GetStateDict("model");
-    FS_CHECK_EQ(static_cast<int64_t>(model_state.size()),
-                p.GetInt("model_params"));
-    FS_CHECK_OK(model_.LoadStateDict(model_state, /*strict=*/true));
+  FS_CHECK_EQ(offset, resume.params.size());
+  if (!resume.trainer_state.empty()) {
+    Result<Payload> trainer_state = DecodePayload(resume.trainer_state);
+    FS_CHECK(trainer_state.ok()) << trainer_state.status().ToString();
+    trainer_->LoadState(trainer_state.value(), "trainer", model_);
   }
-  if (p.GetInt("trainer_saved", 0) != 0) {
-    trainer_->LoadState(p, "trainer", model_);
+}
+
+const SplitDataset& Client::data() {
+  if (held_out_.provider != nullptr) {
+    held_out_.provider->MaterializeHeldOut(held_out_, &data_);
+    held_out_.provider = nullptr;
   }
+  return data_;
 }
 
 EvalResult Client::EvaluateLocalTest() {
-  return trainer_->Evaluate(&model_, data_.test);
+  return trainer_->Evaluate(&model_, data().test);
 }
 
 EvalResult Client::EvaluateLocalVal() {
-  return trainer_->Evaluate(&model_, data_.val);
+  return trainer_->Evaluate(&model_, data().val);
 }
 
 void Client::PoisonTrainData(const std::function<void(Dataset*)>& poisoner) {
@@ -228,8 +251,8 @@ void Client::OnModelPara(const Message& msg) {
   double val_acc_before = -1.0, val_loss_before = -1.0;
   const bool want_feedback = options_.perf_drop_threshold > 0.0 ||
                              msg.payload.HasScalar("hpo.want_feedback");
-  if (want_feedback && !data_.val.empty()) {
-    EvalResult before = trainer_->Evaluate(&model_, data_.val);
+  if (want_feedback && !data().val.empty()) {
+    EvalResult before = trainer_->Evaluate(&model_, data().val);
     val_acc_before = before.accuracy;
     val_loss_before = before.loss;
   }
@@ -239,9 +262,9 @@ void Client::OnModelPara(const Message& msg) {
   }
   trainer_->UpdateModel(&model_, global_shared);
 
-  if (options_.perf_drop_threshold > 0.0 && !data_.val.empty() &&
+  if (options_.perf_drop_threshold > 0.0 && !data().val.empty() &&
       last_val_accuracy_ >= 0.0) {
-    EvalResult after_load = trainer_->Evaluate(&model_, data_.val);
+    EvalResult after_load = trainer_->Evaluate(&model_, data().val);
     if (after_load.accuracy <
         last_val_accuracy_ - options_.perf_drop_threshold) {
       RaiseEvent(events::kPerformanceDrop, msg);
@@ -265,13 +288,13 @@ void Client::OnModelPara(const Message& msg) {
   ApplyDpToDelta(&delta, options_.dp, &rng_);
 
   double val_loss_after = -1.0, val_acc_after = -1.0;
-  if (want_feedback && !data_.val.empty()) {
-    EvalResult after = trainer_->Evaluate(&model_, data_.val);
+  if (want_feedback && !data().val.empty()) {
+    EvalResult after = trainer_->Evaluate(&model_, data().val);
     val_loss_after = after.loss;
     val_acc_after = after.accuracy;
     last_val_accuracy_ = after.accuracy;
-  } else if (options_.perf_drop_threshold > 0.0 && !data_.val.empty()) {
-    last_val_accuracy_ = trainer_->Evaluate(&model_, data_.val).accuracy;
+  } else if (options_.perf_drop_threshold > 0.0 && !data().val.empty()) {
+    last_val_accuracy_ = trainer_->Evaluate(&model_, data().val).accuracy;
   }
 
   const bool record_obs = obs_ != nullptr && obs_->recording_metrics();
@@ -356,7 +379,7 @@ void Client::OnModelPara(const Message& msg) {
 }
 
 void Client::OnEvaluate(const Message& msg) {
-  EvalResult test = trainer_->Evaluate(&model_, data_.test);
+  EvalResult test = trainer_->Evaluate(&model_, data().test);
   Message reply;
   reply.receiver = msg.sender;
   reply.msg_type = events::kMetrics;

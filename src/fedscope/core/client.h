@@ -1,11 +1,14 @@
 #ifndef FEDSCOPE_CORE_CLIENT_H_
 #define FEDSCOPE_CORE_CLIENT_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "fedscope/core/trainer.h"
 #include "fedscope/core/worker.h"
+#include "fedscope/data/client_data_provider.h"
 #include "fedscope/data/dataset.h"
 #include "fedscope/nn/model.h"
 #include "fedscope/privacy/dp.h"
@@ -52,6 +55,32 @@ struct ClientOptions {
   ClientOptions() : share_filter(AcceptAll()) {}
 };
 
+/// A suspended client's complete mutable state (DESIGN.md §13): the record
+/// ClientCache keeps per evicted client, so that a later instantiation
+/// resumes bit-identically. Construction inputs (options, data, handlers)
+/// are re-derived and not stored. A suspended 16×4 logistic-regression
+/// client costs about 525 B of heap, 272 of them the model.
+struct ClientResume {
+  Rng rng;
+  double time = 0.0;
+  double last_val_accuracy = -1.0;
+  int64_t shard_epoch = 0;
+  int64_t stale_epoch_rejected = 0;
+  int rounds_trained = 0;
+  int perf_drops = 0;
+  int declined = 0;
+  /// Holds the every-other-request parity of the low_bandwidth behaviour:
+  /// dropping it would flip which requests get declined.
+  int low_bandwidth_requests = 0;
+  int rejected_globals = 0;
+  bool finished = false;
+  /// Every parameter and buffer, in Model::Params() order, sized exactly.
+  std::vector<float> params;
+  /// The trainer's SaveState payload, wire-encoded; empty for stateless
+  /// trainers.
+  std::vector<uint8_t> trainer_state;
+};
+
 /// An FL client: owns its private data, local model and Trainer, and
 /// describes its behaviour through <event, handler> pairs. The default
 /// handlers implement the FedAvg client of Example 3.2:
@@ -61,8 +90,11 @@ struct ClientOptions {
 /// Users customize by overwriting handlers or swapping the Trainer.
 class Client : public BaseWorker {
  public:
+  /// When `held_out` names a provider, `data` holds the train split only
+  /// and the val and test splits are built from `held_out` on first read.
   Client(int id, ClientOptions options, Model model, SplitDataset data,
-         std::unique_ptr<BaseTrainer> trainer, CommChannel* channel);
+         std::unique_ptr<BaseTrainer> trainer, CommChannel* channel,
+         HeldOutSource held_out = {});
 
   /// Announces this client to the server (sends join_in with an estimate
   /// of its responsiveness derived from device info).
@@ -71,17 +103,20 @@ class Client : public BaseWorker {
   /// Captures the complete mutable client state — rng stream position,
   /// virtual clock, behaviour counters, model and trainer state — so a
   /// reclaimed virtual client can later be re-instantiated bit-identically
-  /// (DESIGN.md §13). Construction inputs (options, data, handlers) are
-  /// re-derived deterministically by the ClientCache and are not written.
-  void ExportResume(Payload* p);
-  /// Restores state captured by ExportResume onto a freshly constructed
-  /// client. Missing keys keep their fresh-construction values, so a
-  /// minimal payload (e.g. only `finished`) is valid.
-  void RestoreResume(const Payload& p);
+  /// (DESIGN.md §13).
+  ClientResume ExportResume();
+  /// Restores a record taken by ExportResume onto a freshly constructed
+  /// client with the same options, model architecture and trainer.
+  void RestoreResume(const ClientResume& resume);
+  /// Marks the client finished without a delivery: how the ClientCache
+  /// applies a finish multicast to a client that was not live.
+  void MarkFinished() { finished_ = true; }
 
   Model* model() { return &model_; }
   BaseTrainer* trainer() { return trainer_.get(); }
-  const SplitDataset& data() const { return data_; }
+  /// The local splits, building val and test first if they are still
+  /// held out.
+  const SplitDataset& data();
   ClientOptions& options() { return options_; }
 
   /// Evaluates the deployment model (personalized, if the trainer
@@ -120,7 +155,9 @@ class Client : public BaseWorker {
 
   ClientOptions options_;
   Model model_;
+  /// Val and test are empty while held_out_ names a provider.
   SplitDataset data_;
+  HeldOutSource held_out_;
   std::unique_ptr<BaseTrainer> trainer_;
   Rng rng_;
   ResponseModel response_model_;

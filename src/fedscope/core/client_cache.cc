@@ -35,9 +35,7 @@ Client* ClientCache::Get(int id) {
     suspended_.erase(sit);
     ++stats_.restores;
   } else if (finished_[id] != 0) {
-    Payload resume;
-    resume.SetInt("finished", 1);
-    entry.client->RestoreResume(resume);
+    entry.client->MarkFinished();
     ++stats_.restores;
   }
   finished_[id] = 0;  // tracked by the live client from here on
@@ -65,13 +63,13 @@ void ClientCache::MarkFinished(const IdSet& ids) {
     std::fill(finished_.begin() + in.lo, finished_.begin() + in.hi + 1, 1);
   }
   // The flag is only for clients with no other state: live clients track
-  // finish themselves, suspended ones in their resume payload.
+  // finish themselves, suspended ones in their resume record.
   for (const auto& [id, entry] : live_) {
     if (ids.Contains(id)) finished_[id] = 0;
   }
   for (auto& [id, resume] : suspended_) {
     if (!ids.Contains(id)) continue;
-    resume.SetInt("finished", 1);
+    resume.finished = true;
     finished_[id] = 0;
   }
 }
@@ -94,7 +92,7 @@ bool ClientCache::Finished(int id) const {
   if (live != live_.end()) return live->second.client->finished();
   const auto suspended = suspended_.find(id);
   if (suspended != suspended_.end()) {
-    return suspended->second.GetInt("finished") != 0;
+    return suspended->second.finished;
   }
   return finished_[id] != 0;
 }
@@ -106,9 +104,7 @@ void ClientCache::EvictOne() {
   lru_pos_.erase(victim);
   auto it = live_.find(victim);
   FS_CHECK(it != live_.end());
-  Payload resume;
-  it->second.client->ExportResume(&resume);
-  suspended_[victim] = std::move(resume);
+  suspended_.emplace(victim, it->second.client->ExportResume());
   live_.erase(it);
   ++stats_.evictions;
   --stats_.live;

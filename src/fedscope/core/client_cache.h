@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "fedscope/comm/message.h"
 #include "fedscope/core/client.h"
 #include "fedscope/core/id_set.h"
 #include "fedscope/exec/buffering_channel.h"
@@ -19,9 +18,10 @@ namespace fedscope {
 struct ClientCacheStats {
   /// Total Client constructions (fresh first touches plus restores).
   int64_t instantiations = 0;
-  /// Constructions that replayed a suspended resume payload.
+  /// Constructions that replayed a suspended resume record or a finish
+  /// flag.
   int64_t restores = 0;
-  /// Live clients reclaimed to a resume payload by Trim().
+  /// Live clients reclaimed to a resume record by Trim().
   int64_t evictions = 0;
   /// Currently live clients.
   int64_t live = 0;
@@ -35,8 +35,10 @@ struct ClientCacheStats {
 /// population as descriptors only; Get(id) instantiates a real Client on
 /// demand via the runner-owned factory (re-deriving its options/Rng stream
 /// and materializing data lazily) and Trim() reclaims least-recently-used
-/// clients beyond capacity, saving their resume payload
+/// clients beyond capacity, keeping a typed ClientResume record
 /// (Client::ExportResume) so a later Get restores bit-identical state.
+/// Suspended records are the one cost that grows with the clients a
+/// course has touched rather than with the cohort (DESIGN.md §13).
 /// Capacity is a pure performance knob: any eviction/restore sequence
 /// yields the same course, so peak live clients — not correctness — is
 /// what it bounds.
@@ -70,8 +72,8 @@ class ClientCache {
 
   /// Records a finish delivery for every non-live client in `ids` without
   /// instantiating any: one range operation. Folded into a suspended
-  /// payload where one exists, otherwise a one-byte flag (1M finished
-  /// clients must not cost 1M payloads). Live clients are left alone —
+  /// record where one exists, otherwise a one-byte flag (1M finished
+  /// clients must not cost 1M records). Live clients are left alone —
   /// they take the real delivery.
   void MarkFinished(const IdSet& ids);
 
@@ -82,7 +84,7 @@ class ClientCache {
   /// instantiating it.
   bool Finished(int id) const;
 
-  /// Evicts LRU clients beyond capacity, saving resume payloads. Only
+  /// Evicts LRU clients beyond capacity, saving resume records. Only
   /// call at safe points: after a serial HandleMessage or a parallel
   /// commit, never while a returned Client*/batch is in use.
   void Trim();
@@ -99,8 +101,8 @@ class ClientCache {
   std::unordered_map<int, Entry> live_;
   std::list<int> lru_;
   std::unordered_map<int, std::list<int>::iterator> lru_pos_;
-  /// Resume payloads of evicted clients.
-  std::unordered_map<int, Payload> suspended_;
+  /// Resume records of evicted clients.
+  std::unordered_map<int, ClientResume> suspended_;
   /// finished-flags for clients that never grew other state; index id,
   /// [0] unused.
   std::vector<uint8_t> finished_;

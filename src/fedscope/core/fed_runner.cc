@@ -151,10 +151,14 @@ ClientCache::Entry FedRunner::MakeCacheEntry(int id) {
     entry.port = std::make_unique<BufferingChannel>(worker_channel_);
     client_channel = entry.port.get();
   }
+  // Only the train split is built now; val and test are built on first
+  // read, which a course without local evaluation never does.
+  SplitDataset data;
+  HeldOutSource held_out;
+  data.train = job_.provider->MaterializeTrain(id, &held_out);
   entry.client = std::make_unique<Client>(
-      id, DeriveClientOptions(id), job_.init_model,
-      job_.provider->MaterializeClient(id), job_.trainer_factory(id),
-      client_channel);
+      id, DeriveClientOptions(id), job_.init_model, std::move(data),
+      job_.trainer_factory(id), client_channel, std::move(held_out));
   if (job_.obs.enabled()) entry.client->set_obs(&job_.obs);
   return entry;
 }

@@ -199,8 +199,8 @@ class FedRunner : public CommChannel {
   /// The course-start join_in for the whole population: ids 1..population
   /// as one interval plus each id's responsiveness score.
   Message MakeBatchJoin() const;
-  /// The cache's factory: builds client `id` from the provider's data,
-  /// with its port on the threaded backend.
+  /// The cache's factory: builds client `id` from the provider's train
+  /// split and held-out source, with its port on the threaded backend.
   ClientCache::Entry MakeCacheEntry(int id);
   /// Cache capacity: the population when eager; when virtualized,
   /// client_cache_capacity or the auto bound.

@@ -12,10 +12,20 @@ EagerDataProvider::EagerDataProvider(const FedDataset* data) : data_(data) {
 
 int EagerDataProvider::num_clients() const { return data_->num_clients(); }
 
-SplitDataset EagerDataProvider::MaterializeClient(int id) const {
+Dataset EagerDataProvider::MaterializeTrain(int id,
+                                            HeldOutSource* held_out) const {
   FS_CHECK_GE(id, 1);
   FS_CHECK_LE(id, data_->num_clients());
-  return data_->clients[id - 1];
+  held_out->provider = this;
+  held_out->id = id;
+  return data_->clients[id - 1].train;
+}
+
+void EagerDataProvider::MaterializeHeldOut(const HeldOutSource& source,
+                                           SplitDataset* split) const {
+  const SplitDataset& stored = data_->clients[source.id - 1];
+  split->val = stored.val;
+  split->test = stored.test;
 }
 
 const Dataset& EagerDataProvider::server_test() const {
@@ -36,34 +46,43 @@ ProceduralDataProvider::ProceduralDataProvider(ProceduralDataOptions options)
 }
 
 Dataset ProceduralDataProvider::Generate(int64_t n, Rng* rng) const {
+  const int64_t features = options_.features;
   Dataset out;
-  out.x = Tensor({n, options_.features});
+  out.x = Tensor({n, features});
   out.labels.resize(n);
-  for (int64_t i = 0; i < n; ++i) {
+  float* row = out.x.data();
+  for (int64_t i = 0; i < n; ++i, row += features) {
     const int64_t y = rng->UniformInt(0, options_.classes - 1);
     out.labels[i] = y;
-    Tensor example = prototypes_[y];
-    for (int64_t j = 0; j < example.numel(); ++j) {
-      example.at(j) +=
-          static_cast<float>(rng->Normal(0.0, options_.noise_sigma));
+    const float* prototype = prototypes_[y].data();
+    for (int64_t j = 0; j < features; ++j) {
+      row[j] = prototype[j] +
+               static_cast<float>(rng->Normal(0.0, options_.noise_sigma));
     }
-    out.x.SetSlice(i, example);
   }
   return out;
 }
 
-SplitDataset ProceduralDataProvider::MaterializeClient(int id) const {
+Dataset ProceduralDataProvider::MaterializeTrain(
+    int id, HeldOutSource* held_out) const {
   FS_CHECK_GE(id, 1);
   FS_CHECK_LE(id, options_.num_clients);
   // Per-client stream forked from the provider seed: repeated
   // materialization of the same id is bit-identical, which the
   // virtualization determinism contract requires.
   Rng rng = Rng(options_.seed).Fork(static_cast<uint64_t>(id));
-  SplitDataset split;
-  split.train = Generate(options_.train_per_client, &rng);
-  split.val = Generate(options_.val_per_client, &rng);
-  split.test = Generate(options_.test_per_client, &rng);
-  return split;
+  Dataset train = Generate(options_.train_per_client, &rng);
+  held_out->provider = this;
+  held_out->id = id;
+  held_out->rng = rng;
+  return train;
+}
+
+void ProceduralDataProvider::MaterializeHeldOut(const HeldOutSource& source,
+                                                SplitDataset* split) const {
+  Rng rng = source.rng;
+  split->val = Generate(options_.val_per_client, &rng);
+  split->test = Generate(options_.test_per_client, &rng);
 }
 
 }  // namespace fedscope

@@ -9,31 +9,54 @@
 
 namespace fedscope {
 
-/// Lazy per-client data source for client virtualization (DESIGN.md §13).
-/// A virtualized FedRunner holds only this provider; a client's local
-/// splits are materialized when the ClientCache instantiates it and
-/// dropped when the client is reclaimed. Implementations must be
-/// deterministic: MaterializeClient(id) returns bit-identical splits on
-/// every call.
+class ClientDataProvider;
+
+/// Where a client's val and test splits come from. A client gets its
+/// train split at instantiation and builds the held-out splits from this
+/// source on first read (DESIGN.md §13), so a course that never evaluates
+/// locally never builds them.
+struct HeldOutSource {
+  /// Null once the splits are built, or when they came with the client.
+  const ClientDataProvider* provider = nullptr;
+  int id = 0;
+  /// Procedural providers: the stream position the train split left; val
+  /// and then test continue it.
+  Rng rng = Rng(0);
+};
+
+/// Lazy per-client data source (DESIGN.md §13). Every FedRunner builds its
+/// clients through one: a client's train split is materialized when the
+/// ClientCache instantiates it, its val and test splits when first read,
+/// and all of it is dropped when the client is reclaimed.
+/// Implementations must be deterministic: every call for an id returns
+/// bit-identical splits.
 class ClientDataProvider {
  public:
   virtual ~ClientDataProvider() = default;
   virtual int num_clients() const = 0;
-  /// Builds client `id`'s local splits (1-based id).
-  virtual SplitDataset MaterializeClient(int id) const = 0;
+  /// Builds client `id`'s train split (1-based id) and points `held_out`
+  /// at the source of its val and test splits.
+  virtual Dataset MaterializeTrain(int id, HeldOutSource* held_out) const = 0;
+  /// Builds the val and test splits `source` names into `split`. Reads
+  /// only `source` and this const provider, so a client may fill its
+  /// splits inside a pool task.
+  virtual void MaterializeHeldOut(const HeldOutSource& source,
+                                  SplitDataset* split) const = 0;
   virtual const Dataset& server_test() const = 0;
 };
 
-/// Adapts an eagerly built FedDataset: materialization returns a copy of
-/// the stored partition, so a virtualized course over this provider is
-/// bit-identical to the eager run over the same FedDataset.
+/// Adapts an eagerly built FedDataset: materialization copies the stored
+/// partition, so a virtualized course over this provider is bit-identical
+/// to the eager run over the same FedDataset.
 class EagerDataProvider : public ClientDataProvider {
  public:
   /// `data` is borrowed and must outlive the provider.
   explicit EagerDataProvider(const FedDataset* data);
 
   int num_clients() const override;
-  SplitDataset MaterializeClient(int id) const override;
+  Dataset MaterializeTrain(int id, HeldOutSource* held_out) const override;
+  void MaterializeHeldOut(const HeldOutSource& source,
+                          SplitDataset* split) const override;
   const Dataset& server_test() const override;
 
  private:
@@ -53,16 +76,19 @@ struct ProceduralDataOptions {
   uint64_t seed = 1;
 };
 
-/// Cross-device-scale data: each client's partition is derived on demand
-/// from Rng(seed).Fork(id) around shared class prototypes, so holding a
-/// 1M-client federation costs O(classes * features) memory, not
-/// O(population * examples). Used by bench_scale.
+/// Cross-device-scale data: client `id`'s train, val and test splits are
+/// drawn in that order from Rng(seed).Fork(id) around shared class
+/// prototypes, so holding a 1M-client federation costs
+/// O(classes * features) memory, not O(population * examples). Used by
+/// bench_scale.
 class ProceduralDataProvider : public ClientDataProvider {
  public:
   explicit ProceduralDataProvider(ProceduralDataOptions options);
 
   int num_clients() const override { return options_.num_clients; }
-  SplitDataset MaterializeClient(int id) const override;
+  Dataset MaterializeTrain(int id, HeldOutSource* held_out) const override;
+  void MaterializeHeldOut(const HeldOutSource& source,
+                          SplitDataset* split) const override;
   const Dataset& server_test() const override { return server_test_; }
 
  private:

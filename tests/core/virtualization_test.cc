@@ -2,18 +2,19 @@
 // descriptors, a bounded ClientCache materializes sampled clients on
 // demand, and the course is bit-identical to the eager path. These tests
 // pin the memory bound (peak live clients stays within the cohort-derived
-// cache capacity, never the population) and the reclaim/restore identity
-// (an evicted client re-derives its exact Rng stream and state).
+// cache capacity, never the population), the reclaim/restore identity
+// (an evicted client re-derives its exact Rng stream and state) and the
+// held-out splits built on first read.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "fedscope/comm/codec.h"
 #include "fedscope/core/client_cache.h"
 #include "fedscope/core/events.h"
 #include "fedscope/core/fed_runner.h"
@@ -21,6 +22,8 @@
 #include "fedscope/core/trainer.h"
 #include "fedscope/data/client_data_provider.h"
 #include "fedscope/nn/model_zoo.h"
+#include "fedscope/personalization/ditto.h"
+#include "fedscope/personalization/fedbn.h"
 #include "fedscope/testing/course_gen.h"
 #include "fedscope/testing/oracles.h"
 #include "fedscope/util/logging.h"
@@ -49,6 +52,85 @@ bool BitEqual(const StateDict& a, const StateDict& b) {
     }
   }
   return true;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Bitwise resume-record equality: the rng's full state words, every
+/// fixed field, the flat parameters and the encoded trainer state.
+bool RecordBitEqual(const ClientResume& a, const ClientResume& b) {
+  return a.rng.SaveState() == b.rng.SaveState() && SameBits(a.time, b.time) &&
+         SameBits(a.last_val_accuracy, b.last_val_accuracy) &&
+         a.shard_epoch == b.shard_epoch &&
+         a.stale_epoch_rejected == b.stale_epoch_rejected &&
+         a.rounds_trained == b.rounds_trained &&
+         a.perf_drops == b.perf_drops && a.declined == b.declined &&
+         a.low_bandwidth_requests == b.low_bandwidth_requests &&
+         a.rejected_globals == b.rejected_globals &&
+         a.finished == b.finished && a.params.size() == b.params.size() &&
+         (a.params.empty() ||
+          std::memcmp(a.params.data(), b.params.data(),
+                      a.params.size() * sizeof(float)) == 0) &&
+         a.trainer_state == b.trainer_state;
+}
+
+/// Bit-exact dataset comparison.
+bool BitEqual(const Dataset& a, const Dataset& b) {
+  return a.labels == b.labels && a.x.shape() == b.x.shape() &&
+         (a.x.empty() || std::memcmp(a.x.data(), b.x.data(),
+                                     a.x.numel() * sizeof(float)) == 0);
+}
+
+/// The procedural provider, counting the held-out fills it serves. The
+/// count is atomic: a fill may run inside a pool task.
+class CountingProvider : public ProceduralDataProvider {
+ public:
+  using ProceduralDataProvider::ProceduralDataProvider;
+  void MaterializeHeldOut(const HeldOutSource& source,
+                          SplitDataset* split) const override {
+    fills_.fetch_add(1, std::memory_order_relaxed);
+    ProceduralDataProvider::MaterializeHeldOut(source, split);
+  }
+  int64_t fills() const { return fills_.load(); }
+
+ private:
+  mutable std::atomic<int64_t> fills_{0};
+};
+
+/// A small procedural population for the held-out tests.
+ProceduralDataOptions SmallProceduralData() {
+  ProceduralDataOptions options;
+  options.num_clients = 12;
+  options.train_per_client = 8;
+  options.val_per_client = 4;
+  options.test_per_client = 4;
+  options.server_test_examples = 16;
+  options.seed = 5;
+  return options;
+}
+
+/// A course over `provider`; eager unless `capacity` > 0.
+FedJob ProceduralJob(const ClientDataProvider* provider, int capacity,
+                     int exec_threads) {
+  FedJob job;
+  job.provider = provider;
+  job.virtualize = capacity > 0;
+  job.client_cache_capacity = capacity;
+  Rng model_rng(3);
+  job.init_model = MakeLogisticRegression(16, 4, &model_rng);
+  job.client.train.lr = 0.1;
+  job.client.train.local_steps = 2;
+  job.client.train.batch_size = 4;
+  job.server.concurrency = 4;
+  job.server.max_rounds = 4;
+  if (exec_threads > 0) {
+    job.exec.backend = ExecutionBackend::kThreaded;
+    job.exec.num_threads = exec_threads;
+  }
+  job.seed = 9;
+  return job;
 }
 
 /// A population well above the cohort so the cache must evict and restore.
@@ -185,12 +267,98 @@ TEST_F(VirtualizationTest, CapacityOneEvictionRestoresIdenticalState) {
 
   // Evicting a trained client and re-instantiating it must re-derive the
   // exact post-course state: rng stream position, clocks, counters, model.
-  Payload before;
-  runner.client(1)->ExportResume(&before);
+  const ClientResume before = runner.client(1)->ExportResume();
   runner.client(2);  // evicts client 1
-  Payload after;
-  runner.client(1)->ExportResume(&after);
-  EXPECT_EQ(EncodePayload(before), EncodePayload(after));
+  EXPECT_TRUE(RecordBitEqual(before, runner.client(1)->ExportResume()));
+}
+
+// ---------------------------------------------------------------------------
+// Val and test splits are built on first read
+// ---------------------------------------------------------------------------
+
+TEST_F(VirtualizationTest, ProceduralHeldOutSplitsMatchEagerAtCapacityOne) {
+  // perf_drop_threshold makes every model_para read val before the load,
+  // and the deployment eval reads test: a miss must rebuild both exactly
+  // as the eager client built them, whatever its rng has consumed since.
+  // With 2 threads the eager course fills val inside pool tasks.
+  const ProceduralDataProvider provider(SmallProceduralData());
+  auto run = [&](int capacity, int threads, int64_t* restores) {
+    FedJob job = ProceduralJob(&provider, capacity, threads);
+    job.client.perf_drop_threshold = 0.01;
+    FedRunner runner(std::move(job));
+    RunResult result = runner.Run();
+    *restores = runner.client_cache()->stats().restores;
+    return result;
+  };
+  int64_t restores = 0;
+  RunResult eager = run(/*capacity=*/0, /*threads=*/0, &restores);
+  ASSERT_EQ(eager.client_test_accuracy.size(), 12u);
+
+  for (int threads : {0, 2}) {
+    for (int capacity : {0, 1}) {
+      if (threads == 0 && capacity == 0) continue;  // the reference
+      RunResult other = run(capacity, threads, &restores);
+      if (capacity == 1) {
+        EXPECT_GT(restores, 0) << threads;
+      }
+      EXPECT_TRUE(BitEqual(eager.final_model.GetStateDict(),
+                           other.final_model.GetStateDict()))
+          << threads << " " << capacity;
+      EXPECT_EQ(eager.server.curve, other.server.curve)
+          << threads << " " << capacity;
+      EXPECT_EQ(eager.client_test_accuracy, other.client_test_accuracy)
+          << threads << " " << capacity;
+      EXPECT_EQ(eager.client_test_loss, other.client_test_loss)
+          << threads << " " << capacity;
+    }
+  }
+}
+
+TEST_F(VirtualizationTest, ProceduralHeldOutSplitsContinueTheTrainStream) {
+  // Val and then test continue the stream the train split left, so they
+  // equal the rows a provider drawing all 16 examples as train generates
+  // after the first 8.
+  const ProceduralDataOptions split_options = SmallProceduralData();
+  ProceduralDataOptions whole_options = split_options;
+  whole_options.train_per_client = 16;
+  const ProceduralDataProvider split_provider(split_options);
+  const ProceduralDataProvider whole_provider(whole_options);
+  auto rows = [](const Dataset& d, int64_t lo, int64_t hi) {
+    std::vector<int64_t> indices;
+    for (int64_t i = lo; i < hi; ++i) indices.push_back(i);
+    return d.Subset(indices);
+  };
+  for (int id : {1, 7, 12}) {
+    HeldOutSource held_out;
+    SplitDataset split;
+    split.train = split_provider.MaterializeTrain(id, &held_out);
+    split_provider.MaterializeHeldOut(held_out, &split);
+    HeldOutSource unused;
+    const Dataset whole = whole_provider.MaterializeTrain(id, &unused);
+    EXPECT_TRUE(BitEqual(split.train, rows(whole, 0, 8))) << id;
+    EXPECT_TRUE(BitEqual(split.val, rows(whole, 8, 12))) << id;
+    EXPECT_TRUE(BitEqual(split.test, rows(whole, 12, 16))) << id;
+  }
+}
+
+TEST_F(VirtualizationTest, NoLocalEvaluationBuildsNoHeldOutSplits) {
+  for (bool deploy_eval : {false, true}) {
+    const CountingProvider provider(SmallProceduralData());
+    FedJob job = ProceduralJob(&provider, /*capacity=*/2, 0);
+    job.deploy_eval = deploy_eval;
+    FedRunner runner(std::move(job));
+    runner.Run();
+    const ClientCacheStats& stats = runner.client_cache()->stats();
+    if (deploy_eval) {
+      // The deployment eval reads every client's test split, at most once
+      // per instantiation.
+      EXPECT_GE(provider.fills(), provider.num_clients());
+      EXPECT_LE(provider.fills(), stats.instantiations);
+    } else {
+      EXPECT_GT(stats.instantiations, 0);
+      EXPECT_EQ(provider.fills(), 0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -252,31 +420,50 @@ TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
   const ProceduralDataProvider provider(options);
   NullChannel sink;
   Rng model_rng(3);
-  const Model init = MakeLogisticRegression(
+  const Model logreg = MakeLogisticRegression(
       static_cast<int>(options.features), static_cast<int>(options.classes),
       &model_rng);
+  const Model mlp_bn = MakeMlpBn({options.features, 8, options.classes},
+                                 &model_rng);
+  // Client 4 keeps Ditto's personal model in its trainer state; client 5
+  // is a FedBN client, whose BatchNorm buffers stay local.
+  constexpr int kDitto = 4;
+  constexpr int kFedBn = 5;
+  auto init_model = [&](int id) { return id == kFedBn ? mlp_bn : logreg; };
   auto factory = [&](int id) {
     ClientCache::Entry entry;
     ClientOptions co;
     co.seed = Rng(7).Fork(id).Next();
-    entry.client = std::make_unique<Client>(
-        id, co, init, provider.MaterializeClient(id),
-        std::make_unique<GeneralTrainer>(), &sink);
+    if (id == kFedBn) co.share_filter = FedBnShareFilter();
+    std::unique_ptr<BaseTrainer> trainer =
+        id == kDitto ? std::make_unique<DittoTrainer>()
+                     : std::make_unique<GeneralTrainer>();
+    SplitDataset data;
+    HeldOutSource held_out;
+    data.train = provider.MaterializeTrain(id, &held_out);
+    entry.client =
+        std::make_unique<Client>(id, co, init_model(id), std::move(data),
+                                 std::move(trainer), &sink, held_out);
     return entry;
   };
 
   ClientCache cache(options.num_clients, /*capacity=*/1, factory);
-  // Give client 1 non-fresh state: a trained model and an advanced rng.
-  Message para;
-  para.sender = kServerId;
-  para.receiver = 1;
-  para.msg_type = events::kModelPara;
-  Model global = init;
-  para.payload.SetStateDict("model", global.GetStateDict());
-  cache.Get(1)->HandleMessage(para);
-  ASSERT_EQ(cache.Get(1)->rounds_trained(), 1);
-  Payload before;
-  cache.Get(1)->ExportResume(&before);
+  // Gives client `id` non-fresh state — a trained model, advanced rng,
+  // trainer state — and returns its record.
+  auto train_once = [&](int id) {
+    Message para;
+    para.sender = kServerId;
+    para.receiver = id;
+    para.msg_type = events::kModelPara;
+    Model global = init_model(id);
+    para.payload.SetStateDict(
+        "model", global.GetStateDict(cache.Get(id)->options().share_filter));
+    cache.Get(id)->HandleMessage(para);
+    EXPECT_EQ(cache.Get(id)->rounds_trained(), 1) << id;
+    return cache.Get(id)->ExportResume();
+  };
+  const ClientResume before = train_once(1);
+  EXPECT_TRUE(before.trainer_state.empty());  // a stateless trainer
   cache.Get(2);
   cache.Trim();  // client 1 suspended, client 2 live
   EXPECT_FALSE(cache.IsLive(1));
@@ -284,26 +471,47 @@ TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
   EXPECT_FALSE(cache.IsLive(3));
   EXPECT_TRUE(cache.Finished(3));
 
-  // An evicted client restores its exact pre-eviction resume payload.
-  Payload resumed;
-  cache.Get(1)->ExportResume(&resumed);
-  EXPECT_EQ(EncodePayload(before), EncodePayload(resumed));
+  // An evicted client restores its exact pre-eviction record.
+  EXPECT_TRUE(RecordBitEqual(before, cache.Get(1)->ExportResume()));
   EXPECT_EQ(cache.stats().restores, 1);
+  cache.Trim();
+
+  // Trainer bytes and BatchNorm buffers round-trip too.
+  const ClientResume ditto = train_once(kDitto);
+  EXPECT_FALSE(ditto.trainer_state.empty());
+  const ClientResume fedbn = train_once(kFedBn);
+  Model bn_reference = mlp_bn;
+  EXPECT_EQ(static_cast<int64_t>(fedbn.params.size()),
+            bn_reference.NumParams());
+  EXPECT_GT(fedbn.params.size(), bn_reference.FlatParams().size());
+  cache.Get(2);
+  cache.Trim();
+  EXPECT_FALSE(cache.IsLive(kDitto));
+  EXPECT_FALSE(cache.IsLive(kFedBn));
+  EXPECT_TRUE(RecordBitEqual(ditto, cache.Get(kDitto)->ExportResume()));
+  EXPECT_TRUE(RecordBitEqual(fedbn, cache.Get(kFedBn)->ExportResume()));
+  cache.Trim();
+
+  // The held-out splits do not depend on when they are first read: a
+  // restored client whose rng has moved on builds the splits a fresh
+  // client builds.
+  const SplitDataset& restored = cache.Get(1)->data();
+  ClientCache::Entry fresh_one = factory(1);
+  EXPECT_TRUE(BitEqual(restored.val, fresh_one.client->data().val));
+  EXPECT_TRUE(BitEqual(restored.test, fresh_one.client->data().test));
   cache.Trim();
 
   // A client marked finished while not live instantiates exactly like a
   // fresh client told to finish.
-  Payload marked_finished;
-  cache.Get(3)->ExportResume(&marked_finished);
+  const ClientResume marked_finished = cache.Get(3)->ExportResume();
   ClientCache::Entry fresh = factory(3);
   Message finish;
   finish.sender = kServerId;
   finish.receiver = 3;
   finish.msg_type = events::kFinish;
   fresh.client->HandleMessage(finish);
-  Payload want_finished;
-  fresh.client->ExportResume(&want_finished);
-  EXPECT_EQ(EncodePayload(marked_finished), EncodePayload(want_finished));
+  EXPECT_TRUE(marked_finished.finished);
+  EXPECT_TRUE(RecordBitEqual(marked_finished, fresh.client->ExportResume()));
 }
 
 }  // namespace
