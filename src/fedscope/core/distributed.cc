@@ -443,6 +443,7 @@ ServerStats DistributedServerHost::Run() {
       if (halt_after_round_ > 0 && last_seen_round >= halt_after_round_) {
         FS_LOG(Warning) << "halting after round " << last_seen_round
                         << " (simulated crash)";
+        server_->ExportMetrics();
         return server_->stats();
       }
     }
@@ -460,6 +461,7 @@ ServerStats DistributedServerHost::Run() {
                   static_cast<double>(stale));
     }
   }
+  server_->ExportMetrics();
   return server_->stats();
 }
 

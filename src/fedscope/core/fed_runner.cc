@@ -592,6 +592,7 @@ RunResult FedRunner::Run() {
 
   course_span.set_end(server_->current_time());
   course_span.AddArg("rounds", std::to_string(server_->stats().rounds));
+  server_->ExportMetrics();
   if (job_.obs.metrics != nullptr) {
     job_.obs.SetGauge("fs_course_rounds",
                       static_cast<double>(server_->stats().rounds));

@@ -1,6 +1,7 @@
 #include "fedscope/core/server.h"
 
 #include <algorithm>
+#include <span>
 
 #include "fedscope/comm/compression.h"
 #include "fedscope/core/events.h"
@@ -12,6 +13,19 @@ namespace {
 
 constexpr char kModelKey[] = "model";
 constexpr char kDeltaKey[] = "delta";
+
+/// The by-reason counter of a rejecting guard verdict; its series label is
+/// GuardReasonLabel(verdict).
+int64_t CourseCounters::*RejectionReason(GuardVerdict verdict) {
+  switch (verdict) {
+    case GuardVerdict::kRejectSignature:
+      return &CourseCounters::rejected_signature;
+    case GuardVerdict::kRejectNonFinite:
+      return &CourseCounters::rejected_non_finite;
+    default:
+      return &CourseCounters::rejected_norm;
+  }
+}
 
 }  // namespace
 
@@ -267,10 +281,8 @@ void Server::BroadcastModel(const std::vector<int>& client_ids,
       }
       msg.payload.SetInt("hpo.want_feedback", 1);
     }
-    if (obs_ != nullptr && obs_->enabled()) {
-      pending_downlink_bytes_ += msg.payload.ByteSize();
-      pending_broadcasts_ += std::max<int>(1, cohort.size());
-    }
+    stats_.downlink_bytes += msg.payload.ByteSize();
+    stats_.broadcasts += std::max<int64_t>(1, cohort.size());
     Send(std::move(msg));
   }
 }
@@ -283,23 +295,18 @@ void Server::OnPartialUpdate(const Message& msg) {
                     << " from " << msg.sender;
     return;
   }
-  const bool record_obs = obs_ != nullptr && obs_->enabled();
   const int64_t epoch = msg.payload.GetInt("shard_epoch", 0);
   if (epoch != shard_epochs_[shard]) {
     // A superseded incarnation of the shard's aggregator: its cohort was
     // re-broadcast through the promoted standby, so accepting this would
     // double-count those clients.
     ++stats_.stale_partials;
-    if (record_obs) obs_->Count("fs_server_stale_partials_total");
     FS_LOG(Info) << "rejecting shard " << shard << " partial at epoch "
                  << epoch << " (current " << shard_epochs_[shard] << ")";
     return;
   }
-  if (record_obs) {
-    pending_uplink_bytes_ += msg.payload.ByteSize();
-    ++pending_partials_;
-    obs_->Count("fs_server_partial_updates_total");
-  }
+  stats_.uplink_bytes += msg.payload.ByteSize();
+  ++stats_.partial_updates;
   std::vector<int> contributors;
   for (int64_t id : GetPackedInt64s(msg.payload, "contributors")) {
     contributors.push_back(static_cast<int>(id));
@@ -308,10 +315,6 @@ void Server::OnPartialUpdate(const Message& msg) {
   for (int64_t id : GetPackedInt64s(msg.payload, "declined_ids")) {
     declined.push_back(static_cast<int>(id));
     ++stats_.declined;
-    if (record_obs) {
-      ++pending_declined_;
-      obs_->Count("fs_server_declined_total");
-    }
   }
   // Members whose updates the edge aggregator's guard rejected: the shard
   // saw their reply but they contributed nothing; the root books the
@@ -320,12 +323,7 @@ void Server::OnPartialUpdate(const Message& msg) {
   for (int64_t id64 : GetPackedInt64s(msg.payload, "rejected_ids")) {
     const int id = static_cast<int>(id64);
     rejected.push_back(id);
-    ++stats_.updates_rejected;
-    if (record_obs) {
-      ++pending_rejected_;
-      obs_->Count("fs_server_updates_rejected_total", 1.0,
-                  {{"reason", "edge"}});
-    }
+    stats_.Reject(&CourseCounters::rejected_edge);
     if (guard_ != nullptr && guard_->RecordViolation(id)) {
       QuarantineClient(id);
     }
@@ -334,11 +332,6 @@ void Server::OnPartialUpdate(const Message& msg) {
     const int staleness = round_ - msg.state;
     if (staleness > options_.staleness_tolerance) {
       stats_.dropped_stale += static_cast<int64_t>(contributors.size());
-      if (record_obs) {
-        pending_dropped_ += static_cast<int64_t>(contributors.size());
-        obs_->Count("fs_server_dropped_stale_total",
-                    static_cast<double>(contributors.size()));
-      }
     } else {
       ClientUpdate update;
       update.client_id = msg.sender;
@@ -357,18 +350,10 @@ void Server::OnPartialUpdate(const Message& msg) {
             global_model_.GetStateDict(options_.share_filter);
         const GuardDecision decision = guard_->Inspect(
             msg.sender, signature, &update.delta, /*track_violations=*/false);
-        if (decision.verdict == GuardVerdict::kClip) {
-          ++stats_.updates_clipped;
-          if (record_obs) obs_->Count("fs_server_updates_clipped_total");
-        }
+        if (decision.verdict == GuardVerdict::kClip) ++stats_.updates_clipped;
         if (decision.rejected()) {
           usable = false;
-          ++stats_.updates_rejected;
-          if (record_obs) {
-            ++pending_rejected_;
-            obs_->Count("fs_server_updates_rejected_total", 1.0,
-                        {{"reason", GuardReasonLabel(decision.verdict)}});
-          }
+          stats_.Reject(RejectionReason(decision.verdict));
           FS_LOG(Warning) << "rejecting partial from aggregator "
                           << msg.sender << " ("
                           << GuardReasonLabel(decision.verdict)
@@ -402,10 +387,6 @@ void Server::OnStandbyPromoted(const Message& msg) {
   shard_epochs_[shard] = std::max(shard_epochs_[shard] + 1, claimed);
   shard_active_slot_[shard] = AggregatorSlot(msg.sender);
   ++stats_.shard_failovers;
-  if (obs_ != nullptr && obs_->enabled()) {
-    ++pending_failovers_;
-    obs_->Count("fs_server_shard_failovers_total");
-  }
   FS_LOG(Warning) << "shard " << shard << " failed over to aggregator "
                   << msg.sender << " (epoch " << shard_epochs_[shard] << ")";
   if (!started_) return;
@@ -455,18 +436,13 @@ void Server::ScheduleTimer(double now) {
 
 void Server::OnModelUpdate(const Message& msg) {
   if (finished_ || !started_) return;
-  const bool record_obs = obs_ != nullptr && obs_->enabled();
-  if (record_obs) pending_uplink_bytes_ += msg.payload.ByteSize();
+  stats_.uplink_bytes += msg.payload.ByteSize();
 
   // The reply ends the sender's slot, if one is in flight; what the reply
   // carries decides the outcome.
   if (msg.payload.GetInt("declined", 0) != 0) {
     // The client declined this round (low_bandwidth behaviour).
     ++stats_.declined;
-    if (record_obs) {
-      ++pending_declined_;
-      obs_->Count("fs_server_declined_total");
-    }
     RepairSlots(SlotOutcome::kDeclined, {msg.sender}, msg);
     return;
   }
@@ -475,10 +451,6 @@ void Server::OnModelUpdate(const Message& msg) {
   if (guard_ == nullptr && staleness > options_.staleness_tolerance) {
     // Outdated beyond toleration: dropped entirely (§3.3.1-i).
     ++stats_.dropped_stale;
-    if (record_obs) {
-      ++pending_dropped_;
-      obs_->Count("fs_server_dropped_stale_total");
-    }
   } else {
     ClientUpdate update;
     update.client_id = msg.sender;
@@ -521,17 +493,9 @@ void Server::OnModelUpdate(const Message& msg) {
           global_model_.GetStateDict(options_.share_filter);
       const GuardDecision decision =
           guard_->Inspect(msg.sender, signature, &update.delta);
-      if (decision.verdict == GuardVerdict::kClip) {
-        ++stats_.updates_clipped;
-        if (record_obs) obs_->Count("fs_server_updates_clipped_total");
-      }
+      if (decision.verdict == GuardVerdict::kClip) ++stats_.updates_clipped;
       if (decision.rejected()) {
-        ++stats_.updates_rejected;
-        if (record_obs) {
-          ++pending_rejected_;
-          obs_->Count("fs_server_updates_rejected_total", 1.0,
-                      {{"reason", GuardReasonLabel(decision.verdict)}});
-        }
+        stats_.Reject(RejectionReason(decision.verdict));
         FS_LOG(Warning) << "rejecting update from client " << msg.sender
                         << " (" << GuardReasonLabel(decision.verdict)
                         << "): " << decision.detail;
@@ -545,10 +509,6 @@ void Server::OnModelUpdate(const Message& msg) {
       // Guard-accepted but outdated beyond toleration: dropped exactly as
       // on the guard-off path (falls through to the trigger checks).
       ++stats_.dropped_stale;
-      if (record_obs) {
-        ++pending_dropped_;
-        obs_->Count("fs_server_dropped_stale_total");
-      }
     } else {
       buffer_.push_back(std::move(update));
     }
@@ -624,8 +584,6 @@ void Server::OnTimer(const Message& msg) {
   // answered, so with quarantine on each one buys the round one more
   // expiry; quarantine bounds how often that can happen.
   ++stats_.round_extensions;
-  const bool record_obs = obs_ != nullptr && obs_->enabled();
-  if (record_obs) obs_->Count("fs_server_round_extensions_total");
   const int budget =
       options_.max_round_extensions +
       (options_.guard.quarantine_after > 0 ? ledger_.rejected() : 0);
@@ -641,6 +599,8 @@ void Server::OnTimer(const Message& msg) {
     if (!finished_ && round_ == round) {
       stats_.aborted = true;
       FinishCourse(msg);
+      // The given-up round's counts close the course log.
+      LogRow({}, round_ + 1, kAbortTrigger, msg.timestamp);
     }
     return;
   }
@@ -651,11 +611,6 @@ void Server::OnTimer(const Message& msg) {
   ledger_.set_awaited(BufferedUpdates() +
                       static_cast<int>(outstanding.size()));
   stats_.dropouts += static_cast<int64_t>(outstanding.size());
-  if (record_obs) {
-    pending_dropouts_ += static_cast<int64_t>(outstanding.size());
-    obs_->Count("fs_server_dropouts_total",
-                static_cast<double>(outstanding.size()));
-  }
   FS_LOG(Debug) << "round " << round_ << " " << event << " with too little "
                 << "feedback; " << outstanding.size() << " presumed dead";
   ScheduleTimer(msg.timestamp);
@@ -682,14 +637,7 @@ void Server::RepairSlots(SlotOutcome outcome, const std::vector<int>& ids,
   if (!answered) {
     for (int id : ended) ledger_.End(id, outcome);
   }
-  if (!ended.empty()) {
-    stats_.replacements += static_cast<int64_t>(refills.size());
-    if (obs_ != nullptr && obs_->enabled()) {
-      pending_replacements_ += static_cast<int64_t>(refills.size());
-      obs_->Count("fs_server_replacements_total",
-                  static_cast<double>(refills.size()));
-    }
-  }
+  stats_.replacements += static_cast<int64_t>(refills.size());
   ledger_.Lower(static_cast<int>(ended.size() - refills.size()));
   BroadcastModel(refills, msg.timestamp);
   CheckTrigger(msg);
@@ -701,10 +649,6 @@ void Server::OnClientFailure(const Message& msg) {
   FS_LOG(Warning) << "client " << id << " failed; removed from the course";
   members_.Erase(id);
   ++stats_.dropouts;
-  if (obs_ != nullptr && obs_->enabled()) {
-    ++pending_dropouts_;
-    obs_->Count("fs_server_dropouts_total");
-  }
   if (started_ && ledger_.InFlight(id)) {
     RepairSlots(SlotOutcome::kFailed, {id}, msg);
   }
@@ -713,10 +657,7 @@ void Server::OnClientFailure(const Message& msg) {
 void Server::QuarantineClient(int id) {
   members_.Erase(id);
   stats_.quarantined.push_back(id);
-  if (obs_ != nullptr && obs_->enabled()) {
-    ++pending_quarantined_;
-    obs_->Count("fs_server_clients_quarantined_total");
-  }
+  ++stats_.clients_quarantined;
   FS_LOG(Warning) << "client " << id << " quarantined after "
                   << options_.guard.quarantine_after
                   << " guard violations; removed from the sampling pool";
@@ -725,34 +666,30 @@ void Server::QuarantineClient(int id) {
 void Server::PerformAggregation(const std::string& trigger,
                                 const Message& context) {
   if (finished_ || buffer_.empty()) return;
-  const bool record_obs = obs_ != nullptr && obs_->enabled();
 
   // Staleness is measured against the version at aggregation time; updates
-  // that aged beyond the toleration while buffered are dropped now.
+  // that aged beyond the toleration while buffered are dropped now. A flat
+  // update is attributed to its sender, a partial to each contributor it
+  // carried, so Figure-10-style stats match a flat course.
   const bool hierarchical = options_.topology.hierarchical();
   std::vector<ClientUpdate> usable;
-  std::vector<std::vector<int>> usable_contribs;
   usable.reserve(buffer_.size());
+  CourseRoundRecord row;
   for (size_t i = 0; i < buffer_.size(); ++i) {
     ClientUpdate& update = buffer_[i];
     update.staleness = round_ - update.round_started;
+    const std::span<const int> clients =
+        hierarchical ? std::span<const int>(buffer_contributors_[i])
+                     : std::span<const int>(&update.client_id, 1);
     if (update.staleness > options_.staleness_tolerance) {
-      const int64_t dropped =
-          hierarchical
-              ? static_cast<int64_t>(buffer_contributors_[i].size())
-              : 1;
-      stats_.dropped_stale += dropped;
-      if (record_obs) {
-        pending_dropped_ += dropped;
-        obs_->Count("fs_server_dropped_stale_total",
-                    static_cast<double>(dropped));
-      }
+      stats_.dropped_stale += static_cast<int64_t>(clients.size());
       continue;
     }
+    row.contributors.insert(row.contributors.end(), clients.begin(),
+                            clients.end());
+    row.staleness.insert(row.staleness.end(), clients.size(),
+                         update.staleness);
     usable.push_back(std::move(update));
-    if (hierarchical) {
-      usable_contribs.push_back(std::move(buffer_contributors_[i]));
-    }
   }
   buffer_.clear();
   buffer_contributors_.clear();
@@ -761,27 +698,6 @@ void Server::PerformAggregation(const std::string& trigger,
     // alive so a deadline/budget-driven course cannot silently stall.
     ScheduleTimer(context.timestamp);
     return;
-  }
-
-  if (hierarchical) {
-    // Per-client attribution flows through the contributor lists the
-    // partials carried, so Figure-10-style stats match a flat course.
-    for (size_t i = 0; i < usable.size(); ++i) {
-      for (int id : usable_contribs[i]) {
-        stats_.staleness_log.push_back(usable[i].staleness);
-        if (id >= 1 && id < static_cast<int>(stats_.agg_count.size())) {
-          ++stats_.agg_count[id];
-        }
-      }
-    }
-  } else {
-    for (const auto& update : usable) {
-      stats_.staleness_log.push_back(update.staleness);
-      if (update.client_id >= 1 &&
-          update.client_id < static_cast<int>(stats_.agg_count.size())) {
-        ++stats_.agg_count[update.client_id];
-      }
-    }
   }
 
   const StateDict global_shared =
@@ -793,11 +709,18 @@ void Server::PerformAggregation(const std::string& trigger,
     // deadline machinery resample (the extension backstop still bounds it).
     FS_LOG(Warning) << "aggregation failed at round " << round_ << ": "
                     << next.status().ToString();
-    if (record_obs) obs_->Count("fs_server_aggregation_failures_total");
+    ++stats_.aggregation_failures;
     ScheduleTimer(context.timestamp);
     return;
   }
   FS_CHECK_OK(global_model_.LoadStateDict(next.value()));
+  stats_.staleness_log.insert(stats_.staleness_log.end(),
+                              row.staleness.begin(), row.staleness.end());
+  for (int id : row.contributors) {
+    if (id >= 1 && id < static_cast<int>(stats_.agg_count.size())) {
+      ++stats_.agg_count[id];
+    }
+  }
 
   ++round_;
   stats_.rounds = round_;
@@ -805,10 +728,13 @@ void Server::PerformAggregation(const std::string& trigger,
 
   const size_t curve_size_before = stats_.curve.size();
   const bool stopped = EvaluateAndCheckStop(context);
-  if (record_obs) {
-    RecordRound(trigger, context, usable, usable_contribs,
-                stats_.curve.size() > curve_size_before);
+  if (stats_.curve.size() > curve_size_before) {
+    row.evaluated = true;
+    row.eval_accuracy = stats_.curve.back().second;
+    row.eval_loss = last_eval_loss_;
   }
+  RecordRound(trigger, context.timestamp, std::move(row),
+              static_cast<int>(usable.size()));
   if (stopped) return;
 
   if (options_.broadcast == BroadcastManner::kAfterAggregating) {
@@ -817,88 +743,53 @@ void Server::PerformAggregation(const std::string& trigger,
   ScheduleTimer(context.timestamp);
 }
 
-void Server::RecordRound(const std::string& trigger, const Message& context,
-                         const std::vector<ClientUpdate>& usable,
-                         const std::vector<std::vector<int>>& usable_contribs,
-                         bool evaluated) {
-  const double now = context.timestamp;
-  const bool hierarchical = options_.topology.hierarchical();
-  if (hierarchical) {
-    for (size_t i = 0; i < usable.size(); ++i) {
-      for (int id : usable_contribs[i]) {
-        obs_->Observe("fs_server_staleness", StalenessBounds(),
-                      static_cast<double>(usable[i].staleness));
-        obs_->Count("fs_server_agg_contributions_total", 1.0,
-                    {{"client", std::to_string(id)}});
-      }
+void Server::RecordRound(const std::string& trigger, double now,
+                         CourseRoundRecord row, int updates) {
+  if (obs_ != nullptr) {
+    obs_->Count("fs_server_aggregations_total", 1.0, {{"trigger", trigger}});
+    obs_->Observe("fs_server_round_duration_seconds", LatencyBounds(),
+                  now - last_agg_time_);
+    if (obs_->tracer != nullptr) {
+      obs_->tracer->Span("round " + std::to_string(round_), last_agg_time_,
+                         now - last_agg_time_, kServerId,
+                         {{"trigger", trigger},
+                          {"updates", std::to_string(updates)}});
     }
-  } else {
-    for (const auto& update : usable) {
-      obs_->Observe("fs_server_staleness", StalenessBounds(),
-                    static_cast<double>(update.staleness));
-      obs_->Count("fs_server_agg_contributions_total", 1.0,
-                  {{"client", std::to_string(update.client_id)}});
-    }
-  }
-  obs_->Count("fs_server_aggregations_total", 1.0, {{"trigger", trigger}});
-  obs_->Observe("fs_server_round_duration_seconds", LatencyBounds(),
-                now - last_agg_time_);
-  if (obs_->tracer != nullptr) {
-    obs_->tracer->Span(
-        "round " + std::to_string(round_), last_agg_time_, now - last_agg_time_,
-        kServerId,
-        {{"trigger", trigger}, {"updates", std::to_string(usable.size())}});
-  }
-  if (obs_->course_log != nullptr) {
-    CourseRoundRecord record;
-    record.round = round_;
-    record.trigger = trigger;
-    record.time = now;
-    if (hierarchical) {
-      for (size_t i = 0; i < usable.size(); ++i) {
-        for (int id : usable_contribs[i]) {
-          record.contributors.push_back(id);
-          record.staleness.push_back(usable[i].staleness);
-        }
-      }
-    } else {
-      record.contributors.reserve(usable.size());
-      record.staleness.reserve(usable.size());
-      for (const auto& update : usable) {
-        record.contributors.push_back(update.client_id);
-        record.staleness.push_back(update.staleness);
-      }
-    }
-    record.uplink_bytes = pending_uplink_bytes_;
-    record.downlink_bytes = pending_downlink_bytes_;
-    record.broadcasts = pending_broadcasts_;
-    record.dropped_stale = pending_dropped_;
-    record.declined = pending_declined_;
-    record.dropouts = pending_dropouts_;
-    record.replacements = pending_replacements_;
-    record.partial_updates = pending_partials_;
-    record.shard_failovers = pending_failovers_;
-    record.updates_rejected = pending_rejected_;
-    record.clients_quarantined = pending_quarantined_;
-    if (evaluated) {
-      record.evaluated = true;
-      record.eval_accuracy = stats_.curve.back().second;
-      record.eval_loss = last_eval_loss_;
-    }
-    obs_->course_log->Append(std::move(record));
+    LogRow(std::move(row), round_, trigger, now);
   }
   last_agg_time_ = now;
-  pending_uplink_bytes_ = 0;
-  pending_downlink_bytes_ = 0;
-  pending_broadcasts_ = 0;
-  pending_dropped_ = 0;
-  pending_declined_ = 0;
-  pending_dropouts_ = 0;
-  pending_replacements_ = 0;
-  pending_partials_ = 0;
-  pending_failovers_ = 0;
-  pending_rejected_ = 0;
-  pending_quarantined_ = 0;
+  round_base_ = stats_;
+}
+
+void Server::LogRow(CourseRoundRecord row, int round,
+                    const std::string& trigger, double time) const {
+  if (obs_ == nullptr || obs_->course_log == nullptr) return;
+  static_cast<CourseCounters&>(row) = stats_ - round_base_;
+  row.round = round;
+  row.trigger = trigger;
+  row.time = time;
+  obs_->course_log->Append(std::move(row));
+}
+
+void Server::ExportMetrics() const {
+  if (obs_ == nullptr || !obs_->recording_metrics()) return;
+  for (const CounterField& field : kCounterFields) {
+    const int64_t value = stats_.*field.member;
+    if (field.series == nullptr || value == 0) continue;
+    MetricLabels labels;
+    if (*field.label != '\0') labels[field.label] = field.label_value;
+    obs_->Count(field.series, static_cast<double>(value), labels);
+  }
+  for (int staleness : stats_.staleness_log) {
+    obs_->Observe("fs_server_staleness", StalenessBounds(),
+                  static_cast<double>(staleness));
+  }
+  for (size_t id = 1; id < stats_.agg_count.size(); ++id) {
+    if (stats_.agg_count[id] == 0) continue;
+    obs_->Count("fs_server_agg_contributions_total",
+                static_cast<double>(stats_.agg_count[id]),
+                {{"client", std::to_string(id)}});
+  }
 }
 
 bool Server::EvaluateAndCheckStop(const Message& context) {

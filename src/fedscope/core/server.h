@@ -17,6 +17,8 @@
 #include "fedscope/core/update_guard.h"
 #include "fedscope/core/worker.h"
 #include "fedscope/nn/model.h"
+#include "fedscope/obs/course_counters.h"
+#include "fedscope/obs/course_log.h"
 #include "fedscope/util/config.h"
 
 namespace fedscope {
@@ -95,8 +97,9 @@ struct ServerOptions {
   ServerOptions() : share_filter(AcceptAll()) {}
 };
 
-/// Everything the benches read out of a finished FL course.
-struct ServerStats {
+/// Everything the benches read out of a finished FL course: the course
+/// totals of the event counters, plus the per-client and per-round record.
+struct ServerStats : CourseCounters {
   /// (virtual seconds, global test accuracy) after each evaluation.
   std::vector<std::pair<double, double>> curve;
   /// Effective aggregation count per client id (1-based; index 0 unused) —
@@ -105,34 +108,12 @@ struct ServerStats {
   /// Staleness of every update that contributed to an aggregation —
   /// the distribution of Figure 11.
   std::vector<int> staleness_log;
-  int64_t dropped_stale = 0;
-  /// Training requests declined by clients (e.g. low_bandwidth behaviour).
-  int64_t declined = 0;
-  /// Clients presumed dead: starved timer expiries in standalone mode,
-  /// mid-course connection failures in distributed mode.
-  int64_t dropouts = 0;
-  /// Clients drawn to refill cohort slots that ended without an update
-  /// (declined, rejected, failed or presumed dead).
-  int64_t replacements = 0;
-  /// Starved timer expiries: receive deadlines or time budgets that found
-  /// fewer than min_received updates (the remedial measures of §3.3.2).
-  int64_t round_extensions = 0;
   /// A round stayed starved past max_round_extensions and could not be
   /// ended by aggregation, so the course was given up.
   bool aborted = false;
   /// Client-reported test accuracy from the final metrics round
   /// (client id -> accuracy); filled when collect_client_metrics is on.
   std::map<int, double> client_metrics;
-  /// Shard failovers acknowledged (standby_promoted messages accepted).
-  int64_t shard_failovers = 0;
-  /// Partial updates rejected for carrying a superseded shard epoch
-  /// (messages from a dead aggregator incarnation).
-  int64_t stale_partials = 0;
-  /// Updates rejected by the ingress guard (DESIGN.md §14), including
-  /// edge-aggregator rejections reported through partials.
-  int64_t updates_rejected = 0;
-  /// Over-norm updates scaled down to the L2 bound (guard clip mode).
-  int64_t updates_clipped = 0;
   /// Clients exiled from the sampling pool after reaching the guard's
   /// violation bar, in quarantine order.
   std::vector<int> quarantined;
@@ -176,9 +157,9 @@ class Server : public BaseWorker {
 
   /// Captures the complete course state into `checkpoint` (DESIGN.md §10):
   /// model, rng stream position, sampler cursor, aggregator accumulators,
-  /// membership, the pending cohort with its buffered deltas, stats, and
-  /// the pending obs accumulators. Together with a surviving transport
-  /// this is sufficient for a bit-identical resume.
+  /// membership, the pending cohort with its buffered deltas, and stats
+  /// with the course log's per-round baseline. Together with a surviving
+  /// transport this is sufficient for a bit-identical resume.
   void ExportSnapshot(Checkpoint* checkpoint);
   /// Restores a snapshot captured by ExportSnapshot onto a freshly
   /// constructed Server whose options match the snapshotted course
@@ -186,6 +167,10 @@ class Server : public BaseWorker {
   /// config provider, feedback consumer, obs — are process-local, not part
   /// of the snapshot, and must be reinstalled by the caller.
   Status RestoreSnapshot(const Checkpoint& checkpoint);
+  /// Writes stats() into the attached metrics registry: the nonzero
+  /// kCounterFields series, the staleness histogram and the per-client
+  /// contribution counters. Runners call it once, at course end.
+  void ExportMetrics() const;
 
   Model* global_model() { return &global_model_; }
   Aggregator* aggregator() { return aggregator_.get(); }
@@ -236,14 +221,15 @@ class Server : public BaseWorker {
   void StartTraining(const Message& context);
   void PerformAggregation(const std::string& trigger, const Message& context);
   void FinishCourse(const Message& context);
-  /// Flushes the pending-round observability accumulators into the course
-  /// log / metrics / tracer after an aggregation (obs-attached runs only).
-  /// `usable_contribs` carries per-update contributor ids in hierarchical
-  /// mode (parallel to `usable`; empty in flat mode).
-  void RecordRound(const std::string& trigger, const Message& context,
-                   const std::vector<ClientUpdate>& usable,
-                   const std::vector<std::vector<int>>& usable_contribs,
-                   bool evaluated);
+  /// Closes the round after an aggregation: feeds the attached sinks (the
+  /// trigger count, round duration, tracer span over `updates` aggregated
+  /// updates, and `row`) and takes the counters' baseline for the next row.
+  void RecordRound(const std::string& trigger, double now,
+                   CourseRoundRecord row, int updates);
+  /// Appends `row` to the attached course log as round `round`'s, ended by
+  /// `trigger` at `time`, with the counts since the previous aggregation.
+  void LogRow(CourseRoundRecord row, int round, const std::string& trigger,
+              double time) const;
 
   /// Sends the current global model to the given clients at round round_,
   /// opening their cohort slots (a client in flight keeps its slot).
@@ -310,22 +296,10 @@ class Server : public BaseWorker {
   int evals_since_best_ = 0;
   double last_eval_loss_ = 0.0;
   ServerStats stats_;
-
-  // Pending-round observability accumulators: traffic and drop counts
-  // since the previous aggregation. Maintained only when obs() is attached
-  // (zero cost on the default path); flushed by RecordRound.
+  /// The previous aggregation's time and counters reading: a course-log
+  /// row's counts are stats_ minus round_base_.
   double last_agg_time_ = 0.0;
-  int64_t pending_uplink_bytes_ = 0;
-  int64_t pending_downlink_bytes_ = 0;
-  int pending_broadcasts_ = 0;
-  int64_t pending_dropped_ = 0;
-  int64_t pending_declined_ = 0;
-  int64_t pending_dropouts_ = 0;
-  int64_t pending_replacements_ = 0;
-  int64_t pending_partials_ = 0;
-  int64_t pending_failovers_ = 0;
-  int64_t pending_rejected_ = 0;
-  int64_t pending_quarantined_ = 0;
+  CourseCounters round_base_;
 };
 
 }  // namespace fedscope

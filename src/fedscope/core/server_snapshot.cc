@@ -13,9 +13,15 @@
 //   clients, resp_scores                    membership
 //   buffer/count, buffer/<i>/...            pending cohort incl. deltas
 //   sampler/..., aggregator/...             plug-in state (their SaveState)
-//   stats/...                               full ServerStats
-//   obs/...                                 pending per-round accumulators
+//   topology/..., buffer/<i>/contributors   hierarchical courses only
+//   guard/...                               guarded courses only
+//   counters, counters_base                 ServerStats' CourseCounters and
+//                                           their reading at the previous
+//                                           aggregation (kCounterFields order)
+//   last_agg_time                           the previous aggregation's time
+//   stats/...                               the rest of ServerStats
 
+#include <iterator>
 #include <limits>
 
 #include "fedscope/core/checkpoint.h"
@@ -71,8 +77,6 @@ void Server::ExportSnapshot(Checkpoint* checkpoint) {
     p.SetStateDict(BufferKey(i, "delta"), u.delta);
   }
 
-  // Topology keys exist only for hierarchical courses, keeping flat
-  // snapshots byte-identical to the pre-topology schema.
   if (options_.topology.hierarchical()) {
     SetPackedInt64s(&p, "topology/shard_epochs", shard_epochs_);
     SetPackedInt64s(&p, "topology/active_slots",
@@ -83,31 +87,23 @@ void Server::ExportSnapshot(Checkpoint* checkpoint) {
                       std::vector<int64_t>(buffer_contributors_[i].begin(),
                                            buffer_contributors_[i].end()));
     }
-    p.SetInt("stats/shard_failovers", stats_.shard_failovers);
-    p.SetInt("stats/stale_partials", stats_.stale_partials);
-    p.SetInt("obs/pending_partials", pending_partials_);
-    p.SetInt("obs/pending_failovers", pending_failovers_);
   }
-
-  // Guard keys exist only for guarded courses, keeping guard-off
-  // snapshots byte-identical to the pre-guard schema. Quarantined members
-  // need no membership key: they are gaps in `clients`.
-  if (guard_ != nullptr) {
-    guard_->SaveState(&p, "guard");
-    p.SetInt("stats/updates_rejected", stats_.updates_rejected);
-    p.SetInt("stats/updates_clipped", stats_.updates_clipped);
-    SetPackedInt64s(&p, "stats/quarantined",
-                    std::vector<int64_t>(stats_.quarantined.begin(),
-                                         stats_.quarantined.end()));
-    p.SetInt("obs/pending_rejected", pending_rejected_);
-    p.SetInt("obs/pending_quarantined", pending_quarantined_);
-  }
+  if (guard_ != nullptr) guard_->SaveState(&p, "guard");
 
   if (sampler_) {
     p.SetInt("has_sampler", 1);
     sampler_->SaveState(&p, "sampler");
   }
   aggregator_->SaveState(&p, "aggregator");
+
+  std::vector<int64_t> counters, base;
+  for (const CounterField& field : kCounterFields) {
+    counters.push_back(stats_.*field.member);
+    base.push_back(round_base_.*field.member);
+  }
+  SetPackedInt64s(&p, "counters", counters);
+  SetPackedInt64s(&p, "counters_base", base);
+  p.SetDouble("last_agg_time", last_agg_time_);
 
   std::vector<double> curve_times, curve_accs;
   curve_times.reserve(stats_.curve.size());
@@ -122,11 +118,11 @@ void Server::ExportSnapshot(Checkpoint* checkpoint) {
   SetPackedInt64s(&p, "stats/staleness_log",
                   std::vector<int64_t>(stats_.staleness_log.begin(),
                                        stats_.staleness_log.end()));
-  p.SetInt("stats/dropped_stale", stats_.dropped_stale);
-  p.SetInt("stats/declined", stats_.declined);
-  p.SetInt("stats/dropouts", stats_.dropouts);
-  p.SetInt("stats/replacements", stats_.replacements);
-  p.SetInt("stats/round_extensions", stats_.round_extensions);
+  // Quarantined members need no membership key: they are gaps in
+  // `clients`.
+  SetPackedInt64s(&p, "stats/quarantined",
+                  std::vector<int64_t>(stats_.quarantined.begin(),
+                                       stats_.quarantined.end()));
   p.SetInt("stats/aborted", stats_.aborted ? 1 : 0);
   std::vector<int64_t> metric_ids;
   std::vector<double> metric_values;
@@ -142,15 +138,6 @@ void Server::ExportSnapshot(Checkpoint* checkpoint) {
   p.SetDouble("stats/best_accuracy", stats_.best_accuracy);
   p.SetDouble("stats/final_accuracy", stats_.final_accuracy);
   p.SetDouble("stats/finish_time", stats_.finish_time);
-
-  p.SetDouble("obs/last_agg_time", last_agg_time_);
-  p.SetInt("obs/pending_uplink_bytes", pending_uplink_bytes_);
-  p.SetInt("obs/pending_downlink_bytes", pending_downlink_bytes_);
-  p.SetInt("obs/pending_broadcasts", pending_broadcasts_);
-  p.SetInt("obs/pending_dropped", pending_dropped_);
-  p.SetInt("obs/pending_declined", pending_declined_);
-  p.SetInt("obs/pending_dropouts", pending_dropouts_);
-  p.SetInt("obs/pending_replacements", pending_replacements_);
 
   checkpoint->course = std::move(p);
 }
@@ -168,6 +155,15 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
   if (p.GetInt("seed", -1) != static_cast<int64_t>(options_.seed)) {
     return Status::FailedPrecondition(
         "snapshot seed does not match server options");
+  }
+  const std::vector<int64_t> counters = GetPackedInt64s(p, "counters");
+  const std::vector<int64_t> base = GetPackedInt64s(p, "counters_base");
+  constexpr size_t kNumCounters = std::size(kCounterFields);
+  if (counters.size() != kNumCounters || base.size() != kNumCounters) {
+    return Status::DataLoss("snapshot counter arrays hold " +
+                            std::to_string(counters.size()) + " and " +
+                            std::to_string(base.size()) + " of " +
+                            std::to_string(kNumCounters) + " counters");
   }
   Status model_status =
       global_model_.LoadStateDict(checkpoint.global_state, /*strict=*/true);
@@ -255,6 +251,11 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
     return Status::DataLoss("snapshot accuracy curve length mismatch");
   }
   stats_ = ServerStats();
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    stats_.*kCounterFields[i].member = counters[i];
+    round_base_.*kCounterFields[i].member = base[i];
+  }
+  last_agg_time_ = p.GetDouble("last_agg_time");
   for (size_t i = 0; i < curve_times.size(); ++i) {
     stats_.curve.emplace_back(curve_times[i], curve_accs[i]);
   }
@@ -262,11 +263,9 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
   for (int64_t s : GetPackedInt64s(p, "stats/staleness_log")) {
     stats_.staleness_log.push_back(static_cast<int>(s));
   }
-  stats_.dropped_stale = p.GetInt("stats/dropped_stale");
-  stats_.declined = p.GetInt("stats/declined");
-  stats_.dropouts = p.GetInt("stats/dropouts");
-  stats_.replacements = p.GetInt("stats/replacements");
-  stats_.round_extensions = p.GetInt("stats/round_extensions");
+  for (int64_t id : GetPackedInt64s(p, "stats/quarantined")) {
+    stats_.quarantined.push_back(static_cast<int>(id));
+  }
   stats_.aborted = p.GetInt("stats/aborted") != 0;
   const std::vector<int64_t> metric_ids =
       GetPackedInt64s(p, "stats/client_metric_ids");
@@ -284,34 +283,7 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
   stats_.best_accuracy = p.GetDouble("stats/best_accuracy");
   stats_.final_accuracy = p.GetDouble("stats/final_accuracy");
   stats_.finish_time = p.GetDouble("stats/finish_time");
-
-  if (options_.topology.hierarchical()) {
-    stats_.shard_failovers = p.GetInt("stats/shard_failovers");
-    stats_.stale_partials = p.GetInt("stats/stale_partials");
-  }
-
-  if (guard_ != nullptr) {
-    guard_->LoadState(p, "guard");
-    stats_.updates_rejected = p.GetInt("stats/updates_rejected");
-    stats_.updates_clipped = p.GetInt("stats/updates_clipped");
-    stats_.quarantined.clear();
-    for (int64_t id : GetPackedInt64s(p, "stats/quarantined")) {
-      stats_.quarantined.push_back(static_cast<int>(id));
-    }
-    pending_rejected_ = p.GetInt("obs/pending_rejected");
-    pending_quarantined_ = p.GetInt("obs/pending_quarantined");
-  }
-
-  last_agg_time_ = p.GetDouble("obs/last_agg_time");
-  pending_uplink_bytes_ = p.GetInt("obs/pending_uplink_bytes");
-  pending_downlink_bytes_ = p.GetInt("obs/pending_downlink_bytes");
-  pending_broadcasts_ = static_cast<int>(p.GetInt("obs/pending_broadcasts"));
-  pending_dropped_ = p.GetInt("obs/pending_dropped");
-  pending_declined_ = p.GetInt("obs/pending_declined");
-  pending_dropouts_ = p.GetInt("obs/pending_dropouts");
-  pending_replacements_ = p.GetInt("obs/pending_replacements");
-  pending_partials_ = p.GetInt("obs/pending_partials");
-  pending_failovers_ = p.GetInt("obs/pending_failovers");
+  if (guard_ != nullptr) guard_->LoadState(p, "guard");
   return Status::Ok();
 }
 

@@ -5,20 +5,28 @@
 #include <string>
 #include <vector>
 
+#include "fedscope/obs/course_counters.h"
 #include "fedscope/util/status.h"
 
 namespace fedscope {
+
+/// Trigger of the row that closes the log of a course the server gave up.
+inline constexpr char kAbortTrigger[] = "abort";
 
 /// One aggregation round of an FL course, as the server observed it. This
 /// is the structured record the paper's evaluation is built from: who
 /// contributed (Fig. 10), how stale the updates were (Fig. 11), how many
 /// bytes crossed the wire (compression ablation), and what the global
-/// model scored (Table 1 / Fig. 9 curves).
-struct CourseRoundRecord {
-  /// Round number after this aggregation (1-based).
+/// model scored (Table 1 / Fig. 9 curves). Its counters are the server's
+/// counts since the previous aggregation; the exports carry the ones the
+/// format has always had.
+struct CourseRoundRecord : CourseCounters {
+  /// Round number after this aggregation (1-based); on an `abort` row, the
+  /// round the server gave up.
   int round = 0;
   /// Condition event that triggered the aggregation (all_received /
-  /// goal_achieved / time_up).
+  /// goal_achieved / time_up / receive_deadline), or `abort` for the last
+  /// row of a course the server gave up.
   std::string trigger;
   /// Virtual timestamp of the aggregation (wall seconds in distributed
   /// mode).
@@ -27,33 +35,6 @@ struct CourseRoundRecord {
   std::vector<int> contributors;
   /// Staleness of each contributing update (parallel to `contributors`).
   std::vector<int> staleness;
-  /// Payload bytes of model_update messages received since the previous
-  /// aggregation (including declined-notices; what crossed the uplink).
-  int64_t uplink_bytes = 0;
-  /// Payload bytes of model_para broadcasts sent since the previous
-  /// aggregation.
-  int64_t downlink_bytes = 0;
-  /// model_para broadcasts sent since the previous aggregation.
-  int broadcasts = 0;
-  /// Updates dropped for exceeding the staleness toleration this round.
-  int64_t dropped_stale = 0;
-  /// Training requests declined by clients this round.
-  int64_t declined = 0;
-  /// Clients presumed dead this round (receive-deadline expiries /
-  /// connection failures).
-  int64_t dropouts = 0;
-  /// Replacement clients sampled into vacated cohort slots this round.
-  int64_t replacements = 0;
-  /// Pre-aggregated shard partials accepted this round (hierarchical
-  /// topologies; 0 in flat courses).
-  int64_t partial_updates = 0;
-  /// Standby promotions the root acknowledged this round.
-  int64_t shard_failovers = 0;
-  /// Updates the ingress guard rejected this round (signature / non-finite
-  /// / over-norm, plus edge-aggregator rejects); 0 when the guard is off.
-  int64_t updates_rejected = 0;
-  /// Clients quarantined out of the sampling pool this round.
-  int64_t clients_quarantined = 0;
   /// True when the server evaluated the global model after this round.
   bool evaluated = false;
   double eval_accuracy = 0.0;

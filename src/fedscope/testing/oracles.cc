@@ -1,7 +1,9 @@
 #include "fedscope/testing/oracles.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -11,6 +13,7 @@
 #include "fedscope/comm/socket_transport.h"
 #include "fedscope/core/distributed.h"
 #include "fedscope/core/events.h"
+#include "fedscope/obs/tracer.h"
 #include "fedscope/personalization/fedbn.h"
 #include "fedscope/util/rng.h"
 
@@ -138,6 +141,16 @@ void CheckReproduces(std::vector<Violation>* v, const std::string& oracle,
         oracle, tag + "round structure differs");
 }
 
+/// True when two course logs hold the same rows: the same exported record
+/// and the same counters, including those the exports leave out.
+bool SameRows(const CourseLog& a, const CourseLog& b) {
+  return a.ToJsonl() == b.ToJsonl() &&
+         std::equal(a.rounds().begin(), a.rounds().end(), b.rounds().begin(),
+                    [](const CourseCounters& x, const CourseCounters& y) {
+                      return x == y;
+                    });
+}
+
 /// The cohort-derived auto capacity of the virtualized client cache
 /// (FedRunner::CacheCapacity) plus the one-client transient a delivery to
 /// a non-live client creates before Trim runs — the bound oracle 12 holds
@@ -164,7 +177,7 @@ std::string FormatViolations(const std::vector<Violation>& violations) {
 CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
                                         int64_t crash_at_event,
                                         int exec_threads, int cache_capacity,
-                                        std::string* metrics_export) {
+                                        bool all_sinks) {
   auto fixture = MakeCourseFixture(spec);
   FedJob job = fixture->MakeJob();
   job.fault.server_crash_at_event = crash_at_event;
@@ -177,11 +190,14 @@ CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
 
   CourseObservation obs;
   MetricsRegistry metrics;
-  if (metrics_export != nullptr) job.obs.metrics = &metrics;
-  if (spec.Hierarchical()) {
-    // Flat courses keep the all-null ObsContext (byte-identity with the
-    // uninstrumented build); hierarchical oracles need the per-round
-    // contributor record to check weight conservation across failovers.
+  Tracer tracer;
+  if (all_sinks) {
+    job.obs.metrics = &metrics;
+    job.obs.tracer = &tracer;
+  }
+  if (all_sinks || spec.Hierarchical()) {
+    // Hierarchical oracles need the per-round contributor record to check
+    // weight conservation across failovers.
     job.obs.course_log = &obs.course_log;
   }
   double last_delivery_time = -1.0;
@@ -223,7 +239,7 @@ CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
     obs.partials_forwarded += agg->partials_forwarded();
   }
   obs.cache = runner.client_cache()->stats();
-  if (metrics_export != nullptr) *metrics_export = metrics.PrometheusText();
+  obs.metrics = metrics.Snapshot();
   return obs;
 }
 
@@ -304,6 +320,79 @@ ServerStats RunDistributedCourse(const CourseSpec& spec, Status* status) {
 }
 
 }  // namespace
+
+std::vector<Violation> CheckCounterSinks(const ServerStats& stats,
+                                         const MetricsSnapshot& metrics,
+                                         const CourseLog& log) {
+  std::vector<Violation> v;
+  const std::string oracle = "obs_transparency";
+  auto series = [&metrics](const std::string& name, MetricLabels labels) {
+    const MetricSample* sample = metrics.Find(name, labels);
+    return sample == nullptr ? MetricSample() : *sample;
+  };
+  CourseCounters row_sum;
+  for (const CourseRoundRecord& row : log.rounds()) {
+    for (const CounterField& f : kCounterFields) {
+      row_sum.*f.member += row.*f.member;
+    }
+  }
+  for (const CounterField& f : kCounterFields) {
+    const int64_t expected = stats.*f.member;
+    std::string name = f.series != nullptr ? f.series : "updates_rejected";
+    if (*f.label != '\0') name += "{" + std::string(f.label_value) + "}";
+    name += ": ";
+    Check(&v, row_sum.*f.member == expected, oracle,
+          Vs((name + "course-log rows vs ServerStats").c_str(), expected,
+             row_sum.*f.member));
+    if (f.series == nullptr) continue;
+    MetricLabels labels;
+    if (*f.label != '\0') labels[f.label] = f.label_value;
+    const double exported = series(f.series, labels).value;
+    Check(&v, exported == static_cast<double>(expected), oracle,
+          Vs((name + "series vs ServerStats").c_str(),
+             static_cast<double>(expected), exported));
+  }
+
+  const MetricSample staleness = series("fs_server_staleness", {});
+  Check(&v,
+        staleness.value == static_cast<double>(stats.staleness_log.size()) &&
+            staleness.sum == std::accumulate(stats.staleness_log.begin(),
+                                             stats.staleness_log.end(), 0.0),
+        oracle, "fs_server_staleness differs from staleness_log");
+  std::vector<int64_t> contributions(stats.agg_count.size(), 0);
+  double aggregations = 0.0;
+  for (const MetricSample& sample : metrics.samples) {
+    if (sample.name == "fs_server_aggregations_total") {
+      aggregations += sample.value;
+    } else if (sample.name == "fs_server_agg_contributions_total") {
+      const size_t id = std::stoul(sample.labels.at("client"));
+      if (id >= contributions.size()) contributions.resize(id + 1, 0);
+      contributions[id] = static_cast<int64_t>(sample.value);
+    }
+  }
+  Check(&v, contributions == stats.agg_count, oracle,
+        "fs_server_agg_contributions_total differs from agg_count");
+  Check(&v, aggregations == static_cast<double>(stats.rounds), oracle,
+        Vs("fs_server_aggregations_total vs rounds",
+           static_cast<double>(stats.rounds), aggregations));
+
+  // One row per aggregation, plus the abort row of a course given up.
+  const bool closed =
+      log.num_rounds() > 0 && log.rounds().back().trigger == kAbortTrigger;
+  Check(&v,
+        closed == stats.aborted && log.num_rounds() - closed == stats.rounds,
+        oracle,
+        "course log has " + std::to_string(log.num_rounds()) + " rows for " +
+            std::to_string(stats.rounds) + " rounds" +
+            (stats.aborted ? " and an abort" : ""));
+  Check(&v, log.AllStaleness() == stats.staleness_log, oracle,
+        "course-log staleness differs from staleness_log");
+  Check(&v,
+        log.AggCountPerClient(static_cast<int>(stats.agg_count.size()) - 1) ==
+            stats.agg_count,
+        oracle, "course-log contributors differ from agg_count");
+  return v;
+}
 
 std::vector<Violation> CheckAggregateWeightConservation(
     const CourseSpec& spec) {
@@ -444,32 +533,13 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
 
   // -- oracle 4: same-seed bit-reproducibility ------------------------------
   CourseObservation b = RunInstrumentedCourse(spec, -1, options.exec_threads);
-  std::string detail;
-  Check(&v,
-        StateDictsBitEqual(a.result.final_model.GetStateDict(),
-                           b.result.final_model.GetStateDict(), &detail),
-        "reproducibility", "same-seed final models differ: " + detail);
-  Check(&v, a.result.server.curve == b.result.server.curve, "reproducibility",
-        "same-seed accuracy curves differ");
-  Check(&v, a.sent == b.sent && a.delivered == b.delivered, "reproducibility",
-        Vs("same-seed message counts differ", a.sent, b.sent) + " / " +
-            Vs("delivered", a.delivered, b.delivered));
-  Check(&v,
-        a.result.client_test_accuracy == b.result.client_test_accuracy,
-        "reproducibility", "same-seed client accuracies differ");
+  CheckReproduces(&v, "reproducibility", "same seed: ", a, b);
 
   // -- oracle 5: through_wire equivalence -----------------------------------
   CourseSpec wired = spec;
   wired.through_wire = !spec.through_wire;
   CourseObservation w = RunInstrumentedCourse(wired, -1, options.exec_threads);
-  Check(&v,
-        StateDictsBitEqual(a.result.final_model.GetStateDict(),
-                           w.result.final_model.GetStateDict(), &detail),
-        "through_wire", "codec round-trip changed the final model: " + detail);
-  Check(&v, a.result.server.curve == w.result.server.curve, "through_wire",
-        "codec round-trip changed the accuracy curve");
-  Check(&v, a.sent == w.sent && a.delivered == w.delivered, "through_wire",
-        Vs("codec round-trip changed message counts", a.sent, w.sent));
+  CheckReproduces(&v, "through_wire", "codec round-trip: ", a, w);
 
   // -- oracle 6: aggregate-weight conservation ------------------------------
   for (Violation& violation : CheckAggregateWeightConservation(spec)) {
@@ -511,21 +581,7 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
     CourseObservation c = RunInstrumentedCourse(spec, crash_at, options.exec_threads);
     Check(&v, c.recoveries == 1, "crash_resume",
           Vs("server restores performed", int64_t{1}, c.recoveries));
-    Check(&v,
-          StateDictsBitEqual(a.result.final_model.GetStateDict(),
-                             c.result.final_model.GetStateDict(), &detail),
-          "crash_resume", "crash-resume changed the final model: " + detail);
-    Check(&v, a.result.server.curve == c.result.server.curve, "crash_resume",
-          "crash-resume changed the accuracy curve");
-    Check(&v, a.sent == c.sent && a.delivered == c.delivered, "crash_resume",
-          Vs("crash-resume changed sent", a.sent, c.sent) + " / " +
-              Vs("delivered", a.delivered, c.delivered));
-    Check(&v, a.result.client_test_accuracy == c.result.client_test_accuracy,
-          "crash_resume", "crash-resume changed client accuracies");
-    Check(&v,
-          a.result.server.rounds == c.result.server.rounds &&
-              a.result.server.staleness_log == c.result.server.staleness_log,
-          "crash_resume", "crash-resume changed the round structure");
+    CheckReproduces(&v, "crash_resume", "crash-resume: ", a, c);
   }
 
   // -- oracle 9: flat-vs-sharded equivalence --------------------------------
@@ -618,15 +674,14 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
   // capacity is a pure performance knob. The eager course — a cache as
   // large as the population, filled at construction — is the reference;
   // the virtualized auto capacity and the pathological capacity 1 must
-  // reproduce it bit for bit. Every arm runs with a metrics registry
-  // attached so the full obs exposition is compared too — a virtualized
-  // run may add only its fs_virtual_* gauges, which are stripped before
-  // comparing.
+  // reproduce it bit for bit. Every arm runs with every sink attached so
+  // the full obs exposition is compared too — a virtualized run may add
+  // only its fs_virtual_* gauges, which are stripped before comparing.
   {
-    std::string eager_metrics;
     CourseObservation e =
         RunInstrumentedCourse(spec, -1, options.exec_threads,
-                              kPopulationCapacity, &eager_metrics);
+                              kPopulationCapacity, /*all_sinks=*/true);
+    const std::string eager_metrics = e.metrics.ToPrometheusText();
     struct Arm {
       int capacity;
       int64_t live_bound;  // Get runs before Trim: capacity + 1 at most
@@ -636,11 +691,11 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
          {Arm{kAutoCapacity, CohortCacheBound(spec), "auto capacity: "},
           Arm{1, 2, "capacity 1: "}}) {
       const std::string tag = arm.tag;
-      std::string virt_metrics;
       CourseObservation vv = RunInstrumentedCourse(
-          spec, -1, options.exec_threads, arm.capacity, &virt_metrics);
+          spec, -1, options.exec_threads, arm.capacity, /*all_sinks=*/true);
       CheckReproduces(&v, "virtualization_differential", tag, e, vv);
-      Check(&v, StripVirtualSeries(virt_metrics) == eager_metrics,
+      Check(&v,
+            StripVirtualSeries(vv.metrics.ToPrometheusText()) == eager_metrics,
             "virtualization_differential",
             tag + "metrics exposition differs beyond the fs_virtual_ gauges");
       Check(&v, vv.cache.live_peak >= 1 && vv.cache.live_peak <= arm.live_bound,
@@ -649,35 +704,36 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
                      vv.cache.live_peak));
     }
 
+    // -- oracle 16: obs transparency ----------------------------------------
+    // The sinks only read the server's counter table: attaching them all
+    // must not change the course, and what they recorded must agree with
+    // ServerStats.
+    CheckReproduces(&v, "obs_transparency", "all sinks attached: ", a, e);
+    for (Violation& violation :
+         CheckCounterSinks(e.result.server, e.metrics, e.course_log)) {
+      v.push_back(std::move(violation));
+    }
+
     // Virtualized crash drill — oracle 8 under virtualization: the cache
     // (the "other processes") survives the server kill, and the resumed
-    // course must still match the eager uninterrupted run bit for bit.
+    // course must still match the eager uninterrupted run bit for bit. Its
+    // course log must match too (oracle 16): the rows after the restore
+    // count from the baseline the snapshot carried.
     if (e.delivered > 0) {
       const int64_t crash_at = std::min<int64_t>(
           e.delivered - 1,
           static_cast<int64_t>(spec.crash_frac *
                                static_cast<double>(e.delivered)));
-      CourseObservation vc = RunInstrumentedCourse(
-          spec, crash_at, options.exec_threads, kAutoCapacity);
+      CourseObservation vc =
+          RunInstrumentedCourse(spec, crash_at, options.exec_threads,
+                                kAutoCapacity, /*all_sinks=*/true);
       Check(&v, vc.recoveries == 1, "virtualization_differential",
             Vs("virtualized server restores performed", int64_t{1},
                vc.recoveries));
-      Check(&v,
-            StateDictsBitEqual(e.result.final_model.GetStateDict(),
-                               vc.result.final_model.GetStateDict(), &detail),
-            "virtualization_differential",
-            "virtualized crash-resume changed the final model: " + detail);
-      Check(&v, e.result.server.curve == vc.result.server.curve,
-            "virtualization_differential",
-            "virtualized crash-resume changed the accuracy curve");
-      Check(&v, e.sent == vc.sent && e.delivered == vc.delivered,
-            "virtualization_differential",
-            Vs("virtualized crash-resume changed sent", e.sent, vc.sent) +
-                " / " + Vs("delivered", e.delivered, vc.delivered));
-      Check(&v,
-            e.result.client_test_accuracy == vc.result.client_test_accuracy,
-            "virtualization_differential",
-            "virtualized crash-resume changed client accuracies");
+      CheckReproduces(&v, "virtualization_differential",
+                      "virtualized crash-resume: ", e, vc);
+      Check(&v, SameRows(e.course_log, vc.course_log), "obs_transparency",
+            "virtualized crash-resume changed the course log");
     }
   }
 
@@ -694,37 +750,14 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
     on.guard_k = 3;
     CourseSpec off = on;
     off.guard = false;
-    std::string on_metrics;
-    std::string off_metrics;
     CourseObservation gon = RunInstrumentedCourse(
-        on, -1, options.exec_threads, kPopulationCapacity, &on_metrics);
+        on, -1, options.exec_threads, kPopulationCapacity, /*all_sinks=*/true);
     CourseObservation goff = RunInstrumentedCourse(
-        off, -1, options.exec_threads, kPopulationCapacity, &off_metrics);
-    Check(&v, gon.finished == goff.finished, "guard_transparency",
-          "guard toggle changed termination");
+        off, -1, options.exec_threads, kPopulationCapacity, /*all_sinks=*/true);
+    CheckReproduces(&v, "guard_transparency", "benign guard: ", goff, gon);
     Check(&v,
-          StateDictsBitEqual(gon.result.final_model.GetStateDict(),
-                             goff.result.final_model.GetStateDict(), &detail),
-          "guard_transparency",
-          "benign guard changed the final model: " + detail);
-    Check(&v, gon.result.server.curve == goff.result.server.curve,
-          "guard_transparency", "benign guard changed the accuracy curve");
-    Check(&v, gon.sent == goff.sent && gon.delivered == goff.delivered,
-          "guard_transparency",
-          Vs("benign guard changed message counts (sent)", goff.sent,
-             gon.sent) +
-              " / " + Vs("delivered", goff.delivered, gon.delivered));
-    Check(&v, gon.result.client_test_accuracy ==
-                  goff.result.client_test_accuracy,
-          "guard_transparency", "benign guard changed client accuracies");
-    Check(&v,
-          gon.result.server.rounds == goff.result.server.rounds &&
-              gon.result.server.staleness_log ==
-                  goff.result.server.staleness_log &&
-              gon.result.server.agg_count == goff.result.server.agg_count,
-          "guard_transparency", "benign guard changed the round structure");
-    Check(&v, on_metrics == off_metrics, "guard_transparency",
-          "benign guard changed the metrics exposition");
+          gon.metrics.ToPrometheusText() == goff.metrics.ToPrometheusText(),
+          "guard_transparency", "benign guard changed the metrics exposition");
     Check(&v,
           gon.result.server.updates_rejected == 0 &&
               gon.result.server.updates_clipped == 0 &&
@@ -758,6 +791,7 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
       Check(&v, a.finished && !stats.aborted, "byzantine_tolerance",
             "hostile course did not complete cleanly");
     }
+    std::string detail;
     Check(&v,
           StateDictFinite(a.result.final_model.GetStateDict(), &detail),
           "byzantine_tolerance",

@@ -9,6 +9,7 @@
 #include "fedscope/core/fed_runner.h"
 #include "fedscope/fault/fault_plan.h"
 #include "fedscope/obs/course_log.h"
+#include "fedscope/obs/metrics.h"
 #include "fedscope/testing/course_gen.h"
 
 namespace fedscope {
@@ -41,9 +42,12 @@ struct CourseObservation {
   int64_t promotions = 0;
   /// Partial updates forwarded across all edge-aggregator incarnations.
   int64_t partials_forwarded = 0;
-  /// Per-round course record; attached only for hierarchical specs (flat
-  /// courses run with the all-null ObsContext, preserving byte-identity).
+  /// Per-round course record; attached for hierarchical specs (the
+  /// failover oracle reads it) and for runs with every sink attached.
   CourseLog course_log;
+  /// The metrics registry at course end; empty unless every sink was
+  /// attached.
+  MetricsSnapshot metrics;
   /// The client-cache counters at course end.
   ClientCacheStats cache;
   /// Hostile-client set drawn by the fault plan (empty for benign specs).
@@ -68,13 +72,13 @@ inline constexpr int kAutoCapacity = 0;
 /// `exec_threads` > 0 runs the course under ExecutionBackend::kThreaded
 /// with that many pool helper threads; 0 keeps the serial default.
 /// `cache_capacity` picks the client lifecycle (kPopulationCapacity,
-/// kAutoCapacity, or an explicit capacity). A non-null `metrics_export`
-/// attaches a private MetricsRegistry and stores its Prometheus exposition
-/// after the run.
+/// kAutoCapacity, or an explicit capacity). `all_sinks` attaches a private
+/// MetricsRegistry, Tracer and the observation's CourseLog, and stores the
+/// registry's snapshot in `metrics`; otherwise only hierarchical specs get
+/// a course log, and the rest of the ObsContext stays null.
 CourseObservation RunInstrumentedCourse(
     const CourseSpec& spec, int64_t crash_at_event = -1, int exec_threads = 0,
-    int cache_capacity = kPopulationCapacity,
-    std::string* metrics_export = nullptr);
+    int cache_capacity = kPopulationCapacity, bool all_sinks = false);
 
 struct OracleOptions {
   /// Also run the standalone-vs-distributed differential when the spec is
@@ -148,10 +152,25 @@ bool DistributedEligible(const CourseSpec& spec);
 ///      client when quarantine is on (DESIGN.md §7); termination is check
 ///      1, and
 ///      slot conservation is FS_CHECKed by the server's cohort ledger on
-///      every transition.
+///      every transition,
+///  16. obs transparency: oracle 12's eager reference runs with every sink
+///      attached and must reproduce the base run bit for bit; its metrics
+///      and course log must agree with ServerStats (CheckCounterSinks);
+///      and the virtualized crash drill's course log must equal the
+///      reference's row for row (the snapshot carries the rows' baseline).
 /// Returns every violation found (empty = course passed).
 std::vector<Violation> CheckCourse(const CourseSpec& spec,
                                    const OracleOptions& options = {});
+
+/// Oracle 16's agreement check: every fs_server_* counter series in
+/// `metrics` (an absent series reads 0) equals its ServerStats field, the
+/// staleness histogram and per-client contribution counters match
+/// staleness_log and agg_count, fs_server_aggregations_total sums to the
+/// round count, and the course log's rows sum to ServerStats field by
+/// field, with one `abort` row exactly when the course aborted.
+std::vector<Violation> CheckCounterSinks(const ServerStats& stats,
+                                         const MetricsSnapshot& metrics,
+                                         const CourseLog& log);
 
 /// Oracle 6 stand-alone: with identical deltas and equal local step
 /// counts, any sane aggregation must return global + delta regardless of

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "fedscope/comm/channel.h"
 #include "fedscope/comm/socket_transport.h"
 #include "fedscope/core/checkpoint.h"
 #include "fedscope/core/distributed.h"
@@ -153,6 +154,54 @@ TEST(CrashRecoveryTest, SnapshotPolicyWritesFilesAndLatestLoads) {
   ASSERT_TRUE(RestoreModel(latest.value(), &fresh).ok());
   EXPECT_TRUE(BitEqual(fresh.GetStateDict(), latest->global_state));
   (void)result;
+}
+
+TEST(CrashRecoveryTest, SnapshotWithoutItsCounterArraysIsRefused) {
+  // The counters and the course log's per-round baseline ride as two
+  // arrays in the course section. A snapshot missing either one, or
+  // holding a short one, is refused instead of resuming with zeroed counts.
+  ServerOptions options;
+  options.concurrency = 2;
+  options.expected_clients = 3;
+  options.seed = 3;
+  Rng rng(1);
+  const Model model = MakeLogisticRegression(2, 2, &rng);
+  QueueChannel channel;
+  Server server(options, model, std::make_unique<FedAvgAggregator>(),
+                &channel);
+  for (int id = 1; id <= 3; ++id) {
+    Message join;
+    join.sender = id;
+    join.receiver = kServerId;
+    join.msg_type = events::kJoinIn;
+    server.HandleMessage(join);
+  }
+  ASSERT_EQ(server.stats().broadcasts, 2);
+  Checkpoint snapshot;
+  server.ExportSnapshot(&snapshot);
+
+  auto restore = [&](const Checkpoint& checkpoint, CourseCounters* counters) {
+    QueueChannel fresh_channel;
+    Server fresh(options, model, std::make_unique<FedAvgAggregator>(),
+                 &fresh_channel);
+    const Status status = fresh.RestoreSnapshot(checkpoint);
+    if (counters != nullptr) *counters = fresh.stats();
+    return status;
+  };
+  CourseCounters restored;
+  ASSERT_TRUE(restore(snapshot, &restored).ok());
+  EXPECT_EQ(restored, static_cast<const CourseCounters&>(server.stats()));
+  for (const char* key : {"counters", "counters_base"}) {
+    Checkpoint missing = snapshot;
+    ASSERT_TRUE(missing.course.RemoveScalar(key)) << key;
+    EXPECT_EQ(restore(missing, nullptr).code(), StatusCode::kDataLoss) << key;
+    Checkpoint short_array = snapshot;
+    std::vector<int64_t> values = GetPackedInt64s(snapshot.course, key);
+    values.pop_back();
+    SetPackedInt64s(&short_array.course, key, values);
+    EXPECT_EQ(restore(short_array, nullptr).code(), StatusCode::kDataLoss)
+        << key;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@
 #include "fedscope/obs/course_log.h"
 #include "fedscope/obs/metrics.h"
 #include "fedscope/obs/obs_context.h"
+#include "fedscope/obs/tracer.h"
+#include "fedscope/testing/oracles.h"
 
 namespace fedscope {
 namespace {
@@ -241,6 +243,71 @@ TEST(DistributedTest, ObservabilityOverTcp) {
               static_cast<double>(stats.agg_count[id]))
         << "client " << id;
   }
+}
+
+TEST(DistributedTest, ServerCountersReachEverySinkOverTcp) {
+  // The TCP host writes the server's Prometheus counters from the same
+  // table as the simulator: every fs_server_* series, and the course log's
+  // rows summed, equal ServerStats. Client 1's uplink is below the
+  // low-bandwidth threshold, so it declines every other request.
+  constexpr int kClients = 4;
+  Rng init_rng(6);
+  Model init = MakeLogisticRegression(2, 2, &init_rng);
+
+  auto listener = TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  const int port = listener->port();
+
+  ServerOptions server_options;
+  server_options.strategy = Strategy::kSyncVanilla;
+  server_options.concurrency = kClients;
+  server_options.expected_clients = kClients;
+  server_options.max_rounds = 4;
+  server_options.seed = 7;
+
+  DistributedServerHost server_host(
+      server_options, init, std::make_unique<FedAvgAggregator>(),
+      std::move(listener.value()));
+  Dataset server_test = Blobs(64, 97);
+  server_host.server()->set_evaluator([&server_test](Model* model) {
+    return EvaluateClassifier(model, server_test);
+  });
+  MetricsRegistry metrics;
+  Tracer tracer;
+  CourseLog course_log;
+  ObsContext server_obs{&metrics, &tracer, &course_log};
+  server_host.set_obs(&server_obs);
+
+  ServerStats stats;
+  std::thread server_thread([&] { stats = server_host.Run(); });
+  std::vector<std::thread> client_threads;
+  for (int id = 1; id <= kClients; ++id) {
+    client_threads.emplace_back([&, id] {
+      ClientOptions options;
+      options.jitter_sigma = 0.0;
+      options.seed = 400 + id;
+      if (id == 1) {
+        options.low_bandwidth_threshold = 2 * options.device.up_bandwidth;
+      }
+      Rng split_rng(id);
+      SplitDataset data = Split(Blobs(40, 30 + id), 0.7, 0.1, &split_rng);
+      DistributedClientHost host(id, std::move(options), init,
+                                 std::move(data),
+                                 std::make_unique<GeneralTrainer>(),
+                                 "127.0.0.1", port);
+      Status status = host.Run();
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    });
+  }
+  for (auto& t : client_threads) t.join();
+  server_thread.join();
+
+  EXPECT_EQ(stats.rounds, 4);
+  EXPECT_GT(stats.declined, 0);
+  EXPECT_GT(stats.uplink_bytes, 0);
+  const std::vector<testing::Violation> violations =
+      testing::CheckCounterSinks(stats, metrics.Snapshot(), course_log);
+  EXPECT_TRUE(violations.empty()) << testing::FormatViolations(violations);
 }
 
 TEST(DistributedTest, AsyncGoalStrategyOverTcp) {

@@ -165,7 +165,9 @@ TEST(FaultInjectionTest, DeadlineAggregatesPartialCohort) {
 
 TEST(FaultInjectionTest, AllDeadFleetAbortsViaBackstop) {
   // Every client goes dark: no update can ever arrive, so the extension
-  // loop must give up instead of spinning forever.
+  // loop must give up instead of spinning forever. The counts since the
+  // last aggregation belong to the round given up: one last `abort` row
+  // carries them, so the course log still sums to ServerStats.
   FedDataset data = TinyData();
   FedJob job = TinyJob(&data);
   job.server.strategy = Strategy::kSyncVanilla;
@@ -173,10 +175,21 @@ TEST(FaultInjectionTest, AllDeadFleetAbortsViaBackstop) {
   job.server.max_round_extensions = 3;
   job.fault.dropout_frac = 1.0;
   job.fault.seed = 9;
+  CourseLog course_log;
+  job.obs.course_log = &course_log;
   RunResult result = FedRunner(std::move(job)).Run();
   EXPECT_TRUE(result.server.aborted);
   EXPECT_EQ(result.server.rounds, 0);
   EXPECT_GT(result.server.round_extensions, 0);
+  ASSERT_EQ(course_log.num_rounds(), 1);
+  const CourseRoundRecord& row = course_log.rounds().back();
+  EXPECT_EQ(row.trigger, kAbortTrigger);
+  EXPECT_EQ(row.round, 1);
+  EXPECT_TRUE(row.contributors.empty());
+  EXPECT_FALSE(row.evaluated);
+  EXPECT_GT(row.dropouts, 0);
+  EXPECT_EQ(static_cast<const CourseCounters&>(row),
+            static_cast<const CourseCounters&>(result.server));
 }
 
 TEST(FaultInjectionTest, DeadlineWithExactlyMinReceivedAggregatesAtOnce) {
