@@ -1,12 +1,22 @@
 // Substrate microbenchmarks (google-benchmark): tensor kernels, the wire
 // codec, the event queue, aggregation, and Paillier primitives. These are
 // not paper experiments; they characterize the simulator's own cost.
+//
+//   bench_micro [google-benchmark flags] [--kernels_json=PATH]
+//
+// --kernels_json=PATH also writes the median and IQR of each benchmark's
+// real time over its repetitions (--benchmark_repetitions), with the
+// host's CPU count and MHz: the schema of BENCH_kernels.json (DESIGN.md §8).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "fedscope/comm/channel.h"
 #include "fedscope/comm/codec.h"
@@ -16,6 +26,7 @@
 #include "fedscope/exec/worker_pool.h"
 #include "fedscope/nn/loss.h"
 #include "fedscope/nn/model_zoo.h"
+#include "fedscope/nn/optimizer.h"
 #include "fedscope/obs/obs_context.h"
 #include "fedscope/privacy/paillier.h"
 #include "fedscope/privacy/secret_sharing.h"
@@ -38,15 +49,18 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
 
+// Args: in channels, out channels, image side; batch 16, 3x3, padding 1.
+// {8, 16, 4} is ConvNet2's conv2 at convnet_sync's 8x8 input.
 void BM_Conv2dForward(benchmark::State& state) {
   Rng rng(2);
-  Conv2d conv(3, 8, 3, 1, &rng);
-  Tensor x = Tensor::Randn({16, 3, 8, 8}, &rng);
+  const int64_t in_c = state.range(0), hw = state.range(2);
+  Conv2d conv(in_c, state.range(1), 3, 1, &rng);
+  Tensor x = Tensor::Randn({16, in_c, hw, hw}, &rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.Forward(x, true));
   }
 }
-BENCHMARK(BM_Conv2dForward);
+BENCHMARK(BM_Conv2dForward)->Args({3, 8, 8})->Args({8, 16, 4});
 
 void BM_MatMulTransB(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -62,29 +76,32 @@ BENCHMARK(BM_MatMulTransB)->Arg(64)->Arg(128);
 
 void BM_Conv2dBackward(benchmark::State& state) {
   Rng rng(2);
-  Conv2d conv(3, 8, 3, 1, &rng);
-  Tensor x = Tensor::Randn({16, 3, 8, 8}, &rng);
+  const int64_t in_c = state.range(0), hw = state.range(2);
+  Conv2d conv(in_c, state.range(1), 3, 1, &rng);
+  Tensor x = Tensor::Randn({16, in_c, hw, hw}, &rng);
   Tensor y = conv.Forward(x, true);
   Tensor grad = Tensor::Randn(y.shape(), &rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.Backward(grad));
   }
 }
-BENCHMARK(BM_Conv2dBackward);
+BENCHMARK(BM_Conv2dBackward)->Args({3, 8, 8})->Args({8, 16, 4});
 
+// Arg: image side of an 8-channel image, 3x3, padding 1 (4: conv2's input).
 void BM_Im2Col(benchmark::State& state) {
   Rng rng(2);
-  const int64_t c = 8, hw = 16, k = 3, p = 1;
+  const int64_t c = 8, hw = state.range(0), k = 3, p = 1;
   Tensor x = Tensor::Randn({c, hw, hw}, &rng);
   const int64_t out = kernels::ConvOutDim(hw, k, p);
   std::vector<float> cols(c * k * k * out * out);
   for (auto _ : state) {
-    kernels::Im2Col(x.data(), c, hw, hw, k, p, cols.data());
+    kernels::Im2Col(x.data(), c, hw, hw, k, p, cols.data(), out * out);
     benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * cols.size() * sizeof(float));
 }
-BENCHMARK(BM_Im2Col);
+BENCHMARK(BM_Im2Col)->Arg(16)->Arg(4);
 
 void BM_Softmax(benchmark::State& state) {
   Rng rng(13);
@@ -110,6 +127,36 @@ void BM_ModelForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModelForwardBackward);
+
+// One SGD step at batch 16. Arg 0: convnet_sync's ConvNet2 on 1x8x8.
+// Arg 1: hostile_cifar's Flatten + MLP 192-32-10 on 3x8x8. A learning rate
+// of 0 keeps the parameters, and with them the timing, the same from one
+// iteration to the next.
+void BM_SgdStep(benchmark::State& state) {
+  Rng rng(14);
+  const bool conv = state.range(0) == 0;
+  Model model;
+  if (conv) {
+    model = MakeConvNet2(1, 8, 10, 64, 0.0, &rng);
+  } else {
+    model.Add("flat", std::make_unique<Flatten>());
+    Model mlp = MakeMlp({192, 32, 10}, &rng);
+    for (int i = 0; i < mlp.num_layers(); ++i) {
+      model.Add(mlp.layer_name(i), mlp.layer(i)->Clone());
+    }
+  }
+  Tensor x = Tensor::Randn({16, conv ? 1 : 3, 8, 8}, &rng);
+  std::vector<int64_t> labels(16);
+  for (auto& label : labels) label = rng.UniformInt(0, 9);
+  SgdOptions options;
+  options.lr = 0.0;
+  Sgd sgd(options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SgdStepOnBatch(&model, &sgd, x, labels));
+  }
+  state.SetItemsProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_SgdStep)->Arg(0)->Arg(1);
 
 // -- server evaluation (DESIGN.md §12) ---------------------------------------
 // The convnet_sync server test set: ConvNet2 on 512 rows of 8×8. Arg 0:
@@ -371,7 +418,103 @@ void BM_SnapshotAtomicWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotAtomicWrite)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// -- BENCH_kernels.json ------------------------------------------------------
+
+// Whether google-benchmark reports the run as failed: `skipped` from
+// release 1.8 on, `error_occurred` before.
+template <typename Run>
+auto Failed(const Run& run, int) -> decltype(static_cast<bool>(run.skipped)) {
+  return static_cast<bool>(run.skipped);
+}
+template <typename Run>
+bool Failed(const Run& run, long) {
+  return run.error_occurred;
+}
+
+// The console reporter, also keeping every repetition's real time (ns).
+class RecordingReporter : public benchmark::ConsoleReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) {
+      if (run.run_type != Run::RT_Iteration || Failed(run, 0)) continue;
+      times_ns_[run.benchmark_name()].push_back(
+          run.GetAdjustedRealTime() * 1e9 /
+          benchmark::GetTimeUnitMultiplier(run.time_unit));
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+  const std::map<std::string, std::vector<double>>& times_ns() const {
+    return times_ns_;
+  }
+
+ private:
+  std::map<std::string, std::vector<double>> times_ns_;
+};
+
+// Quantile q of sorted values, linear between the closest ranks.
+double Quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] +
+         (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+bool WriteKernelsJson(const std::string& path,
+                      const RecordingReporter& reporter) {
+  std::ofstream out(path);
+  const benchmark::CPUInfo& cpu = benchmark::CPUInfo::Get();
+  char buf[160];
+  out << "{\n  \"schema\": 2,\n  \"time_unit\": \"ns\",\n"
+      << "  \"statistic\": \"real time per iteration: median and IQR "
+         "(q3 - q1) over repetitions\",\n"
+      << "  \"host\": {\"num_cpus\": " << cpu.num_cpus
+      << ", \"mhz_per_cpu\": "
+      << static_cast<int64_t>(cpu.cycles_per_second / 1e6 + 0.5) << "},\n"
+      << "  \"benchmarks\": {";
+  const char* sep = "\n";
+  for (const auto& [name, times] : reporter.times_ns()) {
+    std::vector<double> sorted = times;
+    std::sort(sorted.begin(), sorted.end());
+    std::snprintf(buf, sizeof(buf),
+                  "\"median_ns\": %.1f, \"iqr_ns\": %.1f, \"repetitions\": %zu",
+                  Quantile(sorted, 0.5),
+                  Quantile(sorted, 0.75) - Quantile(sorted, 0.25),
+                  sorted.size());
+    out << sep << "    \"" << name << "\": {" << buf << "}";
+    sep = ",\n";
+  }
+  out << "\n  }\n}\n";
+  return static_cast<bool>(out);
+}
+
 }  // namespace
 }  // namespace fedscope
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // --kernels_json is this binary's own flag; google-benchmark parses the
+  // rest.
+  std::string json_path;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--kernels_json=", 0) == 0) {
+      json_path = arg.substr(15);
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  fedscope::RecordingReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  if (!json_path.empty() &&
+      !fedscope::WriteKernelsJson(json_path, reporter)) {
+    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    return 1;
+  }
+  return 0;
+}

@@ -41,17 +41,21 @@ Tensor Linear::Forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor Linear::Backward(const Tensor& grad_out) {
+  BackwardParams(grad_out);
+  return MatMulTransB(grad_out, weight_);  // dx = g W^T
+}
+
+void Linear::BackwardParams(const Tensor& grad_out) {
   FS_CHECK_EQ(grad_out.ndim(), 2);
   FS_CHECK_EQ(grad_out.dim(1), out_features_);
+  FS_CHECK_EQ(grad_out.dim(0), cached_input_.dim(0));
   const int64_t batch = grad_out.dim(0);
-  // dW = x^T g (accumulated straight into the grad tensor), db = colsum(g),
-  // dx = g W^T.
+  // dW = x^T g (accumulated straight into the grad tensor), db = colsum(g).
   kernels::GemmTransA(in_features_, out_features_, batch,
                       cached_input_.data(), grad_out.data(),
                       weight_grad_.data());
   kernels::ColSumsAccum(grad_out.data(), batch, out_features_,
                         bias_grad_.data());
-  return MatMulTransB(grad_out, weight_);
 }
 
 void Linear::CollectParams(const std::string& prefix,
@@ -84,54 +88,169 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
   bias_grad_ = Tensor::Zeros({out_channels});
 }
 
+namespace {
+
+// Columns of the lowered matrix one Conv2d GEMM covers: a chunk holds
+// max(1, kConvColumnCap / (out_h * out_w)) images. It bounds the per-thread
+// scratch; 128 columns fill four 32-wide tiles per row block.
+constexpr int64_t kConvColumnCap = 128;
+
+// Geometry of one stride-1 Conv2d call over an NCHW batch.
+struct ConvGeometry {
+  int64_t batch, in_h, in_w, out_h, out_w;
+  int64_t spatial;    // out_h * out_w: columns per image
+  int64_t patch;      // in_c * k * k: rows of the column matrix
+  int64_t image;      // in_c * in_h * in_w: floats per input image
+  int64_t per_chunk;  // images per lowered chunk
+};
+
+ConvGeometry MakeGeometry(const Tensor& x, int64_t in_c, int64_t kernel,
+                          int64_t padding) {
+  ConvGeometry g;
+  g.batch = x.dim(0);
+  g.in_h = x.dim(2);
+  g.in_w = x.dim(3);
+  g.out_h = kernels::ConvOutDim(g.in_h, kernel, padding);
+  g.out_w = kernels::ConvOutDim(g.in_w, kernel, padding);
+  FS_CHECK_GT(g.out_h, 0);
+  FS_CHECK_GT(g.out_w, 0);
+  g.spatial = g.out_h * g.out_w;
+  g.patch = in_c * kernel * kernel;
+  g.image = in_c * g.in_h * g.in_w;
+  g.per_chunk = std::max<int64_t>(1, kConvColumnCap / g.spatial);
+  return g;
+}
+
+// Per-thread scratch every Conv2d on the thread shares. It is sized by the
+// largest layer geometry and kConvColumnCap, never by the batch.
+struct ConvScratch {
+  std::vector<float> cols;     // [patch, chunk columns]
+  std::vector<float> block;    // [out_c, chunk columns] or its transpose
+  std::vector<float> wgrad_t;  // [patch, out_c]: dW transposed
+};
+
+ConvScratch& Scratch() {
+  thread_local ConvScratch scratch;
+  return scratch;
+}
+
+// Lowers images [n0, n0 + nb) of x into scratch->cols as one [patch,
+// nb * spatial] matrix, image i at column i * spatial.
+float* LowerChunk(const Tensor& x, const ConvGeometry& g, int64_t in_c,
+                  int64_t kernel, int64_t padding, int64_t n0, int64_t nb,
+                  ConvScratch* scratch) {
+  const int64_t ld = nb * g.spatial;
+  scratch->cols.resize(g.patch * ld);
+  float* cols = scratch->cols.data();
+  for (int64_t i = 0; i < nb; ++i) {
+    kernels::Im2Col(x.data() + (n0 + i) * g.image, in_c, g.in_h, g.in_w,
+                    kernel, padding, cols + i * g.spatial, ld);
+  }
+  return cols;
+}
+
+}  // namespace
+
 Tensor Conv2d::Forward(const Tensor& x, bool /*train*/) {
   FS_CHECK_EQ(x.ndim(), 4);
   FS_CHECK_EQ(x.dim(1), in_channels_);
   cached_input_ = x;
-  const int64_t batch = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
-  const int64_t out_h = in_h + 2 * padding_ - kernel_ + 1;
-  const int64_t out_w = in_w + 2 * padding_ - kernel_ + 1;
-  FS_CHECK_GT(out_h, 0);
-  FS_CHECK_GT(out_w, 0);
-  // im2col lowering: per image, y[oc, oh*ow] = W[oc, ic*k*k] @ cols + bias.
-  Tensor y({batch, out_channels_, out_h, out_w});
-  const int64_t patch = in_channels_ * kernel_ * kernel_;
-  const int64_t spatial = out_h * out_w;
-  std::vector<float> cols(patch * spatial);
-  for (int64_t n = 0; n < batch; ++n) {
-    kernels::Im2Col(x.data() + n * in_channels_ * in_h * in_w, in_channels_,
-                    in_h, in_w, kernel_, padding_, cols.data());
-    float* yn = y.data() + n * out_channels_ * spatial;
-    kernels::Gemm(out_channels_, spatial, patch, weight_.data(), cols.data(),
-                  yn);
-    kernels::AddRowBias(yn, bias_.data(), out_channels_, spatial);
+  const ConvGeometry g = MakeGeometry(x, in_channels_, kernel_, padding_);
+  Tensor y({g.batch, out_channels_, g.out_h, g.out_w});
+  ConvScratch& scratch = Scratch();
+  // One GEMM per chunk, block[oc, i*spatial + s] = W[oc, :] @ cols[:,
+  // i*spatial + s]: each element is the ascending-patch chain of a
+  // per-image product, started from a zeroed block; the row bias follows.
+  for (int64_t n0 = 0; n0 < g.batch; n0 += g.per_chunk) {
+    const int64_t nb = std::min(g.per_chunk, g.batch - n0);
+    const int64_t ld = nb * g.spatial;
+    const float* cols = LowerChunk(x, g, in_channels_, kernel_, padding_, n0,
+                                   nb, &scratch);
+    scratch.block.assign(out_channels_ * ld, 0.0f);
+    kernels::Gemm(out_channels_, ld, g.patch, weight_.data(), cols,
+                  scratch.block.data());
+    for (int64_t i = 0; i < nb; ++i) {
+      for (int64_t oc = 0; oc < out_channels_; ++oc) {
+        const float* src = scratch.block.data() + oc * ld + i * g.spatial;
+        float* dst = y.data() + ((n0 + i) * out_channels_ + oc) * g.spatial;
+        const float b = bias_.at(oc);
+        for (int64_t s = 0; s < g.spatial; ++s) dst[s] = src[s] + b;
+      }
+    }
   }
   return y;
 }
 
-Tensor Conv2d::Backward(const Tensor& grad_out) {
+void Conv2d::BackwardParams(const Tensor& grad_out) {
   const Tensor& x = cached_input_;
-  const int64_t batch = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
-  const int64_t out_h = grad_out.dim(2), out_w = grad_out.dim(3);
-  const int64_t patch = in_channels_ * kernel_ * kernel_;
-  const int64_t spatial = out_h * out_w;
+  FS_CHECK_EQ(x.ndim(), 4) << "Backward before Forward";
+  const ConvGeometry g = MakeGeometry(x, in_channels_, kernel_, padding_);
+  FS_CHECK(grad_out.shape() ==
+           std::vector<int64_t>({g.batch, out_channels_, g.out_h, g.out_w}))
+      << "grad_out " << grad_out.ShapeString() << " for output of input "
+      << x.ShapeString();
+  const float* gout = grad_out.data();
+  const int64_t gimage = out_channels_ * g.spatial;
+  // dW accumulates transposed, wgrad_t[p, oc] = dW[oc, p], so that each
+  // image's partial product cols_i @ g_i^T is a GEMM with a row-major b.
+  // Its chain over the image's spatial positions is dW's per-image chain
+  // with the product operands swapped, and partial sums still add to dW
+  // one image at a time, in image order. The copies in and out move values
+  // only.
+  ConvScratch& scratch = Scratch();
+  scratch.wgrad_t.resize(g.patch * out_channels_);
+  float* wgrad_t = scratch.wgrad_t.data();
+  kernels::Transpose(weight_grad_.data(), out_channels_, g.patch, wgrad_t);
+  for (int64_t n0 = 0; n0 < g.batch; n0 += g.per_chunk) {
+    const int64_t nb = std::min(g.per_chunk, g.batch - n0);
+    const int64_t ld = nb * g.spatial;
+    const float* cols = LowerChunk(x, g, in_channels_, kernel_, padding_, n0,
+                                   nb, &scratch);
+    // Per image, g_i^T [spatial, out_c]. db's chain per channel runs over
+    // its rows in ascending order, as a row sum of g_i would, and images
+    // add in order.
+    scratch.block.resize(g.spatial * out_channels_);
+    float* gti = scratch.block.data();
+    for (int64_t i = 0; i < nb; ++i) {
+      kernels::Transpose(gout + (n0 + i) * gimage, out_channels_, g.spatial,
+                         gti);
+      kernels::ColSumsAccum(gti, g.spatial, out_channels_, bias_grad_.data());
+      kernels::GemmLda(g.patch, out_channels_, g.spatial,
+                       cols + i * g.spatial, ld, gti, wgrad_t);
+    }
+  }
+  kernels::Transpose(wgrad_t, g.patch, out_channels_, weight_grad_.data());
+}
+
+Tensor Conv2d::Backward(const Tensor& grad_out) {
+  BackwardParams(grad_out);
+  const Tensor& x = cached_input_;
+  const ConvGeometry g = MakeGeometry(x, in_channels_, kernel_, padding_);
   Tensor grad_in(x.shape());
-  // Per image: db += rowsum(G), dW += G @ cols^T, d(cols) = W^T @ G, then
-  // col2im scatters d(cols) back into grad_in.
-  std::vector<float> cols(patch * spatial);
-  std::vector<float> grad_cols(patch * spatial);
-  for (int64_t n = 0; n < batch; ++n) {
-    const float* gn = grad_out.data() + n * out_channels_ * spatial;
-    kernels::RowSumsAccum(gn, out_channels_, spatial, bias_grad_.data());
-    kernels::Im2Col(x.data() + n * in_channels_ * in_h * in_w, in_channels_,
-                    in_h, in_w, kernel_, padding_, cols.data());
-    kernels::GemmTransB(out_channels_, patch, spatial, gn, cols.data(),
-                        weight_grad_.data());
-    std::fill(grad_cols.begin(), grad_cols.end(), 0.0f);
-    kernels::GemmTransA(patch, spatial, out_channels_, weight_.data(), gn,
-                        grad_cols.data());
-    kernels::Col2Im(grad_cols.data(), in_channels_, in_h, in_w, kernel_,
-                    padding_, grad_in.data() + n * in_channels_ * in_h * in_w);
+  ConvScratch& scratch = Scratch();
+  // Per chunk, d(cols) = W^T @ G is one GEMM over G's chunk block
+  // [out_c, nb * spatial] (each element the per-image chain over out_c),
+  // and col2im scatters each image's columns back into grad_in.
+  const int64_t gimage = out_channels_ * g.spatial;
+  for (int64_t n0 = 0; n0 < g.batch; n0 += g.per_chunk) {
+    const int64_t nb = std::min(g.per_chunk, g.batch - n0);
+    const int64_t ld = nb * g.spatial;
+    scratch.block.resize(out_channels_ * ld);
+    for (int64_t i = 0; i < nb; ++i) {
+      for (int64_t oc = 0; oc < out_channels_; ++oc) {
+        std::copy_n(grad_out.data() + (n0 + i) * gimage + oc * g.spatial,
+                    g.spatial,
+                    scratch.block.data() + oc * ld + i * g.spatial);
+      }
+    }
+    scratch.cols.assign(g.patch * ld, 0.0f);
+    kernels::GemmTransA(g.patch, ld, out_channels_, weight_.data(),
+                        scratch.block.data(), scratch.cols.data());
+    for (int64_t i = 0; i < nb; ++i) {
+      kernels::Col2Im(scratch.cols.data() + i * g.spatial, ld, in_channels_,
+                      g.in_h, g.in_w, kernel_, padding_,
+                      grad_in.data() + (n0 + i) * g.image);
+    }
   }
   return grad_in;
 }
@@ -234,48 +353,23 @@ Tensor MaxPool2d::Forward(const Tensor& x, bool /*train*/) {
   FS_CHECK_EQ(x.ndim(), 4);
   in_shape_ = x.shape();
   const int64_t batch = x.dim(0), channels = x.dim(1);
-  const int64_t in_h = x.dim(2), in_w = x.dim(3);
-  const int64_t out_h = in_h / 2, out_w = in_w / 2;
+  const int64_t out_h = x.dim(2) / 2, out_w = x.dim(3) / 2;
   FS_CHECK_GT(out_h, 0);
   FS_CHECK_GT(out_w, 0);
   Tensor y({batch, channels, out_h, out_w});
-  argmax_.assign(y.numel(), 0);
-  float* out = y.data();
-  int64_t out_idx = 0;
-  // Row-pointer scan over each 2x2 window; the (0,0),(0,1),(1,0),(1,1)
-  // strictly-greater visit order matches the original tie-breaking.
-  for (int64_t plane = 0; plane < batch * channels; ++plane) {
-    const int64_t plane_base = plane * in_h * in_w;
-    for (int64_t oh = 0; oh < out_h; ++oh) {
-      const int64_t row_base = plane_base + (oh * 2) * in_w;
-      const float* r0 = x.data() + row_base;
-      const float* r1 = r0 + in_w;
-      for (int64_t ow = 0; ow < out_w; ++ow) {
-        const int64_t i0 = ow * 2;
-        float best = r0[i0];
-        int64_t best_flat = row_base + i0;
-        if (r0[i0 + 1] > best) {
-          best = r0[i0 + 1];
-          best_flat = row_base + i0 + 1;
-        }
-        if (r1[i0] > best) {
-          best = r1[i0];
-          best_flat = row_base + in_w + i0;
-        }
-        if (r1[i0 + 1] > best) {
-          best = r1[i0 + 1];
-          best_flat = row_base + in_w + i0 + 1;
-        }
-        out[out_idx] = best;
-        argmax_[out_idx] = best_flat;
-        ++out_idx;
-      }
-    }
-  }
+  argmax_.resize(y.numel());
+  kernels::MaxPool2x2(x.data(), batch * channels, x.dim(2), x.dim(3),
+                      y.data(), argmax_.data());
   return y;
 }
 
 Tensor MaxPool2d::Backward(const Tensor& grad_out) {
+  FS_CHECK_EQ(in_shape_.size(), 4u) << "Backward before Forward";
+  FS_CHECK(grad_out.shape() ==
+           std::vector<int64_t>({in_shape_[0], in_shape_[1], in_shape_[2] / 2,
+                                 in_shape_[3] / 2}))
+      << "grad_out " << grad_out.ShapeString()
+      << " is not the pooled output's shape";
   Tensor grad_in(in_shape_);
   for (int64_t i = 0; i < grad_out.numel(); ++i) {
     grad_in.at(argmax_[i]) += grad_out.at(i);

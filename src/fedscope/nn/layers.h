@@ -38,6 +38,13 @@ class Layer {
   /// parameter gradients.
   virtual Tensor Backward(const Tensor& grad_out) = 0;
 
+  /// Accumulates the same parameter gradients as Backward without forming
+  /// dL/d input. Model::Backward calls it on its lowest trainable layer,
+  /// whose input gradient nothing reads.
+  virtual void BackwardParams(const Tensor& grad_out) {
+    (void)Backward(grad_out);
+  }
+
   /// Appends this layer's parameters/buffers, names prefixed.
   virtual void CollectParams(const std::string& prefix,
                              std::vector<ParamRef>* out) {
@@ -59,6 +66,7 @@ class Linear : public Layer {
 
   Tensor Forward(const Tensor& x, bool train) override;
   Tensor Backward(const Tensor& grad_out) override;
+  void BackwardParams(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<ParamRef>* out) override;
   std::unique_ptr<Layer> Clone() const override;
@@ -78,6 +86,9 @@ class Linear : public Layer {
 };
 
 /// 2-D convolution over NCHW input, stride 1, symmetric zero padding.
+/// Lowers a chunk of images into one per-thread column matrix of at most
+/// 128 columns (one image wider than that is a chunk of its own), so the
+/// forward product and the input-gradient product are one GEMM per chunk.
 class Conv2d : public Layer {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
@@ -85,6 +96,7 @@ class Conv2d : public Layer {
 
   Tensor Forward(const Tensor& x, bool train) override;
   Tensor Backward(const Tensor& grad_out) override;
+  void BackwardParams(const Tensor& grad_out) override;
   void CollectParams(const std::string& prefix,
                      std::vector<ParamRef>* out) override;
   std::unique_ptr<Layer> Clone() const override;

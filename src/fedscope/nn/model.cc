@@ -1,5 +1,6 @@
 #include "fedscope/nn/model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "fedscope/tensor/tensor_ops.h"
@@ -52,12 +53,22 @@ Tensor Model::Forward(const Tensor& x, bool train) {
   return h;
 }
 
-Tensor Model::Backward(const Tensor& grad_out) {
-  Tensor g = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g);
+void Model::Backward(const Tensor& grad_out) {
+  size_t bottom = 0;
+  std::vector<ParamRef> refs;
+  for (; bottom < layers_.size(); ++bottom) {
+    layers_[bottom]->CollectParams(names_[bottom], &refs);
+    if (std::any_of(refs.begin(), refs.end(),
+                    [](const ParamRef& p) { return p.trainable; })) {
+      break;
+    }
   }
-  return g;
+  if (bottom == layers_.size()) return;  // nothing to train
+  Tensor g = grad_out;
+  for (size_t i = layers_.size() - 1; i > bottom; --i) {
+    g = layers_[i]->Backward(g);
+  }
+  layers_[bottom]->BackwardParams(g);
 }
 
 std::vector<ParamRef> Model::Params() {

@@ -47,8 +47,10 @@ class Model {
   /// Forward pass through all layers.
   Tensor Forward(const Tensor& x, bool train = true);
 
-  /// Backward pass; accumulates parameter gradients, returns grad w.r.t. x.
-  Tensor Backward(const Tensor& grad_out);
+  /// Backward pass; accumulates parameter gradients. It ends at the lowest
+  /// layer with trainable parameters, which forms no input gradient
+  /// (Layer::BackwardParams), since nothing reads it.
+  void Backward(const Tensor& grad_out);
 
   /// All parameters and buffers with hierarchical names.
   std::vector<ParamRef> Params();

@@ -3,48 +3,90 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 namespace fedscope {
 namespace kernels {
 namespace {
 
-// Register-blocked micro-tile: MR rows of C by kNr columns, accumulators
-// held in registers across the whole k loop. A is addressed through strides
-// (as_i, as_k) so the same kernel serves Gemm (as_i=k, as_k=1) and
-// GemmTransA (as_i=1, as_k=m). Accumulation is ascending-k float adds per
-// output element — identical to the scalar reference chain.
+// Register tiles: kMr rows of C by a fixed width, accumulators held in
+// registers across the whole k loop. A is addressed through strides
+// (as_i, as_k), so the same tiles serve Gemm (as_i=lda, as_k=1) and
+// GemmTransA (as_i=1, as_k=m). Each output element is an ascending-k chain
+// of float adds started at 0, added to C once at the end — the scalar
+// reference chain.
 constexpr int64_t kMr = 8;
-constexpr int64_t kNr = 32;
 
-void MicroTile(const float* __restrict__ a, int64_t as_i, int64_t as_k,
-               const float* __restrict__ b, int64_t ldb,
-               float* __restrict__ c, int64_t ldc, int64_t k) {
-  float acc[kMr][kNr];
-  for (int64_t r = 0; r < kMr; ++r) {
-    for (int64_t j = 0; j < kNr; ++j) acc[r][j] = 0.0f;
-  }
+// GCC vector types: their arithmetic is lane-wise float arithmetic, so each
+// lane runs the scalar chain. A tile row is an array of vectors no wider
+// than the widest register the translation unit is compiled for (`VReg`),
+// so each accumulator fits one register; with 64-byte vectors on a
+// baseline x86-64 build, a ConvNet2 step ran 2.5x slower.
+typedef float V4 __attribute__((vector_size(16)));
+typedef float V8 __attribute__((vector_size(32)));
+typedef float V16 __attribute__((vector_size(64)));
+#if defined(__AVX512F__)
+typedef V16 VReg;
+#elif defined(__AVX__)
+typedef V8 VReg;
+#else
+typedef V4 VReg;
+#endif
+// The 8-wide tile's vector: one V8, or two V4 below AVX.
+typedef std::conditional_t<sizeof(VReg) >= sizeof(V8), V8, V4> VNarrow;
+
+template <typename V>
+constexpr int64_t kLanesOf = sizeof(V) / sizeof(float);
+
+template <typename V>
+V LoadV(const float* p) {
+  V v;
+  std::memcpy(&v, p, sizeof(V));
+  return v;
+}
+
+// Tile of kVecs vectors V per row: 32, 16 or 8 columns wide. Columns below
+// `skip` are computed but not written, so a tile may overlap columns an
+// earlier tile already wrote.
+template <typename V, int kVecs>
+void VecTile(const float* __restrict__ a, int64_t as_i, int64_t as_k,
+             const float* __restrict__ b, int64_t ldb, float* __restrict__ c,
+             int64_t ldc, int64_t k, int64_t skip) {
+  constexpr int64_t kLanes = kLanesOf<V>;
+  V acc[kMr][kVecs] = {};
   for (int64_t kk = 0; kk < k; ++kk) {
     const float* brow = b + kk * ldb;
-    float bv[kNr];
-    for (int64_t j = 0; j < kNr; ++j) bv[j] = brow[j];
+    V bv[kVecs];
+    for (int v = 0; v < kVecs; ++v) bv[v] = LoadV<V>(brow + v * kLanes);
     for (int64_t r = 0; r < kMr; ++r) {
       const float av = a[r * as_i + kk * as_k];
-      for (int64_t j = 0; j < kNr; ++j) acc[r][j] += av * bv[j];
+      for (int v = 0; v < kVecs; ++v) acc[r][v] += av * bv[v];
     }
   }
   for (int64_t r = 0; r < kMr; ++r) {
     float* crow = c + r * ldc;
-    for (int64_t j = 0; j < kNr; ++j) crow[j] += acc[r][j];
+    if (skip == 0) {
+      for (int v = 0; v < kVecs; ++v) {
+        const V sum = LoadV<V>(crow + v * kLanes) + acc[r][v];
+        std::memcpy(crow + v * kLanes, &sum, sizeof(V));
+      }
+    } else {
+      for (int64_t j = skip; j < kLanes * kVecs; ++j) {
+        crow[j] += acc[r][j / kLanes][j % kLanes];
+      }
+    }
   }
 }
 
-// Edge tile with runtime extents mr <= kMr, nr <= kNr; same chain order.
+// Edge tile with runtime extents mr <= kMr and nr <= 32, accumulators in
+// memory: row blocks shorter than kMr and matrices narrower than 8. Same
+// chain.
 void MicroTileEdge(const float* __restrict__ a, int64_t as_i, int64_t as_k,
                    const float* __restrict__ b, int64_t ldb,
                    float* __restrict__ c, int64_t ldc, int64_t k, int64_t mr,
                    int64_t nr) {
-  float acc[kMr][kNr] = {};
+  float acc[kMr][32] = {};
   for (int64_t kk = 0; kk < k; ++kk) {
     const float* brow = b + kk * ldb;
     for (int64_t r = 0; r < mr; ++r) {
@@ -59,31 +101,86 @@ void MicroTileEdge(const float* __restrict__ a, int64_t as_i, int64_t as_k,
 }
 
 // c[m, n] += A @ b where A(i, kk) = a[i*as_i + kk*as_k], b row-major [k, n].
+// Full row blocks take 32-, 16- and 8-wide tiles; a tail narrower than 8
+// takes an 8-wide tile over the last 8 columns that writes only the tail.
+// MicroTileEdge covers what is left: row blocks shorter than kMr, and
+// matrices narrower than 8.
 void GemmStrided(int64_t m, int64_t n, int64_t k, const float* a,
                  int64_t as_i, int64_t as_k, const float* b, float* c) {
   int64_t i = 0;
   for (; i + kMr <= m; i += kMr) {
     const float* ai = a + i * as_i;
+    float* ci = c + i * n;
     int64_t j = 0;
-    for (; j + kNr <= n; j += kNr) {
-      MicroTile(ai, as_i, as_k, b + j, n, c + i * n + j, n, k);
+    for (; j + 32 <= n; j += 32) {
+      VecTile<VReg, 32 / kLanesOf<VReg>>(ai, as_i, as_k, b + j, n, ci + j, n,
+                                         k, 0);
+    }
+    if (j + 16 <= n) {
+      VecTile<VReg, 16 / kLanesOf<VReg>>(ai, as_i, as_k, b + j, n, ci + j, n,
+                                         k, 0);
+      j += 16;
+    }
+    if (j + 8 <= n) {
+      VecTile<VNarrow, 8 / kLanesOf<VNarrow>>(ai, as_i, as_k, b + j, n,
+                                              ci + j, n, k, 0);
+      j += 8;
     }
     if (j < n) {
-      MicroTileEdge(ai, as_i, as_k, b + j, n, c + i * n + j, n, k, kMr,
-                    n - j);
+      if (n >= 8) {
+        VecTile<VNarrow, 8 / kLanesOf<VNarrow>>(ai, as_i, as_k, b + n - 8, n,
+                                                ci + n - 8, n, k, 8 - (n - j));
+      } else {
+        MicroTileEdge(ai, as_i, as_k, b + j, n, ci + j, n, k, kMr, n - j);
+      }
     }
   }
   if (i < m) {
     const float* ai = a + i * as_i;
     const int64_t mr = m - i;
-    int64_t j = 0;
-    for (; j + kNr <= n; j += kNr) {
-      MicroTileEdge(ai, as_i, as_k, b + j, n, c + i * n + j, n, k, mr, kNr);
-    }
-    if (j < n) {
-      MicroTileEdge(ai, as_i, as_k, b + j, n, c + i * n + j, n, k, mr, n - j);
+    for (int64_t j = 0; j < n; j += 32) {
+      MicroTileEdge(ai, as_i, as_k, b + j, n, c + i * n + j, n, k, mr,
+                    std::min<int64_t>(32, n - j));
     }
   }
+}
+
+// Copies a rows x n block of floats between row strides ld_src and ld_dst
+// as 4-float moves, the last of a row overlapping the one before it. The
+// loop over rows is innermost: a loop over one contiguous run would become
+// a memmove call per run, which costs more than the run on short rows.
+inline void CopyBlock(const float* __restrict__ src, int64_t ld_src,
+                      float* __restrict__ dst, int64_t ld_dst, int64_t rows,
+                      int64_t n) {
+  if (n < 4) {
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t j = 0; j < n; ++j) dst[r * ld_dst + j] = src[r * ld_src + j];
+    }
+    return;
+  }
+  for (int64_t j = 0; j < n; j += 4) {
+    const int64_t at = std::min(j, n - 4);
+    for (int64_t r = 0; r < rows; ++r) {
+      std::memcpy(dst + r * ld_dst + at, src + r * ld_src + at, 16);
+    }
+  }
+}
+
+// dst[i] += src[i] for i < n, as 4-float vector adds and a scalar tail.
+inline void AddRun(const float* __restrict__ src, float* __restrict__ dst,
+                   int64_t n) {
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const V4 sum = LoadV<V4>(dst + i) + LoadV<V4>(src + i);
+    std::memcpy(dst + i, &sum, sizeof(V4));
+  }
+  for (; i < n; ++i) dst[i] += src[i];
+}
+
+// Zero-padded image copy for Im2Col and Col2Im, one per thread.
+std::vector<float>& PadBuffer() {
+  thread_local std::vector<float> buf;
+  return buf;
 }
 
 // Reusable packing buffer for GemmTransB (single-core; thread_local keeps
@@ -98,6 +195,11 @@ std::vector<float>& PackBuffer() {
 void Gemm(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
           float* c) {
   GemmStrided(m, n, k, a, /*as_i=*/k, /*as_k=*/1, b, c);
+}
+
+void GemmLda(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
+             const float* b, float* c) {
+  GemmStrided(m, n, k, a, /*as_i=*/lda, /*as_k=*/1, b, c);
 }
 
 void GemmTransA(int64_t m, int64_t n, int64_t k, const float* a,
@@ -124,6 +226,28 @@ void GemmTransB(int64_t m, int64_t n, int64_t k, const float* a,
     }
   }
   GemmStrided(m, n, k, a, /*as_i=*/k, /*as_k=*/1, bt.data(), c);
+}
+
+void Transpose(const float* src, int64_t rows, int64_t cols, float* dst) {
+  // Four source rows at a time: each column then stores four adjacent
+  // floats of dst.
+  int64_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const float* s0 = src + r * cols;
+    const float* s1 = s0 + cols;
+    const float* s2 = s1 + cols;
+    const float* s3 = s2 + cols;
+    for (int64_t c = 0; c < cols; ++c) {
+      float* d = dst + c * rows + r;
+      d[0] = s0[c];
+      d[1] = s1[c];
+      d[2] = s2[c];
+      d[3] = s3[c];
+    }
+  }
+  for (; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
+  }
 }
 
 void GemmReference(int64_t m, int64_t n, int64_t k, const float* a,
@@ -160,57 +284,63 @@ void GemmTransBReference(int64_t m, int64_t n, int64_t k, const float* a,
 }
 
 void Im2Col(const float* im, int64_t channels, int64_t height, int64_t width,
-            int64_t kernel, int64_t padding, float* cols) {
+            int64_t kernel, int64_t padding, float* cols, int64_t ld) {
   const int64_t out_h = ConvOutDim(height, kernel, padding);
   const int64_t out_w = ConvOutDim(width, kernel, padding);
-  float* out = cols;
+  // Reads come from a zero-padded copy of the image, so every output row
+  // is one run of out_w floats and the padding needs no test.
+  const int64_t pad_h = height + 2 * padding, pad_w = width + 2 * padding;
+  std::vector<float>& padded = PadBuffer();
+  padded.assign(channels * pad_h * pad_w, 0.0f);
   for (int64_t ic = 0; ic < channels; ++ic) {
-    const float* plane = im + ic * height * width;
+    CopyBlock(im + ic * height * width, width,
+              padded.data() + (ic * pad_h + padding) * pad_w + padding, pad_w,
+              height, width);
+  }
+  float* row = cols;
+  for (int64_t ic = 0; ic < channels; ++ic) {
     for (int64_t kh = 0; kh < kernel; ++kh) {
-      for (int64_t kw = 0; kw < kernel; ++kw) {
-        // Valid output columns map to input columns iw = ow + kw - padding.
-        const int64_t lo = std::max<int64_t>(0, padding - kw);
-        const int64_t hi = std::min(out_w, width - kw + padding);
-        for (int64_t oh = 0; oh < out_h; ++oh) {
-          const int64_t ih = oh + kh - padding;
-          if (ih < 0 || ih >= height || lo >= hi) {
-            std::memset(out, 0, out_w * sizeof(float));
-          } else {
-            if (lo > 0) std::memset(out, 0, lo * sizeof(float));
-            std::memcpy(out + lo, plane + ih * width + lo + kw - padding,
-                        (hi - lo) * sizeof(float));
-            if (hi < out_w) {
-              std::memset(out + hi, 0, (out_w - hi) * sizeof(float));
-            }
-          }
-          out += out_w;
-        }
+      for (int64_t kw = 0; kw < kernel; ++kw, row += ld) {
+        CopyBlock(padded.data() + (ic * pad_h + kh) * pad_w + kw, pad_w, row,
+                  out_w, out_h, out_w);
       }
     }
   }
 }
 
-void Col2Im(const float* cols, int64_t channels, int64_t height,
+void Col2Im(const float* cols, int64_t ld, int64_t channels, int64_t height,
             int64_t width, int64_t kernel, int64_t padding, float* im) {
   const int64_t out_h = ConvOutDim(height, kernel, padding);
   const int64_t out_w = ConvOutDim(width, kernel, padding);
-  const float* in = cols;
+  // Accumulates into a zero-bordered copy of im, so each column-matrix row
+  // adds into one run of out_w floats with no bounds test; the border
+  // collects the padding cells' terms and is dropped on the way back. Each
+  // element of im still receives its terms in ascending (kh, kw) order.
+  const int64_t pad_h = height + 2 * padding, pad_w = width + 2 * padding;
+  std::vector<float>& padded = PadBuffer();
+  padded.assign(channels * pad_h * pad_w, 0.0f);
   for (int64_t ic = 0; ic < channels; ++ic) {
-    float* plane = im + ic * height * width;
-    for (int64_t kh = 0; kh < kernel; ++kh) {
-      for (int64_t kw = 0; kw < kernel; ++kw) {
-        const int64_t lo = std::max<int64_t>(0, padding - kw);
-        const int64_t hi = std::min(out_w, width - kw + padding);
-        for (int64_t oh = 0; oh < out_h; ++oh) {
-          const int64_t ih = oh + kh - padding;
-          if (ih >= 0 && ih < height && lo < hi) {
-            float* row = plane + ih * width + kw - padding;
-            for (int64_t ow = lo; ow < hi; ++ow) row[ow] += in[ow];
-          }
-          in += out_w;
+    CopyBlock(im + ic * height * width, width,
+              padded.data() + (ic * pad_h + padding) * pad_w + padding, pad_w,
+              height, width);
+  }
+  // Channels run inside (kh, kw): consecutive kw add into runs that
+  // overlap by all but one float, and a whole pass over the channels
+  // between them lets each store land before the overlapping load.
+  for (int64_t kh = 0; kh < kernel; ++kh) {
+    for (int64_t kw = 0; kw < kernel; ++kw) {
+      for (int64_t ic = 0; ic < channels; ++ic) {
+        const float* in = cols + ((ic * kernel + kh) * kernel + kw) * ld;
+        float* dst = padded.data() + (ic * pad_h + kh) * pad_w + kw;
+        for (int64_t oh = 0; oh < out_h; ++oh, dst += pad_w, in += out_w) {
+          AddRun(in, dst, out_w);
         }
       }
     }
+  }
+  for (int64_t ic = 0; ic < channels; ++ic) {
+    CopyBlock(padded.data() + (ic * pad_h + padding) * pad_w + padding, pad_w,
+              im + ic * height * width, width, height, width);
   }
 }
 
@@ -273,6 +403,38 @@ void Conv2dBackwardReference(const float* x, const float* weight,
   }
 }
 
+void MaxPool2x2(const float* x, int64_t planes, int64_t in_h, int64_t in_w,
+                float* y, int64_t* argmax) {
+  const int64_t out_h = in_h / 2, out_w = in_w / 2;
+  for (int64_t plane = 0; plane < planes; ++plane) {
+    for (int64_t oh = 0; oh < out_h; ++oh) {
+      const int64_t base = (plane * in_h + oh * 2) * in_w;
+      const float* r0 = x + base;
+      const float* r1 = r0 + in_w;
+      // Selects instead of branches: the compare outcome on real
+      // activations is a coin flip, which a branch predictor cannot learn.
+      for (int64_t ow = 0; ow < out_w; ++ow) {
+        const int64_t i0 = ow * 2;
+        float best = r0[i0];
+        int64_t at = base + i0;
+        bool gt = r0[i0 + 1] > best;
+        best = gt ? r0[i0 + 1] : best;
+        at = gt ? base + i0 + 1 : at;
+        gt = r1[i0] > best;
+        best = gt ? r1[i0] : best;
+        at = gt ? base + in_w + i0 : at;
+        gt = r1[i0 + 1] > best;
+        best = gt ? r1[i0 + 1] : best;
+        at = gt ? base + in_w + i0 + 1 : at;
+        y[ow] = best;
+        argmax[ow] = at;
+      }
+      y += out_w;
+      argmax += out_w;
+    }
+  }
+}
+
 void ReluForward(const float* x, float* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] = std::max(x[i], 0.0f);
 }
@@ -296,28 +458,10 @@ void AddColBias(float* y, const float* bias, int64_t rows, int64_t cols) {
   }
 }
 
-void AddRowBias(float* y, const float* bias, int64_t rows, int64_t cols) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const float b = bias[r];
-    float* row = y + r * cols;
-    for (int64_t c = 0; c < cols; ++c) row[c] += b;
-  }
-}
-
 void ColSumsAccum(const float* x, int64_t rows, int64_t cols, float* out) {
   for (int64_t r = 0; r < rows; ++r) {
     const float* row = x + r * cols;
     for (int64_t c = 0; c < cols; ++c) out[c] += row[c];
-  }
-}
-
-void RowSumsAccum(const float* x, int64_t rows, int64_t cols, float* out) {
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = x + r * cols;
-    // Serial chain per row keeps the ascending-column order deterministic.
-    float acc = out[r];
-    for (int64_t c = 0; c < cols; ++c) acc += row[c];
-    out[r] = acc;
   }
 }
 

@@ -23,6 +23,11 @@ namespace kernels {
 void Gemm(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
           float* c);
 
+/// Gemm whose a rows start lda >= k floats apart (a block of a wider
+/// matrix); b and c are as in Gemm.
+void GemmLda(int64_t m, int64_t n, int64_t k, const float* a, int64_t lda,
+             const float* b, float* c);
+
 /// c += a^T @ b. a: [k, m] row-major (so a^T is [m, k]), b: [k, n], c: [m, n].
 void GemmTransA(int64_t m, int64_t n, int64_t k, const float* a,
                 const float* b, float* c);
@@ -40,6 +45,9 @@ void GemmTransAReference(int64_t m, int64_t n, int64_t k, const float* a,
 void GemmTransBReference(int64_t m, int64_t n, int64_t k, const float* a,
                          const float* b, float* c);
 
+/// dst = src^T: src [rows, cols] row-major, dst [cols, rows] row-major.
+void Transpose(const float* src, int64_t rows, int64_t cols, float* dst);
+
 // ---------------------------------------------------------------------------
 // Convolution lowering (stride 1, symmetric zero padding).
 // ---------------------------------------------------------------------------
@@ -50,14 +58,17 @@ inline int64_t ConvOutDim(int64_t in, int64_t kernel, int64_t padding) {
 }
 
 /// Lowers one [channels, height, width] image to a [channels*kernel*kernel,
-/// out_h*out_w] column matrix (zero padding materialized as zeros). `cols`
-/// must hold channels*kernel*kernel*out_h*out_w floats; fully overwritten.
+/// out_h*out_w] column matrix whose rows start ld >= out_h*out_w floats
+/// apart, so a chunk of images can share one matrix, image i at column
+/// i*out_h*out_w. Zero padding is materialized as zeros; the image's
+/// columns are fully overwritten.
 void Im2Col(const float* im, int64_t channels, int64_t height, int64_t width,
-            int64_t kernel, int64_t padding, float* cols);
+            int64_t kernel, int64_t padding, float* cols, int64_t ld);
 
-/// Inverse scatter of Im2Col: accumulates the column matrix back into the
-/// [channels, height, width] image (`im` += ...; padding cells dropped).
-void Col2Im(const float* cols, int64_t channels, int64_t height,
+/// Inverse scatter of Im2Col: accumulates the column matrix (row stride ld)
+/// back into the [channels, height, width] image (`im` += ...; padding
+/// cells dropped).
+void Col2Im(const float* cols, int64_t ld, int64_t channels, int64_t height,
             int64_t width, int64_t kernel, int64_t padding, float* im);
 
 /// Direct 7-loop convolution kernels (the pre-im2col implementation), kept
@@ -82,6 +93,14 @@ void Conv2dBackwardReference(const float* x, const float* weight,
 // Fused elementwise helpers (pointer loops the compiler vectorizes).
 // ---------------------------------------------------------------------------
 
+/// 2x2 stride-2 max pooling over `planes` [in_h, in_w] planes (odd trailing
+/// rows/columns dropped): y[plane, oh, ow] is the window's maximum and
+/// argmax[...] its flat index into x. Cells are visited (0,0), (0,1),
+/// (1,0), (1,1) and only a strictly greater value replaces the best, so a
+/// tie or a NaN keeps the earlier cell.
+void MaxPool2x2(const float* x, int64_t planes, int64_t in_h, int64_t in_w,
+                float* y, int64_t* argmax);
+
 /// y[i] = max(x[i], 0).
 void ReluForward(const float* x, float* y, int64_t n);
 /// grad[i] = x[i] > 0 ? grad[i] : 0 (in place; x is the forward input).
@@ -92,12 +111,9 @@ void TanhForward(const float* x, float* y, int64_t n);
 void TanhBackward(const float* y, float* grad, int64_t n);
 /// y[r*cols + c] += bias[c] for every row r (Linear bias).
 void AddColBias(float* y, const float* bias, int64_t rows, int64_t cols);
-/// y[r*cols + c] += bias[r] for every column c (Conv2d bias, rows=channels).
-void AddRowBias(float* y, const float* bias, int64_t rows, int64_t cols);
-/// out[c] += sum_r x[r*cols + c], rows in ascending order (Linear bias grad).
+/// out[c] += sum_r x[r*cols + c], rows in ascending order (Linear and
+/// Conv2d bias grads).
 void ColSumsAccum(const float* x, int64_t rows, int64_t cols, float* out);
-/// out[r] += sum_c x[r*cols + c], cols in ascending order (Conv2d bias grad).
-void RowSumsAccum(const float* x, int64_t rows, int64_t cols, float* out);
 
 }  // namespace kernels
 }  // namespace fedscope

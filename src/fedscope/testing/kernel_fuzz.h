@@ -14,11 +14,14 @@ struct FuzzReport {
 };
 
 /// Differential fuzz of the tensor kernels over random shapes: tiled
-/// Gemm/GemmTransA/GemmTransB vs the scalar *Reference kernels (exact
-/// bit equality — the determinism contract), Im2Col/Col2Im vs a naive
-/// gather/scatter, the im2col+gemm convolution lowering vs the direct
-/// double-accumulating Conv2dForwardReference (tolerance), and the
-/// elementwise helpers vs naive loops (exact).
+/// Gemm/GemmLda/GemmTransA/GemmTransB vs the scalar *Reference kernels
+/// (exact bit equality — the determinism contract), Im2Col/Col2Im with a
+/// row stride vs a naive gather/scatter, the im2col+gemm convolution
+/// lowering vs the direct double-accumulating Conv2dForwardReference
+/// (tolerance), the Conv2d and Linear layers' outputs and gradients vs the
+/// per-image composition of the reference kernels (exact), Model::Backward
+/// with its bottom input gradient skipped vs every layer's full Backward
+/// (exact), and the elementwise helpers vs naive loops (exact).
 FuzzReport FuzzKernels(uint64_t seed, int trials);
 
 /// Fuzz of the wire codec: random valid messages must decode and

@@ -181,6 +181,25 @@ TEST(Conv2dTest, OutputShapeNoPadding) {
   EXPECT_EQ(y.dim(3), 4);
 }
 
+TEST(Conv2dTest, BackwardRejectsGradientOfWrongShape) {
+  Rng rng(5);
+  Conv2d conv(2, 3, 3, 1, &rng);
+  Tensor x = Tensor::Randn({2, 2, 4, 4}, &rng);
+  Tensor y = conv.Forward(x, true);
+  // The layer's own input gradient has the input's shape, not the output's.
+  Tensor grad_in = conv.Backward(Tensor::Randn(y.shape(), &rng));
+  EXPECT_DEATH(conv.Backward(grad_in), "grad_out");
+  EXPECT_DEATH(conv.BackwardParams(Tensor({1, 3, 4, 4})), "grad_out");
+}
+
+TEST(MaxPoolTest, BackwardRejectsGradientOfWrongShape) {
+  MaxPool2d pool;
+  Tensor x({1, 2, 4, 4});
+  pool.Forward(x, true);
+  EXPECT_DEATH(pool.Backward(x), "grad_out");
+  EXPECT_DEATH(pool.Backward(Tensor({1, 2, 2, 3})), "grad_out");
+}
+
 // ---------------------------------------------------------------------------
 // Gradient checks: every layer's backward pass against finite differences.
 // ---------------------------------------------------------------------------
