@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "fedscope/tensor/kernels.h"
 #include "fedscope/tensor/tensor_ops.h"
 #include "fedscope/util/logging.h"
 
@@ -115,21 +116,25 @@ Result<StateDict> KrumAggregator::Aggregate(
   if (n == 0) return Status::FailedPrecondition("krum: no usable updates");
   last_selection_.clear();
 
+  // Every update must span the global shared state: a delta that lacks a
+  // tensor is hostile or corrupt input (a TCP peer with the guard off).
+  int64_t coords = 0;
+  for (const auto& entry : global) coords += entry.second.numel();
   std::vector<std::vector<float>> flat(n);
-  for (int i = 0; i < n; ++i) flat[i] = SdFlatten(updates[i].delta);
-
-  // Pairwise squared distances.
-  std::vector<std::vector<double>> dist(n, std::vector<double>(n, 0.0));
+  std::vector<const float*> rows(n);
   for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      double acc = 0.0;
-      for (size_t k = 0; k < flat[i].size(); ++k) {
-        const double d = static_cast<double>(flat[i][k]) - flat[j][k];
-        acc += d * d;
-      }
-      dist[i][j] = dist[j][i] = acc;
+    flat[i] = SdFlatten(updates[i].delta);
+    if (static_cast<int64_t>(flat[i].size()) != coords) {
+      return Status::InvalidArgument(
+          "krum: update from client " + std::to_string(updates[i].client_id) +
+          " has " + std::to_string(flat[i].size()) +
+          " coordinates, the global shared state " + std::to_string(coords));
     }
+    rows[i] = flat[i].data();
   }
+
+  std::vector<double> dist(static_cast<size_t>(n) * n);
+  kernels::PairwiseSquaredDistances(rows.data(), n, coords, dist.data());
 
   // Krum score: sum of distances to the n - f - 2 closest other updates.
   const int closest = std::max(1, n - num_malicious_ - 2);
@@ -138,7 +143,7 @@ Result<StateDict> KrumAggregator::Aggregate(
     std::vector<double> row;
     row.reserve(n - 1);
     for (int j = 0; j < n; ++j) {
-      if (j != i) row.push_back(dist[i][j]);
+      if (j != i) row.push_back(dist[static_cast<size_t>(i) * n + j]);
     }
     std::sort(row.begin(), row.end());
     double score = 0.0;

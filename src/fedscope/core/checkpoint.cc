@@ -6,14 +6,18 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <thread>
 #include <utility>
 #include <variant>
 
 #include "fedscope/comm/codec.h"
+#include "fedscope/obs/obs_context.h"
 #include "fedscope/util/logging.h"
 
 namespace fedscope {
@@ -237,37 +241,45 @@ Result<Checkpoint> DecodeCheckpointFile(const std::vector<uint8_t>& bytes) {
       std::vector<uint8_t>(payload, payload + payload_size));
 }
 
-Result<int64_t> WriteCheckpointFileAtomic(const std::string& path,
-                                          const Checkpoint& checkpoint) {
-  const std::vector<uint8_t> bytes = EncodeCheckpointFile(checkpoint);
-  const std::string tmp_path = path + ".tmp";
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+namespace {
+
+/// Makes `bytes` durable under `path` by way of the file `via` (created if
+/// missing, else overwritten to the exact size): writes and fdatasyncs
+/// `via`, renames it to `path` and fsyncs the directory. On failure `via`
+/// is deleted.
+Status PublishFile(const std::string& via, const std::string& path,
+                   const std::vector<uint8_t>& bytes) {
+  const int fd = ::open(via.c_str(), O_WRONLY | O_CREAT, 0644);
   if (fd < 0) {
-    return Status::Internal("cannot create " + tmp_path + ": " +
-                               std::strerror(errno));
+    return Status::Internal("cannot create " + via + ": " +
+                            std::strerror(errno));
   }
   size_t off = 0;
   while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    const ssize_t n = ::pwrite(fd, bytes.data() + off, bytes.size() - off,
+                               static_cast<off_t>(off));
     if (n < 0) {
       const std::string err = std::strerror(errno);
       ::close(fd);
-      ::unlink(tmp_path.c_str());
-      return Status::Internal("cannot write " + tmp_path + ": " + err);
+      ::unlink(via.c_str());
+      return Status::Internal("cannot write " + via + ": " + err);
     }
     off += static_cast<size_t>(n);
   }
-  // fsync before rename: the rename must never become visible while the
+  // Sync before rename: the rename must never become visible while the
   // file's data blocks are still in flight (else a crash leaves a named
   // but torn snapshot).
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
-    ::unlink(tmp_path.c_str());
-    return Status::Internal("cannot sync " + tmp_path);
+  const bool synced =
+      ::ftruncate(fd, static_cast<off_t>(bytes.size())) == 0 &&
+      ::fdatasync(fd) == 0;
+  if (::close(fd) != 0 || !synced) {
+    ::unlink(via.c_str());
+    return Status::Internal("cannot sync " + via);
   }
-  if (::rename(tmp_path.c_str(), path.c_str()) != 0) {
+  if (::rename(via.c_str(), path.c_str()) != 0) {
     const std::string err = std::strerror(errno);
-    ::unlink(tmp_path.c_str());
-    return Status::Internal("cannot rename " + tmp_path + ": " + err);
+    ::unlink(via.c_str());
+    return Status::Internal("cannot rename " + via + ": " + err);
   }
   // fsync the directory so the rename itself survives a power cut.
   const std::string dir =
@@ -277,6 +289,15 @@ Result<int64_t> WriteCheckpointFileAtomic(const std::string& path,
     ::fsync(dir_fd);
     ::close(dir_fd);
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<int64_t> WriteCheckpointFileAtomic(const std::string& path,
+                                          const Checkpoint& checkpoint) {
+  const std::vector<uint8_t> bytes = EncodeCheckpointFile(checkpoint);
+  FS_RETURN_IF_ERROR(PublishFile(path + ".tmp", path, bytes));
   return static_cast<int64_t>(bytes.size());
 }
 
@@ -305,41 +326,190 @@ bool MatchesSnapshotName(const std::string& filename,
 
 }  // namespace
 
-Result<int64_t> SnapshotWriter::Write(const Checkpoint& checkpoint) {
-  namespace fs = std::filesystem;
-  FS_CHECK(enabled()) << "SnapshotWriter::Write with snapshots disabled";
-  std::error_code ec;
-  fs::create_directories(policy_.directory, ec);
-  if (ec) {
-    return Status::Internal("cannot create snapshot directory " +
-                               policy_.directory + ": " + ec.message());
+class SnapshotWriter::Persister {
+ public:
+  explicit Persister(SnapshotPolicy policy)
+      : policy_(std::move(policy)),
+        spare_path_((std::filesystem::path(policy_.directory) /
+                     (policy_.worker_prefix + kSpareName))
+                        .string()),
+        thread_([this] { Loop(); }) {}
+
+  /// Completes a handed-over checkpoint, stops the thread, deletes the
+  /// spare (if any).
+  ~Persister() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+    ::unlink(spare_path_.c_str());
   }
-  char name[64];
-  std::snprintf(name, sizeof(name), "%s%s%06d%s",
-                policy_.worker_prefix.c_str(), kSnapshotPrefix,
-                checkpoint.round, kSnapshotExtension);
-  const std::string path =
-      (fs::path(policy_.directory) / name).string();
-  auto written = WriteCheckpointFileAtomic(path, checkpoint);
-  if (!written.ok()) return written.status();
-  ++snapshots_written_;
-  bytes_written_ += written.value();
-  if (policy_.keep_last > 0) {
-    std::vector<fs::path> snapshots;
-    for (const auto& entry : fs::directory_iterator(policy_.directory)) {
-      const fs::path& p = entry.path();
-      if (MatchesSnapshotName(p.filename().string(), policy_.worker_prefix)) {
-        snapshots.push_back(p);
+
+  Persister(const Persister&) = delete;
+  Persister& operator=(const Persister&) = delete;
+
+  /// Requires that no persist is in flight (Wait returned since the last
+  /// Hand).
+  void Hand(Checkpoint checkpoint) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      FS_CHECK(!busy_) << "snapshot handed over with one in flight";
+      pending_ = std::move(checkpoint);
+      busy_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  /// Waits for the persist in flight and takes its outcome.
+  std::optional<SnapshotPersist> Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return !busy_; });
+    return std::exchange(outcome_, std::nullopt);
+  }
+
+ private:
+  /// Never a snapshot name: MatchesSnapshotName wants "snapshot-".
+  static constexpr char kSpareName[] = "snapshot.spare";
+
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (true) {
+      cv_.wait(lock, [this] { return pending_.has_value() || stop_; });
+      if (!pending_.has_value()) return;
+      std::optional<Checkpoint> checkpoint = std::exchange(pending_, {});
+      lock.unlock();
+      SnapshotPersist outcome = Persist(*checkpoint);
+      checkpoint.reset();
+      lock.lock();
+      outcome_ = std::move(outcome);
+      busy_ = false;
+      cv_.notify_all();
+    }
+  }
+
+  SnapshotPersist Persist(const Checkpoint& checkpoint) {
+    SnapshotPersist out;
+    out.round = checkpoint.round;
+    out.status = ListDirectory();
+    if (!out.status.ok()) return out;
+    const std::vector<uint8_t> bytes = EncodeCheckpointFile(checkpoint);
+    char name[64];
+    std::snprintf(name, sizeof(name), "%s%s%06d%s",
+                  policy_.worker_prefix.c_str(), kSnapshotPrefix,
+                  checkpoint.round, kSnapshotExtension);
+    const std::string path =
+        (std::filesystem::path(policy_.directory) / name).string();
+    out.status = PublishFile(spare_path_, path, bytes);
+    if (!out.status.ok()) return out;
+    out.bytes = static_cast<int64_t>(bytes.size());
+    Retire(name);
+    return out;
+  }
+
+  /// Creates the directory and lists this prefix's snapshots, once.
+  Status ListDirectory() {
+    namespace fs = std::filesystem;
+    if (listed_) return Status::Ok();
+    std::error_code ec;
+    fs::create_directories(policy_.directory, ec);
+    if (ec) {
+      return Status::Internal("cannot create snapshot directory " +
+                              policy_.directory + ": " + ec.message());
+    }
+    named_.clear();
+    if (policy_.keep_last > 0) {
+      for (fs::directory_iterator it(policy_.directory, ec), end;
+           !ec && it != end; it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        if (MatchesSnapshotName(name, policy_.worker_prefix)) {
+          named_.push_back(name);
+        }
       }
+      if (ec) {
+        return Status::Internal("cannot list snapshot directory " +
+                                policy_.directory + ": " + ec.message());
+      }
+      // Zero-padded round numbers make lexicographic order round order.
+      std::sort(named_.begin(), named_.end());
     }
-    // Zero-padded round numbers make lexicographic order round order.
-    std::sort(snapshots.begin(), snapshots.end());
-    while (snapshots.size() > static_cast<size_t>(policy_.keep_last)) {
-      fs::remove(snapshots.front(), ec);
-      snapshots.erase(snapshots.begin());
+    listed_ = true;
+    return Status::Ok();
+  }
+
+  /// Records `name` and retires the oldest files beyond keep_last by
+  /// renaming each to the spare name (each rename replaces the last spare).
+  void Retire(const std::string& name) {
+    if (policy_.keep_last <= 0) return;
+    const auto at = std::lower_bound(named_.begin(), named_.end(), name);
+    if (at == named_.end() || *at != name) named_.insert(at, name);
+    while (named_.size() > static_cast<size_t>(policy_.keep_last)) {
+      const std::string oldest =
+          (std::filesystem::path(policy_.directory) / named_.front()).string();
+      ::rename(oldest.c_str(), spare_path_.c_str());
+      named_.erase(named_.begin());
     }
   }
-  return written;
+
+  const SnapshotPolicy policy_;
+  const std::string spare_path_;
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<Checkpoint> pending_;       // guarded by mu_
+  std::optional<SnapshotPersist> outcome_;  // guarded by mu_
+  bool busy_ = false;                       // guarded by mu_
+  bool stop_ = false;                       // guarded by mu_
+
+  // The writer thread's own.
+  bool listed_ = false;
+  std::vector<std::string> named_;  // this prefix's snapshots, ascending
+
+  std::thread thread_;  // last: starts once the members above exist
+};
+
+SnapshotWriter::SnapshotWriter() = default;
+SnapshotWriter::SnapshotWriter(SnapshotPolicy policy)
+    : policy_(std::move(policy)) {}
+SnapshotWriter::~SnapshotWriter() = default;
+SnapshotWriter::SnapshotWriter(SnapshotWriter&&) noexcept = default;
+SnapshotWriter& SnapshotWriter::operator=(SnapshotWriter&&) noexcept = default;
+
+std::optional<SnapshotPersist> SnapshotWriter::Write(Checkpoint checkpoint) {
+  FS_CHECK(enabled()) << "SnapshotWriter::Write with snapshots disabled";
+  std::optional<SnapshotPersist> previous = Flush();
+  if (persister_ == nullptr) {
+    persister_ = std::make_unique<Persister>(policy_);
+  }
+  persister_->Hand(std::move(checkpoint));
+  return previous;
+}
+
+std::optional<SnapshotPersist> SnapshotWriter::Flush() {
+  if (persister_ == nullptr) return std::nullopt;
+  std::optional<SnapshotPersist> done = persister_->Wait();
+  if (done.has_value() && done->status.ok()) {
+    ++snapshots_written_;
+    bytes_written_ += done->bytes;
+  }
+  return done;
+}
+
+void BookSnapshot(const ObsContext* obs,
+                  const std::optional<SnapshotPersist>& persist,
+                  std::string_view what, bool annotate) {
+  if (!persist.has_value()) return;
+  if (!persist->status.ok()) {
+    FS_LOG(Warning) << what << " write failed: " << persist->status.ToString();
+    return;
+  }
+  if (obs == nullptr) return;
+  obs->Count("fs_snapshots_written_total");
+  obs->Count("fs_snapshot_bytes_total", static_cast<double>(persist->bytes));
+  if (annotate && obs->course_log != nullptr) {
+    obs->course_log->AnnotateSnapshot(persist->round, persist->bytes);
+  }
 }
 
 Result<Checkpoint> LoadLatestSnapshot(const std::string& directory,

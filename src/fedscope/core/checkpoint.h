@@ -2,7 +2,10 @@
 #define FEDSCOPE_CORE_CHECKPOINT_H_
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fedscope/comm/message.h"
@@ -10,6 +13,8 @@
 #include "fedscope/util/status.h"
 
 namespace fedscope {
+
+struct ObsContext;
 
 /// A training-course snapshot (paper §4.3: "FederatedScope can export the
 /// snapshot of a training course to a corresponding checkpoint, from which
@@ -101,13 +106,46 @@ struct SnapshotPolicy {
   std::string worker_prefix;
 };
 
-/// Applies a SnapshotPolicy: names files "snapshot-<round>.ckpt" inside
-/// policy.directory (created on first write), writes atomically, prunes
-/// old files, and counts writes/bytes for the obs satellite counters.
+/// The outcome of one snapshot persist, which the caller of a
+/// SnapshotWriter learns at its next Write or Flush.
+struct SnapshotPersist {
+  /// Round of the persisted checkpoint.
+  int round = 0;
+  /// Ok, or why the persist failed.
+  Status status;
+  /// Size of the file written; 0 when the persist failed.
+  int64_t bytes = 0;
+};
+
+/// Applies a SnapshotPolicy behind the caller's back. The caller hands a
+/// checkpoint over at a round boundary; a writer thread, started at the
+/// first Write, serializes and checksums it and persists it as
+/// "<worker_prefix>snapshot-<round>.ckpt" inside policy.directory (created
+/// on the first persist) while the caller runs on. At most one persist is
+/// in flight. The thread touches nothing but the checkpoint and the files.
+///
+/// A persist costs one data sync. The writer keeps the file it last
+/// retired as a spare, under a name no snapshot reader matches (created
+/// when there is none): it writes the bytes into the spare and fdatasyncs
+/// it, renames it to the snapshot name and fsyncs the directory, then
+/// retires the oldest file beyond keep_last by renaming it to the spare
+/// name, unsynced. Once keep_last snapshots exist, that many valid named
+/// files exist at every instant. The one torn file a power cut can leave
+/// under a snapshot name is the oldest: when the retiring rename has not
+/// reached the disk, the next persist's bytes land in a file that still
+/// carries its old name, and the checksum rejects it. The directory is
+/// listed once, at the first persist. Writers that share a directory and
+/// a prefix share the spare: none may persist, or be destroyed, while
+/// another persists (a shard's standby snapshots only once its primary is
+/// gone).
 class SnapshotWriter {
  public:
-  SnapshotWriter() = default;
-  explicit SnapshotWriter(SnapshotPolicy policy) : policy_(std::move(policy)) {}
+  SnapshotWriter();
+  explicit SnapshotWriter(SnapshotPolicy policy);
+  /// Completes the persist in flight (uncounted), then deletes the spare.
+  ~SnapshotWriter();
+  SnapshotWriter(SnapshotWriter&&) noexcept;
+  SnapshotWriter& operator=(SnapshotWriter&&) noexcept;
 
   bool enabled() const {
     return !policy_.directory.empty() && policy_.every_n_rounds > 0;
@@ -116,18 +154,37 @@ class SnapshotWriter {
   bool ShouldSnapshot(int round) const {
     return enabled() && round > 0 && round % policy_.every_n_rounds == 0;
   }
-  /// Writes `checkpoint` and prunes; returns the bytes written.
-  Result<int64_t> Write(const Checkpoint& checkpoint);
+  /// Hands `checkpoint` to the writer thread. Waits first for the persist
+  /// in flight and returns its outcome (nullopt when none was in flight).
+  std::optional<SnapshotPersist> Write(Checkpoint checkpoint);
+  /// Waits for the persist in flight and returns its outcome (nullopt when
+  /// none was in flight). Afterwards the directory holds every snapshot
+  /// handed over.
+  std::optional<SnapshotPersist> Flush();
 
   const SnapshotPolicy& policy() const { return policy_; }
+  /// Persists that completed and that Write or Flush has reported.
   int64_t snapshots_written() const { return snapshots_written_; }
   int64_t bytes_written() const { return bytes_written_; }
 
  private:
+  /// The writer thread and the files it owns.
+  class Persister;
+
   SnapshotPolicy policy_;
+  std::unique_ptr<Persister> persister_;
   int64_t snapshots_written_ = 0;
   int64_t bytes_written_ = 0;
 };
+
+/// Books a persist that SnapshotWriter::Write or Flush reported (nothing
+/// for nullopt). A failed persist is logged as "<what> write failed" and
+/// not counted. A completed one is counted in fs_snapshots_written_total
+/// and fs_snapshot_bytes_total of `obs` (when not null) and, with
+/// `annotate`, marks its round in obs->course_log.
+void BookSnapshot(const ObsContext* obs,
+                  const std::optional<SnapshotPersist>& persist,
+                  std::string_view what, bool annotate);
 
 /// Loads the newest valid snapshot in `directory` whose filename is
 /// "<worker_prefix>snapshot-<round>.ckpt", skipping (with a logged

@@ -319,20 +319,8 @@ void DistributedServerHost::WriteSnapshot() {
     std::lock_guard<std::mutex> lock(mu_);
     dedup_.SaveState(&snapshot.course, "transport/dedup");
   }
-  auto written = snapshot_writer_.Write(snapshot);
-  if (!written.ok()) {
-    FS_LOG(Warning) << "snapshot write failed: "
-                    << written.status().ToString();
-    return;
-  }
-  if (obs_ != nullptr) {
-    obs_->Count("fs_snapshots_written_total");
-    obs_->Count("fs_snapshot_bytes_total",
-                static_cast<double>(written.value()));
-    if (obs_->course_log != nullptr) {
-      obs_->course_log->AnnotateSnapshot(written.value());
-    }
-  }
+  BookSnapshot(obs_, snapshot_writer_.Write(std::move(snapshot)), "snapshot",
+               /*annotate=*/true);
 }
 
 ServerStats DistributedServerHost::Run() {
@@ -443,6 +431,8 @@ ServerStats DistributedServerHost::Run() {
       if (halt_after_round_ > 0 && last_seen_round >= halt_after_round_) {
         FS_LOG(Warning) << "halting after round " << last_seen_round
                         << " (simulated crash)";
+        BookSnapshot(obs_, snapshot_writer_.Flush(), "snapshot",
+                     /*annotate=*/true);
         server_->ExportMetrics();
         return server_->stats();
       }
@@ -461,6 +451,7 @@ ServerStats DistributedServerHost::Run() {
                   static_cast<double>(stale));
     }
   }
+  BookSnapshot(obs_, snapshot_writer_.Flush(), "snapshot", /*annotate=*/true);
   server_->ExportMetrics();
   return server_->stats();
 }

@@ -135,9 +135,10 @@ class DistributedServerHost {
   /// re-acks known clients and re-broadcasts to the interrupted cohort.
   Status RestoreFromCheckpoint(const Checkpoint& checkpoint);
 
-  /// Enables durable snapshots (written right after each round that
-  /// matches the policy, with the session epoch and suppressor state as
-  /// transport extras). Must be set before Run(). Disabled by default.
+  /// Enables durable snapshots (taken right after each round that matches
+  /// the policy, with the session epoch and suppressor state as transport
+  /// extras, and persisted while the next round runs; all are on disk when
+  /// Run() returns). Must be set before Run(). Disabled by default.
   void set_snapshot_policy(const SnapshotPolicy& policy) {
     snapshot_writer_ = SnapshotWriter(policy);
   }
@@ -179,8 +180,8 @@ class DistributedServerHost {
   /// watchdog timer — EOF is a definite death signal, so one wake fires
   /// "late" by construction and the standby promotes on first delivery.
   void AggregatorFailover(int aggregator_id);
-  /// Exports a snapshot (Server course state + transport extras) and
-  /// writes it durably per the policy. Event-loop thread only.
+  /// Exports a snapshot (Server course state + transport extras) and hands
+  /// it to the writer per the policy. Event-loop thread only.
   void WriteSnapshot();
 
   TcpListener listener_;

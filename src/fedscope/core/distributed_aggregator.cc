@@ -61,6 +61,17 @@ Status DistributedAggregatorHost::Run() {
   hello.msg_type = events::kJoinIn;
   uplink_->Send(hello);
 
+  // An edge aggregator's snapshots reach no metrics sink: failures are
+  // only logged. Every exit persists the snapshot in flight before the
+  // root can see the connection drop and wake a standby that restores
+  // from it.
+  auto stop = [&](Status status) {
+    BookSnapshot(nullptr, snapshot_writer_.Flush(), "aggregator snapshot",
+                 /*annotate=*/false);
+    uplink_->Close();
+    return status;
+  };
+
   int64_t last_forwarded = aggregator_->partials_forwarded();
   while (!aggregator_->finished()) {
     auto msg = uplink_->Receive();
@@ -68,8 +79,7 @@ Status DistributedAggregatorHost::Run() {
       if (msg.status().code() == StatusCode::kDeadlineExceeded) {
         continue;  // idle between rounds (recv_timeout), keep waiting
       }
-      uplink_->Close();
-      return msg.status();
+      return stop(msg.status());
     }
     // Adopt the session epoch the root stamps on every relay before
     // handling it, so replies authenticate to the epoch they answer.
@@ -81,11 +91,9 @@ Status DistributedAggregatorHost::Run() {
       last_forwarded = aggregator_->partials_forwarded();
       if (snapshot_writer_.ShouldSnapshot(
               std::max(aggregator_->round_seen(), 1))) {
-        auto written = snapshot_writer_.Write(aggregator_->MakeCheckpoint());
-        if (!written.ok()) {
-          FS_LOG(Warning) << "aggregator snapshot write failed: "
-                          << written.status().ToString();
-        }
+        BookSnapshot(nullptr,
+                     snapshot_writer_.Write(aggregator_->MakeCheckpoint()),
+                     "aggregator snapshot", /*annotate=*/false);
       }
       // Simulated crash (tests/CI): die abruptly. Dropping the socket is
       // exactly what a SIGKILLed process does (the kernel closes its
@@ -95,13 +103,11 @@ Status DistributedAggregatorHost::Run() {
         FS_LOG(Warning) << "aggregator " << aggregator_->id()
                         << " halting after " << last_forwarded
                         << " forwarded partials (simulated crash)";
-        uplink_->Close();
-        return Status::Ok();
+        return stop(Status::Ok());
       }
     }
   }
-  uplink_->Close();
-  return Status::Ok();
+  return stop(Status::Ok());
 }
 
 }  // namespace fedscope

@@ -36,8 +36,9 @@ class DistributedAggregatorHost {
   /// the worker and the uplink.
   void set_obs(const ObsContext* obs);
 
-  /// Enables durable snapshots of the replicable shard state, written
-  /// after every forwarded partial that matches the policy. An empty
+  /// Enables durable snapshots of the replicable shard state, taken after
+  /// every forwarded partial that matches the policy and persisted before
+  /// the next one (and before Run() returns). An empty
   /// policy.worker_prefix defaults to "s<shard>-": every slot of a shard
   /// shares the prefix, so a cold-restarted standby can restore whatever
   /// incarnation wrote last, while other shards sharing the directory

@@ -238,18 +238,8 @@ void FedRunner::CrashAndRestoreServer() {
 void FedRunner::WriteSnapshot() {
   Checkpoint snapshot;
   server_->ExportSnapshot(&snapshot);
-  auto written = snapshot_writer_.Write(snapshot);
-  if (!written.ok()) {
-    FS_LOG(Warning) << "snapshot write failed: "
-                    << written.status().ToString();
-    return;
-  }
-  job_.obs.Count("fs_snapshots_written_total");
-  job_.obs.Count("fs_snapshot_bytes_total",
-                 static_cast<double>(written.value()));
-  if (job_.obs.course_log != nullptr) {
-    job_.obs.course_log->AnnotateSnapshot(written.value());
-  }
+  BookSnapshot(&job_.obs, snapshot_writer_.Write(std::move(snapshot)),
+               "snapshot", /*annotate=*/true);
 }
 
 void FedRunner::DeliverToAggregator(const Message& msg) {
@@ -290,15 +280,9 @@ void FedRunner::MaybeSnapshotAggregator(EdgeAggregator* agg) {
   }
   if (agg->partials_forwarded() <= shard_forwarded_[shard]) return;
   shard_forwarded_[shard] = agg->partials_forwarded();
-  auto written = shard_writers_[shard].Write(agg->MakeCheckpoint());
-  if (!written.ok()) {
-    FS_LOG(Warning) << "shard " << shard << " snapshot write failed: "
-                    << written.status().ToString();
-    return;
-  }
-  job_.obs.Count("fs_snapshots_written_total");
-  job_.obs.Count("fs_snapshot_bytes_total",
-                 static_cast<double>(written.value()));
+  BookSnapshot(&job_.obs, shard_writers_[shard].Write(agg->MakeCheckpoint()),
+               "shard " + std::to_string(shard) + " snapshot",
+               /*annotate=*/false);
 }
 
 void FedRunner::DeliverToClient(const Message& msg) {
@@ -636,6 +620,14 @@ RunResult FedRunner::Run() {
                       static_cast<double>(cs.evictions));
     job_.obs.SetGauge("fs_virtual_clients_live_peak",
                       static_cast<double>(cs.live_peak));
+  }
+  // The last snapshots persisted while the course wound down.
+  BookSnapshot(&job_.obs, snapshot_writer_.Flush(), "snapshot",
+               /*annotate=*/true);
+  for (size_t shard = 0; shard < shard_writers_.size(); ++shard) {
+    BookSnapshot(&job_.obs, shard_writers_[shard].Flush(),
+                 "shard " + std::to_string(shard) + " snapshot",
+                 /*annotate=*/false);
   }
   return result;
 }

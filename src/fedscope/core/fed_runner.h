@@ -170,7 +170,8 @@ class FedRunner : public CommChannel {
   int64_t duplicates_suppressed() const { return dedup_.suppressed(); }
   /// Server kill+restore drills performed (fault.server_crash_at_event).
   int64_t recoveries() const { return recoveries_; }
-  /// Durable snapshots written under FedJob::snapshot.
+  /// Durable snapshots written under FedJob::snapshot (all persisted and
+  /// counted once Run() returns).
   const SnapshotWriter& snapshot_writer() const { return snapshot_writer_; }
 
  private:
@@ -229,7 +230,7 @@ class FedRunner : public CommChannel {
   /// server, and restores a freshly built one from the bytes. Clients and
   /// the event queue survive — they are the other processes / the network.
   void CrashAndRestoreServer();
-  /// Exports and durably writes a snapshot per FedJob::snapshot.
+  /// Exports a snapshot and hands it to the writer per FedJob::snapshot.
   void WriteSnapshot();
   /// Delivers `msg` to an edge aggregator, applying the fault plan's
   /// aggregator-crash schedule (a dead incarnation silently eats traffic,

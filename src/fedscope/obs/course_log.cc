@@ -47,10 +47,14 @@ void CourseLog::Append(CourseRoundRecord record) {
   rounds_.push_back(std::move(record));
 }
 
-void CourseLog::AnnotateSnapshot(int64_t bytes) {
-  if (rounds_.empty()) return;
-  ++rounds_.back().snapshots;
-  rounds_.back().snapshot_bytes += bytes;
+void CourseLog::AnnotateSnapshot(int round, int64_t bytes) {
+  for (auto row = rounds_.rbegin(); row != rounds_.rend(); ++row) {
+    if (row->round == round) {
+      ++row->snapshots;
+      row->snapshot_bytes += bytes;
+      return;
+    }
+  }
 }
 
 std::vector<int64_t> CourseLog::AggCountPerClient(int num_clients) const {

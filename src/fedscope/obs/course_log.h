@@ -52,10 +52,11 @@ class CourseLog {
  public:
   void Append(CourseRoundRecord record);
 
-  /// Marks the most recent round as snapshotted. Separate from Append
-  /// because the snapshot is written by the runner/host *after* the
-  /// aggregation's record is already in the log. No-op on an empty log.
-  void AnnotateSnapshot(int64_t bytes);
+  /// Marks the newest row of aggregation `round` as snapshotted with
+  /// `bytes` on disk. Separate from Append because the runner/host learns
+  /// that the snapshot persisted only after later rows may be in the log.
+  /// No-op when no row has that round.
+  void AnnotateSnapshot(int round, int64_t bytes);
 
   const std::vector<CourseRoundRecord>& rounds() const { return rounds_; }
   int num_rounds() const { return static_cast<int>(rounds_.size()); }

@@ -1,9 +1,11 @@
 #include "fedscope/tensor/kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace fedscope {
@@ -190,6 +192,78 @@ std::vector<float>& PackBuffer() {
   return buf;
 }
 
+// Pairwise distances. A lane group is kPairLanes pairs, held in the widest
+// double vector that fits one register (as with VReg), kPairRegs of them.
+typedef double D2 __attribute__((vector_size(16)));
+typedef double D4 __attribute__((vector_size(32)));
+typedef double D8 __attribute__((vector_size(64)));
+#if defined(__AVX512F__)
+typedef D8 DReg;
+#elif defined(__AVX__)
+typedef D4 DReg;
+#else
+typedef D2 DReg;
+#endif
+constexpr int64_t kDLanes = sizeof(DReg) / sizeof(double);
+constexpr int64_t kPairLanes = 8;
+constexpr int64_t kPairRegs = kPairLanes / kDLanes;
+// Offsets per tile: at most kPairRegs * kDLanes = 8 accumulator registers
+// on every ISA.
+constexpr int kMaxOffsets = static_cast<int>(kDLanes);
+// Target size of the k-major chunk, in doubles (32 KB, about an L1).
+constexpr int64_t kChunkDoubles = 4096;
+
+DReg LoadD(const double* p) {
+  DReg v;
+  std::memcpy(&v, p, sizeof(DReg));
+  return v;
+}
+
+// One lane group (chunk columns col .. col+7) against kCount consecutive
+// offsets from s0: lane l of offset s adds (x[kk][col+l] -
+// x[kk][col+l+s])^2 to its accumulator for each chunk row kk in ascending
+// order. acc: kCount lane groups of kPairLanes, carried across chunks.
+template <int kCount>
+void DistanceTile(const double* __restrict__ x, int64_t ld, int64_t rows,
+                  int64_t col, int64_t s0, double* __restrict__ acc) {
+  DReg sum[kCount][kPairRegs];
+  for (int t = 0; t < kCount; ++t) {
+    for (int64_t r = 0; r < kPairRegs; ++r) {
+      sum[t][r] = LoadD(acc + t * kPairLanes + r * kDLanes);
+    }
+  }
+  for (int64_t kk = 0; kk < rows; ++kk) {
+    const double* row = x + kk * ld + col;
+    DReg base[kPairRegs];
+    for (int64_t r = 0; r < kPairRegs; ++r) base[r] = LoadD(row + r * kDLanes);
+    for (int t = 0; t < kCount; ++t) {
+      for (int64_t r = 0; r < kPairRegs; ++r) {
+        const DReg diff = base[r] - LoadD(row + s0 + t + r * kDLanes);
+        sum[t][r] += diff * diff;
+      }
+    }
+  }
+  for (int t = 0; t < kCount; ++t) {
+    for (int64_t r = 0; r < kPairRegs; ++r) {
+      std::memcpy(acc + t * kPairLanes + r * kDLanes, &sum[t][r],
+                  sizeof(DReg));
+    }
+  }
+}
+
+using DistanceTileFn = void (*)(const double*, int64_t, int64_t, int64_t,
+                                int64_t, double*);
+
+template <int... kIndex>
+constexpr std::array<DistanceTileFn, sizeof...(kIndex)> MakeDistanceTiles(
+    std::integer_sequence<int, kIndex...>) {
+  return {&DistanceTile<kIndex + 1>...};
+}
+
+// kDistanceTiles[c - 1] runs c offsets.
+constexpr auto kDistanceTiles =
+    MakeDistanceTiles(std::make_integer_sequence<int, kMaxOffsets>());
+
 }  // namespace
 
 void Gemm(int64_t m, int64_t n, int64_t k, const float* a, const float* b,
@@ -226,6 +300,58 @@ void GemmTransB(int64_t m, int64_t n, int64_t k, const float* a,
     }
   }
   GemmStrided(m, n, k, a, /*as_i=*/k, /*as_k=*/1, bt.data(), c);
+}
+
+void PairwiseSquaredDistances(const float* const* rows, int64_t n, int64_t d,
+                              double* dist) {
+  std::fill(dist, dist + n * n, 0.0);
+  // Offset s pairs row i with row i + s. Lanes run over i, so each operand
+  // is one contiguous load from the k-major chunk; lane group g (rows 8g
+  // .. 8g+7) needs offsets 1 .. n-1-8g. Columns n .. n+6 stay zero for the
+  // lanes past the last row.
+  const int64_t ld = n + kPairLanes - 1;
+  const int64_t chunk = std::max<int64_t>(16, kChunkDoubles / ld);
+  std::vector<double> x(static_cast<size_t>(std::min(chunk, d) * ld), 0.0);
+  // acc[(g * n + s) * kPairLanes + l]: the chain of rows 8g+l and 8g+l+s.
+  const int64_t groups = (n + kPairLanes - 1) / kPairLanes;
+  std::vector<double> acc(static_cast<size_t>(groups * n * kPairLanes), 0.0);
+  for (int64_t k0 = 0; k0 < d; k0 += chunk) {
+    const int64_t kb = std::min(chunk, d - k0);
+    for (int64_t c = 0; c < n; ++c) {
+      const float* src = rows[c] + k0;
+      for (int64_t kk = 0; kk < kb; ++kk) x[kk * ld + c] = src[kk];
+    }
+    for (int64_t g = 0; g < groups; ++g) {
+      const int64_t last = n - 1 - g * kPairLanes;
+      for (int64_t s0 = 1; s0 <= last; s0 += kMaxOffsets) {
+        const int64_t count = std::min<int64_t>(kMaxOffsets, last - s0 + 1);
+        kDistanceTiles[count - 1](x.data(), ld, kb, g * kPairLanes, s0,
+                                  acc.data() + (g * n + s0) * kPairLanes);
+      }
+    }
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t g = i / kPairLanes, l = i % kPairLanes;
+    for (int64_t j = i + 1; j < n; ++j) {
+      dist[i * n + j] = dist[j * n + i] =
+          acc[(g * n + (j - i)) * kPairLanes + l];
+    }
+  }
+}
+
+void PairwiseSquaredDistancesReference(const float* const* rows, int64_t n,
+                                       int64_t d, double* dist) {
+  for (int64_t i = 0; i < n; ++i) {
+    dist[i * n + i] = 0.0;
+    for (int64_t j = i + 1; j < n; ++j) {
+      double acc = 0.0;
+      for (int64_t k = 0; k < d; ++k) {
+        const double diff = static_cast<double>(rows[i][k]) - rows[j][k];
+        acc += diff * diff;
+      }
+      dist[i * n + j] = dist[j * n + i] = acc;
+    }
+  }
 }
 
 void Transpose(const float* src, int64_t rows, int64_t cols, float* dst) {

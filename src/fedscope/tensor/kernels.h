@@ -45,6 +45,17 @@ void GemmTransAReference(int64_t m, int64_t n, int64_t k, const float* a,
 void GemmTransBReference(int64_t m, int64_t n, int64_t k, const float* a,
                          const float* b, float* c);
 
+/// Squared Euclidean distances between n rows of d floats into dist
+/// [n, n]: for i < j, dist[i*n + j] = dist[j*n + i] is a double chain
+/// from 0 over ascending k of ((double)rows[i][k] - rows[j][k])^2, one
+/// chain per pair, no fused multiply-add; the diagonal is 0. Pairs run
+/// side by side as vector lanes over a k-major copy of the rows.
+void PairwiseSquaredDistances(const float* const* rows, int64_t n, int64_t d,
+                              double* dist);
+/// The same chains, one pair after another: the oracle for the above.
+void PairwiseSquaredDistancesReference(const float* const* rows, int64_t n,
+                                       int64_t d, double* dist);
+
 /// dst = src^T: src [rows, cols] row-major, dst [cols, rows] row-major.
 void Transpose(const float* src, int64_t rows, int64_t cols, float* dst);
 

@@ -447,6 +447,39 @@ void FuzzModelTrial(Rng* rng, uint64_t trial_seed,
   }
 }
 
+// Krum's distances: the lane kernel against the serial chains, bit for
+// bit. n covers one to three lane groups and every offset pass; d is long
+// (past a k-major chunk) half the time and short otherwise. Rows are scaled
+// by 2^e, |e| <= 40, so some differences round in double: each lane must
+// take its difference in double and add its square in ascending k, as the
+// serial chain does.
+void FuzzDistanceTrial(Rng* rng, uint64_t trial_seed,
+                       std::vector<Violation>* out) {
+  const int64_t n = rng->UniformInt(1, 24);
+  const int64_t d =
+      rng->Bernoulli(0.5) ? rng->UniformInt(1, 7000) : rng->UniformInt(1, 64);
+  std::vector<std::vector<float>> data(static_cast<size_t>(n));
+  std::vector<const float*> rows(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    data[i] = RandomFloats(rng, d);
+    const int e = static_cast<int>(rng->UniformInt(-40, 40));
+    for (float& v : data[i]) v = std::ldexp(v, e);
+    rows[i] = data[i].data();
+  }
+  std::vector<double> lanes(static_cast<size_t>(n * n));
+  std::vector<double> serial(static_cast<size_t>(n * n));
+  kernels::PairwiseSquaredDistances(rows.data(), n, d, lanes.data());
+  kernels::PairwiseSquaredDistancesReference(rows.data(), n, d,
+                                             serial.data());
+  if (std::memcmp(lanes.data(), serial.data(),
+                  lanes.size() * sizeof(double)) != 0) {
+    std::ostringstream os;
+    os << "PairwiseSquaredDistances != serial chains for n=" << n
+       << " d=" << d;
+    Report(out, "kernel_distances", trial_seed, os.str());
+  }
+}
+
 void FuzzElementwiseTrial(Rng* rng, uint64_t trial_seed,
                           std::vector<Violation>* out) {
   const int64_t rows = rng->UniformInt(1, 12);
@@ -622,6 +655,7 @@ FuzzReport FuzzKernels(uint64_t seed, int trials) {
     FuzzLinearLayerTrial(&rng, trial_seed, &report.violations);
     FuzzModelTrial(&rng, trial_seed, &report.violations);
     FuzzElementwiseTrial(&rng, trial_seed, &report.violations);
+    FuzzDistanceTrial(&rng, trial_seed, &report.violations);
     ++report.trials;
   }
   return report;

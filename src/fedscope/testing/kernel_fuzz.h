@@ -21,7 +21,8 @@ struct FuzzReport {
 /// (tolerance), the Conv2d and Linear layers' outputs and gradients vs the
 /// per-image composition of the reference kernels (exact), Model::Backward
 /// with its bottom input gradient skipped vs every layer's full Backward
-/// (exact), and the elementwise helpers vs naive loops (exact).
+/// (exact), the elementwise helpers vs naive loops (exact), and Krum's
+/// PairwiseSquaredDistances vs its serial chains (exact).
 FuzzReport FuzzKernels(uint64_t seed, int trials);
 
 /// Fuzz of the wire codec: random valid messages must decode and

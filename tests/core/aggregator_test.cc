@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace fedscope {
@@ -140,6 +142,36 @@ TEST(KrumAggregatorTest, MultiKrumAveragesSelection) {
       {Update(1, 1.0f), Update(2, 3.0f), Update(3, 1.2f), Update(4, 50.0f)});
   EXPECT_LT(next.value().at("w").at(0), 3.0f);
   EXPECT_EQ(agg.last_selection().size(), 2u);
+}
+
+TEST(KrumAggregatorTest, RefusesUpdateOfWrongLength) {
+  // MLP 8-4-2; one update carries only fc2.bias, as a TCP peer can send
+  // with the guard off. Its distances would read past its two floats.
+  StateDict global;
+  global["fc1.weight"] = Tensor::Zeros({8, 4});
+  global["fc1.bias"] = Tensor::Zeros({4});
+  global["fc2.weight"] = Tensor::Zeros({4, 2});
+  global["fc2.bias"] = Tensor::Zeros({2});
+  std::vector<ClientUpdate> updates;
+  for (int id = 1; id <= 4; ++id) {
+    ClientUpdate u;
+    u.client_id = id;
+    u.num_samples = 1.0;
+    for (const auto& [name, tensor] : global) {
+      u.delta[name] = Tensor::Full(tensor.shape(), 0.1f * id);
+    }
+    updates.push_back(std::move(u));
+  }
+  KrumAggregator agg(1, 1);
+  ASSERT_TRUE(agg.Aggregate(global, updates).ok());
+
+  StateDict short_delta;
+  short_delta["fc2.bias"] = updates[2].delta.at("fc2.bias");
+  updates[2].delta = std::move(short_delta);
+  auto next = agg.Aggregate(global, updates);
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(next.status().ToString().find("client 3"), std::string::npos);
 }
 
 TEST(KrumAggregatorTest, SingleUpdatePassesThrough) {

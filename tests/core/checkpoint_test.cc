@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "fedscope/comm/codec.h"
 #include "fedscope/core/fed_runner.h"
@@ -13,6 +14,12 @@
 
 namespace fedscope {
 namespace {
+
+// Write and Flush report a persist only once it completed; any reported
+// one must have succeeded.
+bool Persisted(const std::optional<SnapshotPersist>& persist) {
+  return !persist.has_value() || persist->status.ok();
+}
 
 Checkpoint SampleCheckpoint() {
   Rng rng(1);
@@ -149,8 +156,9 @@ TEST(CheckpointFileTest, SnapshotWriterCadenceAndPruning) {
   Checkpoint ckpt = SampleCheckpoint();
   for (int round : {2, 4, 6}) {
     ckpt.round = round;
-    ASSERT_TRUE(writer.Write(ckpt).ok());
+    ASSERT_TRUE(Persisted(writer.Write(ckpt)));
   }
+  ASSERT_TRUE(Persisted(writer.Flush()));
   EXPECT_EQ(writer.snapshots_written(), 3);
   // keep_last=2: the round-2 snapshot is pruned, the newest valid loads.
   auto latest = LoadLatestSnapshot(dir);
@@ -172,9 +180,10 @@ TEST(CheckpointFileTest, LoadLatestSkipsCorruptSnapshots) {
   SnapshotWriter writer(policy);
   Checkpoint ckpt = SampleCheckpoint();
   ckpt.round = 1;
-  ASSERT_TRUE(writer.Write(ckpt).ok());
+  ASSERT_TRUE(Persisted(writer.Write(ckpt)));
   ckpt.round = 2;
-  ASSERT_TRUE(writer.Write(ckpt).ok());
+  ASSERT_TRUE(Persisted(writer.Write(ckpt)));
+  ASSERT_TRUE(Persisted(writer.Flush()));
   // Corrupt the newest snapshot (a crash mid-rename cannot produce this —
   // the rename is atomic — but disks rot); recovery must fall back to the
   // older valid one.
@@ -215,13 +224,16 @@ TEST(CheckpointFileTest, WorkerPrefixesShareOneDirectoryDisjointly) {
   for (int round : {1, 2}) {
     ckpt.round = round;
     ckpt.course.SetInt("owner", 0);
-    ASSERT_TRUE(s0.Write(ckpt).ok());
+    ASSERT_TRUE(Persisted(s0.Write(ckpt)));
     ckpt.course.SetInt("owner", 1);
-    ASSERT_TRUE(s1.Write(ckpt).ok());
+    ASSERT_TRUE(Persisted(s1.Write(ckpt)));
   }
   ckpt.round = 7;
   ckpt.course.SetInt("owner", -1);
-  ASSERT_TRUE(root.Write(ckpt).ok());
+  ASSERT_TRUE(Persisted(root.Write(ckpt)));
+  for (SnapshotWriter* writer : {&s0, &s1, &root}) {
+    ASSERT_TRUE(Persisted(writer->Flush()));
+  }
 
   // Each prefix loads its own newest snapshot, never a neighbour's —
   // even though s1 wrote later rounds into the same directory than root.

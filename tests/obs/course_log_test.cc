@@ -139,10 +139,10 @@ TEST(CourseLogTest, TopologyColumnsAppearOnlyInHierarchicalCourses) {
 
 TEST(CourseLogTest, AnnotateSnapshotMarksLastRoundOnly) {
   CourseLog log;
-  log.AnnotateSnapshot(123);  // empty log: no-op, no crash
+  log.AnnotateSnapshot(1, 123);  // empty log: no-op, no crash
   log.Append(MakeRound(1, {1}, {0}));
   log.Append(MakeRound(2, {2}, {0}));
-  log.AnnotateSnapshot(4096);
+  log.AnnotateSnapshot(2, 4096);
   EXPECT_EQ(log.rounds()[0].snapshots, 0);
   EXPECT_EQ(log.rounds()[1].snapshots, 1);
   EXPECT_EQ(log.rounds()[1].snapshot_bytes, 4096);

@@ -245,6 +245,40 @@ TEST(KernelsTest, BiasAndSumHelpers) {
   EXPECT_EQ(colsum, (std::vector<float>{103.0f, 105.0f, 107.0f}));
 }
 
+// Krum's distances: every pair's chain equals the serial one, bit for bit,
+// over row counts around the 8-pair lane groups and the n/2 offsets, and
+// lengths past one k-major chunk.
+TEST(KernelsTest, PairwiseSquaredDistancesMatchSerialChainsExactly) {
+  Rng rng(107);
+  for (const int64_t n : {1, 2, 3, 7, 8, 9, 12, 16, 17, 24}) {
+    for (const int64_t d : {0, 1, 5, 130, 6506}) {
+      std::vector<std::vector<float>> data(n);
+      std::vector<const float*> rows(n);
+      for (int64_t i = 0; i < n; ++i) {
+        data[i] = RandVec(d, &rng);
+        rows[i] = data[i].data();
+      }
+      std::vector<double> lanes(n * n, -1.0);
+      std::vector<double> serial(n * n, -1.0);
+      kernels::PairwiseSquaredDistances(rows.data(), n, d, lanes.data());
+      kernels::PairwiseSquaredDistancesReference(rows.data(), n, d,
+                                                 serial.data());
+      for (int64_t i = 0; i < n * n; ++i) {
+        ASSERT_EQ(lanes[i], serial[i]) << "n=" << n << " d=" << d << " at "
+                                       << i;
+      }
+    }
+  }
+  const std::vector<float> a = {0.0f, 0.0f}, b = {3.0f, 4.0f};
+  const float* rows[] = {a.data(), b.data()};
+  double dist[4];
+  kernels::PairwiseSquaredDistances(rows, 2, 2, dist);
+  EXPECT_EQ(dist[0], 0.0);
+  EXPECT_EQ(dist[1], 25.0);
+  EXPECT_EQ(dist[2], 25.0);
+  EXPECT_EQ(dist[3], 0.0);
+}
+
 // The Tensor-level ops route through the kernels; sanity-check one known
 // value so a rewiring regression is caught at this level too.
 TEST(KernelsTest, TensorOpsRouteThroughKernels) {
