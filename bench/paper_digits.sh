@@ -7,10 +7,10 @@
 # bench_parallel and bench_scale, which print wall time) and the
 # single-process examples, and writes each one's stdout to
 # <out-dir>/<binary>.txt. Also left out: distributed_tcp, whose TCP
-# arrival order varies, and the multi-process drills crash_recovery and
-# hierarchical_failover, which need their smoke scripts. Everything run is
-# seeded and runs on virtual time, so two builds that agree on every
-# decision print identical files: `diff -r` two out-dirs to compare them.
+# arrival order varies, and the multi-process drill crash_recovery, which
+# needs its smoke script. Everything run is seeded and runs on virtual
+# time, so two builds that agree on every decision print identical files:
+# `diff -r` two out-dirs to compare them.
 # Each binary runs in a scratch working directory, because some write
 # files there (bench_byzantine writes BENCH_byzantine.json). Exits 1 if
 # any binary fails.
@@ -32,7 +32,7 @@ for bin in "$build"/bench/bench_* "$build"/examples/*; do
   name=$(basename "$bin")
   case "$name" in
     bench_micro | bench_parallel | bench_scale | distributed_tcp | \
-      crash_recovery | hierarchical_failover | *.sh)
+      crash_recovery | *.sh)
       continue ;;
   esac
   mkdir -p "$work/$name"

@@ -311,17 +311,12 @@ Result<Checkpoint> ReadCheckpointFile(const std::string& path) {
 
 namespace {
 
-/// True iff `filename` is "<worker_prefix>snapshot-<round>.ckpt". The
-/// prefix must match exactly: an unprefixed reader ("") requires the name
-/// to START with "snapshot-", so it never picks up "s0-snapshot-...".
-bool MatchesSnapshotName(const std::string& filename,
-                         const std::string& worker_prefix) {
-  const std::string want = worker_prefix + kSnapshotPrefix;
-  return filename.rfind(want, 0) == 0 &&
-         filename.size() > want.size() + std::strlen(kSnapshotExtension) &&
-         filename.compare(filename.size() - std::strlen(kSnapshotExtension),
-                          std::strlen(kSnapshotExtension),
-                          kSnapshotExtension) == 0;
+/// True iff `filename` is "snapshot-<round>.ckpt".
+bool MatchesSnapshotName(const std::string& filename) {
+  return filename.size() >
+             std::strlen(kSnapshotPrefix) + std::strlen(kSnapshotExtension) &&
+         filename.starts_with(kSnapshotPrefix) &&
+         filename.ends_with(kSnapshotExtension);
 }
 
 }  // namespace
@@ -330,9 +325,8 @@ class SnapshotWriter::Persister {
  public:
   explicit Persister(SnapshotPolicy policy)
       : policy_(std::move(policy)),
-        spare_path_((std::filesystem::path(policy_.directory) /
-                     (policy_.worker_prefix + kSpareName))
-                        .string()),
+        spare_path_(
+            (std::filesystem::path(policy_.directory) / kSpareName).string()),
         thread_([this] { Loop(); }) {}
 
   /// Completes a handed-over checkpoint, stops the thread, deletes the
@@ -396,8 +390,7 @@ class SnapshotWriter::Persister {
     if (!out.status.ok()) return out;
     const std::vector<uint8_t> bytes = EncodeCheckpointFile(checkpoint);
     char name[64];
-    std::snprintf(name, sizeof(name), "%s%s%06d%s",
-                  policy_.worker_prefix.c_str(), kSnapshotPrefix,
+    std::snprintf(name, sizeof(name), "%s%06d%s", kSnapshotPrefix,
                   checkpoint.round, kSnapshotExtension);
     const std::string path =
         (std::filesystem::path(policy_.directory) / name).string();
@@ -408,7 +401,7 @@ class SnapshotWriter::Persister {
     return out;
   }
 
-  /// Creates the directory and lists this prefix's snapshots, once.
+  /// Creates the directory and lists its snapshots, once.
   Status ListDirectory() {
     namespace fs = std::filesystem;
     if (listed_) return Status::Ok();
@@ -423,9 +416,7 @@ class SnapshotWriter::Persister {
       for (fs::directory_iterator it(policy_.directory, ec), end;
            !ec && it != end; it.increment(ec)) {
         const std::string name = it->path().filename().string();
-        if (MatchesSnapshotName(name, policy_.worker_prefix)) {
-          named_.push_back(name);
-        }
+        if (MatchesSnapshotName(name)) named_.push_back(name);
       }
       if (ec) {
         return Status::Internal("cannot list snapshot directory " +
@@ -464,7 +455,7 @@ class SnapshotWriter::Persister {
 
   // The writer thread's own.
   bool listed_ = false;
-  std::vector<std::string> named_;  // this prefix's snapshots, ascending
+  std::vector<std::string> named_;  // the directory's snapshots, ascending
 
   std::thread thread_;  // last: starts once the members above exist
 };
@@ -497,29 +488,27 @@ std::optional<SnapshotPersist> SnapshotWriter::Flush() {
 }
 
 void BookSnapshot(const ObsContext* obs,
-                  const std::optional<SnapshotPersist>& persist,
-                  std::string_view what, bool annotate) {
+                  const std::optional<SnapshotPersist>& persist) {
   if (!persist.has_value()) return;
   if (!persist->status.ok()) {
-    FS_LOG(Warning) << what << " write failed: " << persist->status.ToString();
+    FS_LOG(Warning) << "snapshot write failed: " << persist->status.ToString();
     return;
   }
   if (obs == nullptr) return;
   obs->Count("fs_snapshots_written_total");
   obs->Count("fs_snapshot_bytes_total", static_cast<double>(persist->bytes));
-  if (annotate && obs->course_log != nullptr) {
+  if (obs->course_log != nullptr) {
     obs->course_log->AnnotateSnapshot(persist->round, persist->bytes);
   }
 }
 
-Result<Checkpoint> LoadLatestSnapshot(const std::string& directory,
-                                      const std::string& worker_prefix) {
+Result<Checkpoint> LoadLatestSnapshot(const std::string& directory) {
   namespace fs = std::filesystem;
   std::vector<fs::path> snapshots;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(directory, ec)) {
     const fs::path& p = entry.path();
-    if (MatchesSnapshotName(p.filename().string(), worker_prefix)) {
+    if (MatchesSnapshotName(p.filename().string())) {
       snapshots.push_back(p);
     }
   }

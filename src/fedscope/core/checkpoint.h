@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "fedscope/comm/message.h"
@@ -97,13 +96,6 @@ struct SnapshotPolicy {
   /// Retain only the newest N snapshot files (0 = keep all). Two is the
   /// safe minimum: the newest may be mid-rename when the crash hits.
   int keep_last = 2;
-  /// Worker-id filename prefix ("" = legacy unprefixed names). Multiple
-  /// workers may share one snapshot directory (a shard's primary and its
-  /// standbys must); the prefix keeps their files disjoint: a writer with
-  /// prefix "s0-" names files "s0-snapshot-<round>.ckpt" and prunes only
-  /// its own, and LoadLatestSnapshot(dir, "s0-") never returns another
-  /// worker's state. Unprefixed readers never match prefixed files.
-  std::string worker_prefix;
 };
 
 /// The outcome of one snapshot persist, which the caller of a
@@ -120,7 +112,7 @@ struct SnapshotPersist {
 /// Applies a SnapshotPolicy behind the caller's back. The caller hands a
 /// checkpoint over at a round boundary; a writer thread, started at the
 /// first Write, serializes and checksums it and persists it as
-/// "<worker_prefix>snapshot-<round>.ckpt" inside policy.directory (created
+/// "snapshot-<round>.ckpt" inside policy.directory (created
 /// on the first persist) while the caller runs on. At most one persist is
 /// in flight. The thread touches nothing but the checkpoint and the files.
 ///
@@ -134,10 +126,8 @@ struct SnapshotPersist {
 /// under a snapshot name is the oldest: when the retiring rename has not
 /// reached the disk, the next persist's bytes land in a file that still
 /// carries its old name, and the checksum rejects it. The directory is
-/// listed once, at the first persist. Writers that share a directory and
-/// a prefix share the spare: none may persist, or be destroyed, while
-/// another persists (a shard's standby snapshots only once its primary is
-/// gone).
+/// listed once, at the first persist. Writers that share a directory share
+/// the spare: none may persist, or be destroyed, while another persists.
 class SnapshotWriter {
  public:
   SnapshotWriter();
@@ -178,23 +168,17 @@ class SnapshotWriter {
 };
 
 /// Books a persist that SnapshotWriter::Write or Flush reported (nothing
-/// for nullopt). A failed persist is logged as "<what> write failed" and
-/// not counted. A completed one is counted in fs_snapshots_written_total
-/// and fs_snapshot_bytes_total of `obs` (when not null) and, with
-/// `annotate`, marks its round in obs->course_log.
+/// for nullopt). A failed persist is logged and not counted. A completed
+/// one is counted in fs_snapshots_written_total and fs_snapshot_bytes_total
+/// of `obs` (when not null) and marks its round in obs->course_log.
 void BookSnapshot(const ObsContext* obs,
-                  const std::optional<SnapshotPersist>& persist,
-                  std::string_view what, bool annotate);
+                  const std::optional<SnapshotPersist>& persist);
 
 /// Loads the newest valid snapshot in `directory` whose filename is
-/// "<worker_prefix>snapshot-<round>.ckpt", skipping (with a logged
-/// warning) files that fail the container checks — a torn newest file
-/// falls back to the previous one. Files carrying a different worker
-/// prefix are never considered, so a standby restoring from a shared
-/// directory cannot pick up another shard's state. NotFound when none is
-/// valid.
-Result<Checkpoint> LoadLatestSnapshot(const std::string& directory,
-                                      const std::string& worker_prefix = "");
+/// "snapshot-<round>.ckpt", skipping (with a logged warning) files that
+/// fail the container checks — a torn newest file falls back to the
+/// previous one. NotFound when none is valid.
+Result<Checkpoint> LoadLatestSnapshot(const std::string& directory);
 
 }  // namespace fedscope
 

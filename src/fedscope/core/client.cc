@@ -83,8 +83,6 @@ void Client::RegisterDefaultHandlers() {
         ++declined_count_;
         if (obs_ != nullptr) obs_->Count("fs_client_declines_total");
         Message reply;
-        // Reply to whoever asked: the root server in flat topologies
-        // (sender 0 == kServerId), the shard's edge aggregator otherwise.
         reply.receiver = msg.sender;
         reply.msg_type = events::kModelUpdate;
         reply.state = msg.state;
@@ -118,8 +116,6 @@ ClientResume Client::ExportResume() {
   resume.rng = rng_;
   resume.time = current_time_;
   resume.last_val_accuracy = last_val_accuracy_;
-  resume.shard_epoch = shard_epoch_;
-  resume.stale_epoch_rejected = stale_epoch_rejected_;
   resume.rounds_trained = rounds_trained_;
   resume.perf_drops = perf_drop_count_;
   resume.declined = declined_count_;
@@ -148,8 +144,6 @@ void Client::RestoreResume(const ClientResume& resume) {
   rng_ = resume.rng;
   current_time_ = resume.time;
   last_val_accuracy_ = resume.last_val_accuracy;
-  shard_epoch_ = resume.shard_epoch;
-  stale_epoch_rejected_ = resume.stale_epoch_rejected;
   rounds_trained_ = resume.rounds_trained;
   perf_drop_count_ = resume.perf_drops;
   declined_count_ = resume.declined;
@@ -194,22 +188,6 @@ void Client::PoisonTrainData(const std::function<void(Dataset*)>& poisoner) {
 
 void Client::OnModelPara(const Message& msg) {
   if (finished_) return;
-
-  // Hierarchical topologies stamp broadcasts with the shard's session
-  // epoch. A broadcast below the highest epoch seen comes from a
-  // superseded aggregator incarnation (the shard failed over); training
-  // on it would waste the round, so it is rejected outright. Flat
-  // broadcasts carry no epoch and skip this entirely.
-  if (msg.payload.HasScalar("shard_epoch")) {
-    const int64_t epoch = msg.payload.GetInt("shard_epoch", 0);
-    if (epoch < shard_epoch_) {
-      ++stale_epoch_rejected_;
-      FS_LOG(Debug) << "client " << id_ << " rejecting model_para at epoch "
-                    << epoch << " (current " << shard_epoch_ << ")";
-      return;
-    }
-    shard_epoch_ = epoch;
-  }
 
   // Bandwidth-aware behaviour: a client below its bandwidth threshold
   // declines every other training request (condition-checking event of
@@ -300,8 +278,6 @@ void Client::OnModelPara(const Message& msg) {
   const bool record_obs = obs_ != nullptr && obs_->recording_metrics();
 
   Message reply;
-  // Reply to the sender: the root server in flat topologies (sender 0 ==
-  // kServerId), the shard's edge aggregator in hierarchical ones.
   reply.receiver = msg.sender;
   reply.msg_type = events::kModelUpdate;
   reply.state = msg.state;  // the round this update is based on

@@ -59,13 +59,11 @@ struct ClientOptions {
 /// ClientCache keeps per evicted client, so that a later instantiation
 /// resumes bit-identically. Construction inputs (options, data, handlers)
 /// are re-derived and not stored. A suspended 16×4 logistic-regression
-/// client costs about 525 B of heap, 272 of them the model.
+/// client costs about 515 B of heap, 272 of them the model.
 struct ClientResume {
   Rng rng;
   double time = 0.0;
   double last_val_accuracy = -1.0;
-  int64_t shard_epoch = 0;
-  int64_t stale_epoch_rejected = 0;
   int rounds_trained = 0;
   int perf_drops = 0;
   int declined = 0;
@@ -129,11 +127,6 @@ class Client : public BaseWorker {
   int rounds_trained() const { return rounds_trained_; }
   int perf_drop_count() const { return perf_drop_count_; }
   int declined_count() const { return declined_count_; }
-  /// Highest shard session epoch seen on a broadcast (hierarchical
-  /// topologies; 0 in flat courses) and the broadcasts rejected for
-  /// carrying an older epoch (a superseded aggregator incarnation).
-  int64_t shard_epoch() const { return shard_epoch_; }
-  int64_t stale_epoch_rejected() const { return stale_epoch_rejected_; }
 
   // -- attack-simulation hooks (participant plug-in, §4.2) ------------------
 
@@ -168,8 +161,6 @@ class Client : public BaseWorker {
   int declined_count_ = 0;
   int low_bandwidth_requests_ = 0;
   int rejected_globals_ = 0;
-  int64_t shard_epoch_ = 0;
-  int64_t stale_epoch_rejected_ = 0;
   double last_val_accuracy_ = -1.0;
   /// Pre-load snapshot valid while a performance_drop handler may want to
   /// roll back (set around UpdateModel in OnModelPara).

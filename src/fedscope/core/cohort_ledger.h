@@ -28,7 +28,7 @@ enum class SlotOutcome {
 class CohortLedger {
  public:
   /// Opens a slot for `id` on `round`. A client already in flight keeps
-  /// its slot, now on `round` (a re-sent broadcast: failover, re-join).
+  /// its slot, now on `round` (a re-sent broadcast after a re-join).
   void Open(int id, int round);
   /// Ends id's in-flight slot with `outcome`; false when it has none.
   bool End(int id, SlotOutcome outcome);

@@ -1,12 +1,10 @@
 #include "fedscope/core/distributed.h"
 
-#include <algorithm>
 #include <chrono>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "fedscope/core/events.h"
-#include "fedscope/core/topology.h"
 #include "fedscope/util/logging.h"
 
 namespace fedscope {
@@ -149,16 +147,11 @@ DistributedServerHost::~DistributedServerHost() {
 
 void DistributedServerHost::PushIncoming(Message msg) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Watchdog timers are wake signals, not course traffic: a standby
-  // re-arms its watchdog with byte-identical frames (the suppressor would
-  // eat the chain), and the deadline re-check they trigger is harmless
-  // whatever incarnation produced them — exempt from both checks.
-  const bool timer = msg.msg_type == events::kTimer;
   // Messages not authenticated to this incarnation's session epoch were
   // produced against a dead one (pre-crash retransmits, updates trained on
   // a pre-snapshot broadcast); reject them before the Server worker can
   // see them. join_in is exempt — it is how a client learns the epoch.
-  if (!timer && msg.msg_type != events::kJoinIn &&
+  if (msg.msg_type != events::kJoinIn &&
       msg.payload.GetInt(kSessionEpochKey, -1) != session_epoch_) {
     ++stale_epoch_rejected_;
     FS_LOG(Warning) << "rejected stale-epoch message (session epoch "
@@ -166,13 +159,8 @@ void DistributedServerHost::PushIncoming(Message msg) {
     return;
   }
   // At-least-once delivery makes retransmissions possible; suppress exact
-  // repeats here so the Server worker never sees them. Root-addressed
-  // traffic only: the per-sender suppressor assumes consecutive frames
-  // from one sender differ, but a relaying aggregator fans byte-identical
-  // model_para frames out to every client of its shard. Relayed repeats
-  // are absorbed by the receiving workers' own idempotence instead (a
-  // client not in the sub-cohort is ignored; replication is monotonic).
-  if (!timer && msg.receiver == kServerId && dedup_.IsDuplicate(msg)) return;
+  // repeats here so the Server worker never sees them.
+  if (dedup_.IsDuplicate(msg)) return;
   // A peer's join_in announces only its sender; batch joins are the
   // standalone runner's.
   if (msg.msg_type == events::kJoinIn) msg.payload.RemoveScalar(kJoinIdsKey);
@@ -180,7 +168,7 @@ void DistributedServerHost::PushIncoming(Message msg) {
   cv_.notify_one();
 }
 
-void DistributedServerHost::ReaderLoop(int worker_id,
+void DistributedServerHost::ReaderLoop(int client_id,
                                        TcpConnection* connection) {
   // std::map nodes are stable, so the pointer captured at accept time
   // stays valid while later clients are still being inserted.
@@ -192,103 +180,89 @@ void DistributedServerHost::ReaderLoop(int worker_id,
       }
       const bool orderly = course_finished_.load();
       if (!orderly) {
-        // Mid-course EOF/corruption: treat the worker as failed. Drop the
+        // Mid-course EOF/corruption: treat the client as failed. Drop the
         // connection so the router stops addressing it, and report the
-        // failure — to the Server worker for a client (the worker decides
-        // how to degrade), as a standby wake for an edge aggregator; no
-        // obs calls from this thread (MetricsRegistry is confined to the
-        // event-loop thread).
-        FS_LOG(Warning) << (IsAggregatorId(worker_id) ? "aggregator "
-                                                      : "client ")
-                        << worker_id
+        // failure to the Server worker (the worker decides how to
+        // degrade); no obs calls from this thread (MetricsRegistry is
+        // confined to the event-loop thread).
+        FS_LOG(Warning) << "client " << client_id
                         << " failed mid-course: " << msg.status().ToString();
         {
           std::lock_guard<std::mutex> lock(send_mu_);
-          connections_.erase(worker_id);  // `connection` dangles hereafter
+          connections_.erase(client_id);  // `connection` dangles hereafter
         }
-        if (!IsAggregatorId(worker_id)) {
-          Message failure;
-          failure.sender = worker_id;
-          failure.receiver = kServerId;
-          failure.msg_type = events::kClientFailure;
-          failure.timestamp = NowSeconds();
-          // Host-synthesized, so authenticate it to the live epoch (the
-          // ingress would otherwise reject it as stale).
-          failure.payload.SetInt(kSessionEpochKey, session_epoch_);
-          PushIncoming(std::move(failure));
-        }
+        Message failure;
+        failure.sender = client_id;
+        failure.receiver = kServerId;
+        failure.msg_type = events::kClientFailure;
+        failure.timestamp = NowSeconds();
+        // Host-synthesized, so authenticate it to the live epoch (the
+        // ingress would otherwise reject it as stale).
+        failure.payload.SetInt(kSessionEpochKey, session_epoch_);
+        PushIncoming(std::move(failure));
       }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++eof_count_;
-        if (!orderly) {
-          if (IsAggregatorId(worker_id)) {
-            ++failed_aggregators_;
-          } else {
-            ++failed_clients_;
-          }
-        }
-        cv_.notify_one();
-      }
-      // Failover runs on this thread (the dead connection's reader has
-      // nothing left to do) because it sleeps out the standby's deadline.
-      if (!orderly && IsAggregatorId(worker_id)) {
-        AggregatorFailover(worker_id);
-      }
+      std::lock_guard<std::mutex> lock(mu_);
+      ++eof_count_;
+      if (!orderly) ++failed_clients_;
+      cv_.notify_one();
       return;
+    }
+    // A client speaks only for itself and only to the server. A frame for
+    // another participant, or under another client's id, is a forgery:
+    // relayed, it would read as the server's; booked, its guard
+    // violations would count against the impersonated client.
+    if (msg->receiver != kServerId || msg->sender != client_id) {
+      FS_LOG(Warning) << "dropping a frame client " << client_id
+                      << " may not send: " << MessageSummary(*msg);
+      std::lock_guard<std::mutex> lock(mu_);
+      ++rejected_frames_;
+      continue;
     }
     PushIncoming(std::move(msg.value()));
   }
 }
 
-void DistributedServerHost::AggregatorFailover(int aggregator_id) {
-  const Topology& topology = server_->options().topology;
-  const int shard = AggregatorShard(aggregator_id);
-  const double eof_time = NowSeconds();
-  // EOF is a definite death signal, but the standby's promotion guard
-  // compares the hub-stamped wall clock against its staggered replication
-  // deadline (failure_timeout × slot, DESIGN.md §11). Wait the target
-  // slot's deadline out before waking it so one wake suffices; should a
-  // late in-flight heartbeat still read as "alive", the worker re-arms
-  // its watchdog through the hub until the deadline truly lapses.
-  while (!course_finished_.load()) {
-    int standby = -1;
-    {
-      std::lock_guard<std::mutex> lock(send_mu_);
-      for (int slot = 0; slot <= topology.standbys_per_shard; ++slot) {
-        const int candidate = AggregatorId(shard, slot);
-        if (candidate != aggregator_id &&
-            connections_.find(candidate) != connections_.end()) {
-          standby = candidate;
-          break;
-        }
-      }
-    }
-    if (standby < 0) {
-      FS_LOG(Error) << "aggregator " << aggregator_id << " (shard " << shard
-                    << ") failed with no live standby; the shard's clients "
-                       "are stranded";
-      return;
-    }
-    const double wake_at =
-        eof_time + topology.failure_timeout * AggregatorSlot(standby);
-    const double wait = wake_at - NowSeconds();
-    if (wait <= 0.0) {
-      FS_LOG(Warning) << "shard " << shard << " lost aggregator "
-                      << aggregator_id << "; waking standby " << standby;
-      Message wake;
-      wake.sender = standby;
-      wake.receiver = standby;
-      wake.msg_type = events::kTimer;
-      wake.timestamp = NowSeconds();
-      wake.payload.SetInt(kSessionEpochKey, session_epoch_);
-      PushIncoming(std::move(wake));
-      return;
-    }
-    // Re-scan while waiting: the chosen standby may itself die.
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(std::min(wait, 0.05)));
+std::optional<Message> DistributedServerHost::AcceptClient(
+    int expected, std::vector<bool>* joined) {
+  auto conn = listener_.Accept();
+  FS_CHECK(conn.ok()) << conn.status().ToString();
+  Result<Message> hello = conn->ReceiveMessage();
+  std::string refusal;
+  if (!hello.ok()) {
+    refusal = hello.status().ToString();
+  } else if (hello->msg_type != events::kJoinIn) {
+    refusal = "first message is " + hello->msg_type + ", not join_in";
+  } else if (hello->sender < 1 || hello->sender > expected) {
+    refusal = "client id " + std::to_string(hello->sender) + " outside 1.." +
+              std::to_string(expected);
+  } else if ((*joined)[hello->sender]) {
+    refusal = "client id " + std::to_string(hello->sender) + " already joined";
   }
+  if (!refusal.empty()) {
+    FS_LOG(Warning) << "closing a connection whose hello was refused: "
+                    << refusal;
+    conn->Close();
+    std::lock_guard<std::mutex> lock(mu_);
+    ++rejected_frames_;
+    return std::nullopt;
+  }
+  const int id = hello->sender;
+  (*joined)[id] = true;
+  TcpConnection* connection = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(send_mu_);
+    connection =
+        &connections_.emplace(id, std::move(conn.value())).first->second;
+    Status timeouts = connection->SetTimeouts(transport_.send_timeout,
+                                              transport_.recv_timeout);
+    if (!timeouts.ok()) {
+      FS_LOG(Warning) << "timeouts for client " << id
+                      << " not applied: " << timeouts.ToString();
+    }
+  }
+  readers_.emplace_back([this, id, connection] { ReaderLoop(id, connection); });
+  hello->payload.RemoveScalar(kJoinIdsKey);  // announces only `id`
+  return std::move(hello.value());
 }
 
 Status DistributedServerHost::RestoreFromCheckpoint(
@@ -319,68 +293,26 @@ void DistributedServerHost::WriteSnapshot() {
     std::lock_guard<std::mutex> lock(mu_);
     dedup_.SaveState(&snapshot.course, "transport/dedup");
   }
-  BookSnapshot(obs_, snapshot_writer_.Write(std::move(snapshot)), "snapshot",
-               /*annotate=*/true);
+  BookSnapshot(obs_, snapshot_writer_.Write(std::move(snapshot)));
 }
 
 ServerStats DistributedServerHost::Run() {
   const int expected = server_->options().expected_clients;
   FS_CHECK_GT(expected, 0) << "set ServerOptions::expected_clients";
-  const Topology& topology = server_->options().topology;
-  const int aggregator_slots =
-      topology.hierarchical()
-          ? topology.num_shards * (topology.standbys_per_shard + 1)
-          : 0;
-  const int expected_connections = expected + aggregator_slots;
 
-  // Phase 1: accept every participant. The first message on each
-  // connection must be join_in, announcing the worker's id. Client joins
-  // are delivered to the Server worker only once ALL connections are
-  // registered: the last client join triggers the first broadcast, which
-  // in hierarchical mode is addressed to edge aggregators — the router
+  // Phase 1: accept connections until every client id in 1..expected has
+  // joined; a connection whose hello is refused closes alone. The joins
+  // are delivered to the Server worker only once every client is
+  // connected: the last one triggers the first broadcast, and the router
   // drops messages whose connection has not been accepted yet.
-  // Aggregator joins are a host-level handshake (which connection carries
-  // which worker id) and are never delivered to the Server worker:
-  // aggregators are infrastructure, not sampled participants.
-  std::vector<Message> client_joins;
-  client_joins.reserve(expected);
-  for (int i = 0; i < expected_connections; ++i) {
-    auto conn = listener_.Accept();
-    FS_CHECK(conn.ok()) << conn.status().ToString();
-    auto hello = conn->ReceiveMessage();
-    FS_CHECK(hello.ok()) << hello.status().ToString();
-    FS_CHECK_EQ(hello->msg_type, std::string(events::kJoinIn))
-        << "first message must be join_in";
-    const int id = hello->sender;
-    FS_CHECK_GE(id, 1);
-    if (IsAggregatorId(id)) {
-      FS_CHECK_LT(AggregatorShard(id), topology.num_shards)
-          << "aggregator " << id << " outside the configured topology";
-      FS_CHECK_LE(AggregatorSlot(id), topology.standbys_per_shard)
-          << "aggregator " << id << " outside the configured topology";
-    }
-    TcpConnection* connection = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(send_mu_);
-      FS_CHECK(connections_.find(id) == connections_.end())
-          << "duplicate worker id " << id;
-      connection = &connections_.emplace(id, std::move(conn.value()))
-                        .first->second;
-      Status timeouts = connection->SetTimeouts(transport_.send_timeout,
-                                                transport_.recv_timeout);
-      if (!timeouts.ok()) {
-        FS_LOG(Warning) << "timeouts for worker " << id
-                        << " not applied: " << timeouts.ToString();
-      }
-    }
-    readers_.emplace_back(
-        [this, id, connection] { ReaderLoop(id, connection); });
-    if (!IsAggregatorId(id)) {
-      hello->payload.RemoveScalar(kJoinIdsKey);  // announces only `id`
-      client_joins.push_back(std::move(hello.value()));
-    }
+  std::vector<Message> joins;
+  joins.reserve(expected);
+  std::vector<bool> joined(expected + 1, false);
+  while (static_cast<int>(joins.size()) < expected) {
+    std::optional<Message> join = AcceptClient(expected, &joined);
+    if (join.has_value()) joins.push_back(std::move(*join));
   }
-  for (Message& join : client_joins) {
+  for (Message& join : joins) {
     // Deliver the join to the server worker (triggers assign_id and,
     // on the last join, all_joined_in -> first broadcast). Record it in
     // the suppressor first so a retransmitted join_in is caught.
@@ -393,10 +325,8 @@ ServerStats DistributedServerHost::Run() {
     if (server_->finished()) course_finished_.store(true);
   }
 
-  // Phase 2: event loop until the course finishes and participants hang
-  // up. Messages not addressed to the root worker are relayed to the
-  // receiver's connection (hub duty): aggregator->client model relays,
-  // client->aggregator updates, replication heartbeats, watchdog timers.
+  // Phase 2: event loop until the course finishes and every client hung
+  // up.
   int last_seen_round = server_->round();
   while (true) {
     Message msg;
@@ -404,18 +334,14 @@ ServerStats DistributedServerHost::Run() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait_for(lock, std::chrono::milliseconds(200), [&] {
         return !incoming_.empty() ||
-               (server_->finished() && eof_count_ >= expected_connections);
+               (server_->finished() && eof_count_ >= expected);
       });
       if (incoming_.empty()) {
-        if (server_->finished() && eof_count_ >= expected_connections) break;
+        if (server_->finished() && eof_count_ >= expected) break;
         continue;
       }
       msg = std::move(incoming_.front());
       incoming_.pop_front();
-    }
-    if (msg.receiver != kServerId) {
-      router_->Send(msg);  // re-stamps wall time + live session epoch
-      continue;
     }
     msg.timestamp = NowSeconds();
     server_->HandleMessage(msg);
@@ -431,8 +357,7 @@ ServerStats DistributedServerHost::Run() {
       if (halt_after_round_ > 0 && last_seen_round >= halt_after_round_) {
         FS_LOG(Warning) << "halting after round " << last_seen_round
                         << " (simulated crash)";
-        BookSnapshot(obs_, snapshot_writer_.Flush(), "snapshot",
-                     /*annotate=*/true);
+        BookSnapshot(obs_, snapshot_writer_.Flush());
         server_->ExportMetrics();
         return server_->stats();
       }
@@ -442,16 +367,21 @@ ServerStats DistributedServerHost::Run() {
   // reader threads accumulated under the lock.
   if (obs_ != nullptr) {
     int64_t stale = 0;
+    int64_t rejected = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       stale = stale_epoch_rejected_;
+      rejected = rejected_frames_;
     }
     if (stale > 0) {
       obs_->Count("fs_stale_epoch_rejected_total",
                   static_cast<double>(stale));
     }
+    if (rejected > 0) {
+      obs_->Count("fs_rejected_frames_total", static_cast<double>(rejected));
+    }
   }
-  BookSnapshot(obs_, snapshot_writer_.Flush(), "snapshot", /*annotate=*/true);
+  BookSnapshot(obs_, snapshot_writer_.Flush());
   server_->ExportMetrics();
   return server_->stats();
 }

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -38,19 +39,10 @@ inline constexpr char kSessionEpochKey[] = "session_epoch";
 ///
 /// Timestamps carry wall-clock seconds since the host started; they order
 /// messages but are not the virtual-time measurements of the simulator.
-///
-/// Hierarchical topologies (ServerOptions::topology, DESIGN.md §11) run
-/// the root host as a star-topology hub: edge-aggregator hosts
-/// (DistributedAggregatorHost) and clients all connect to it, and any
-/// incoming message not addressed to the root worker is relayed to the
-/// receiver's connection. Aggregator↔client traffic therefore costs two
-/// hops, but workers stay unchanged and every participant needs exactly
-/// one upstream address — the deployment shape the paper's edge setting
-/// assumes (NAT'd devices cannot accept inbound connections anyway).
 
 /// CommChannel over one upstream TCP connection that echoes the session
-/// epoch the hub stamps on its traffic (see kSessionEpochKey). Shared by
-/// the client and edge-aggregator hosts.
+/// epoch the server host stamps on its traffic (see kSessionEpochKey).
+/// The client host's uplink.
 class EpochUplink : public CommChannel {
  public:
   Status Open(const std::string& host, int port,
@@ -77,10 +69,11 @@ class EpochUplink : public CommChannel {
   int64_t epoch_ = -1;
 };
 
-/// Hosts the FL server: accepts `expected_clients` connections (plus one
-/// per edge-aggregator slot in hierarchical topologies), routes incoming
-/// messages into the Server worker or — hub duty — relays them to the
-/// addressed participant's connection.
+/// Hosts the FL server: accepts one connection per client id in
+/// 1..expected_clients and feeds what each client sends to the Server
+/// worker. A connection carries one client's frames to the server and
+/// nothing else: a bad hello closes it, and a frame naming another sender
+/// or another receiver is dropped, both counted in rejected_frames().
 class DistributedServerHost {
  public:
   /// The listener determines the port (use TcpListener::Bind(0) and
@@ -104,12 +97,13 @@ class DistributedServerHost {
     return failed_clients_;
   }
 
-  /// Edge-aggregator connections that dropped before the course finished.
-  /// Each one triggered a failover wake of its shard's lowest live standby
-  /// (or a logged error when the shard had none left).
-  int64_t failed_aggregators() const {
+  /// Frames refused at the transport: hellos that are not a join_in from
+  /// an unused id in 1..expected_clients (their connection is closed), and
+  /// frames whose sender is not their connection's client or whose
+  /// receiver is not the server (dropped).
+  int64_t rejected_frames() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return failed_aggregators_;
+    return rejected_frames_;
   }
 
   /// Retransmitted messages suppressed before reaching the Server worker.
@@ -173,13 +167,13 @@ class DistributedServerHost {
   /// Outgoing channel: routes by msg.receiver over the TCP connections.
   class Router;
 
-  void ReaderLoop(int worker_id, TcpConnection* connection);
-  /// Mid-course EOF handling for an edge-aggregator connection (reader
-  /// thread of the dead connection): waits out the lowest live standby's
-  /// staggered replication deadline, then wakes it with a synthesized
-  /// watchdog timer — EOF is a definite death signal, so one wake fires
-  /// "late" by construction and the standby promotes on first delivery.
-  void AggregatorFailover(int aggregator_id);
+  void ReaderLoop(int client_id, TcpConnection* connection);
+  /// Accepts one connection and reads its hello. Returns the join_in of a
+  /// client id in 1..`expected` that has not joined yet (`joined`, by id),
+  /// with the connection registered and its reader started; otherwise
+  /// closes the connection, counts the hello in rejected_frames_ and
+  /// returns nullopt. A failing accept is a local error and aborts.
+  std::optional<Message> AcceptClient(int expected, std::vector<bool>* joined);
   /// Exports a snapshot (Server course state + transport extras) and hands
   /// it to the writer per the policy. Event-loop thread only.
   void WriteSnapshot();
@@ -206,7 +200,7 @@ class DistributedServerHost {
   std::deque<Message> incoming_;
   DuplicateSuppressor dedup_;  // guarded by mu_
   int64_t failed_clients_ = 0;  // guarded by mu_
-  int64_t failed_aggregators_ = 0;  // guarded by mu_
+  int64_t rejected_frames_ = 0;  // guarded by mu_
   int64_t stale_epoch_rejected_ = 0;  // guarded by mu_
   int eof_count_ = 0;
 

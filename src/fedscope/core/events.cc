@@ -22,12 +22,9 @@ EventClass ClassifyEvent(const std::string& event) {
   if (std::find(msgs.begin(), msgs.end(), event) != msgs.end()) {
     return EventClass::kMessagePassing;
   }
-  // Delivered as messages despite being Table 2 extensions (they are kept
+  // Delivered as a message despite being a Table 2 extension (it is kept
   // out of BuiltinMessageEvents, which reproduces the table verbatim).
-  if (event == events::kClientFailure || event == events::kPartialUpdate ||
-      event == events::kShardSnapshot || event == events::kStandbyPromoted) {
-    return EventClass::kMessagePassing;
-  }
+  if (event == events::kClientFailure) return EventClass::kMessagePassing;
   return EventClass::kConditionChecking;
 }
 

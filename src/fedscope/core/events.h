@@ -33,16 +33,6 @@ inline constexpr char kTimer[] = "timer";
 /// beyond the paper's Table 2, so deliberately not in
 /// BuiltinMessageEvents (which reproduces the table verbatim).
 inline constexpr char kClientFailure[] = "client_failure";
-/// Edge aggregator -> root server: one weighted pre-aggregated update
-/// covering the aggregator's client shard (hierarchical topologies only;
-/// extension beyond Table 2, so not in BuiltinMessageEvents).
-inline constexpr char kPartialUpdate[] = "partial_update";
-/// Active edge aggregator -> its shard standbys: replicated shard state
-/// (heartbeat + hot-standby snapshot). Extension beyond Table 2.
-inline constexpr char kShardSnapshot[] = "shard_snapshot";
-/// Standby edge aggregator -> root server: the standby presumed its shard's
-/// active aggregator dead and took over. Extension beyond Table 2.
-inline constexpr char kStandbyPromoted[] = "standby_promoted";
 
 // ---------------------------------------------------------------------------
 // Events related to condition checking (paper §3.2). Raised internally by a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <thread>
 #include <utility>
 
@@ -27,12 +28,6 @@ Client* FedRunner::client(int id) {
   Client* live = cache_->Get(id);
   cache_->Trim();  // `live` survives: Get marked it most recently used
   return live;
-}
-
-EdgeAggregator* FedRunner::aggregator(int shard, int slot) {
-  auto it = aggregator_index_.find(AggregatorId(shard, slot));
-  return it == aggregator_index_.end() ? nullptr
-                                       : aggregators_[it->second].get();
 }
 
 void FedRunner::BuildWorkers() {
@@ -82,35 +77,6 @@ void FedRunner::BuildWorkers() {
   server_ = MakeServer();
   snapshot_writer_ = SnapshotWriter(job_.snapshot);
 
-  // Hierarchical topology: one EdgeAggregator per shard × slot, wired to
-  // the same decorated channel as every other worker (transport and
-  // behaviour stay decoupled).
-  aggregators_.clear();
-  aggregator_index_.clear();
-  dead_aggregators_.clear();
-  shard_writers_.clear();
-  const Topology& topo = job_.server.topology;
-  if (topo.hierarchical()) {
-    for (int shard = 0; shard < topo.num_shards; ++shard) {
-      for (int slot = 0; slot <= topo.standbys_per_shard; ++slot) {
-        EdgeAggregatorOptions options;
-        options.topology = topo;
-        options.shard = shard;
-        options.slot = slot;
-        options.guard = job_.server.guard;
-        aggregator_index_[AggregatorId(shard, slot)] = aggregators_.size();
-        aggregators_.push_back(
-            std::make_unique<EdgeAggregator>(options, channel));
-      }
-    }
-    shard_forwarded_.assign(topo.num_shards, 0);
-    for (int shard = 0; shard < topo.num_shards; ++shard) {
-      SnapshotPolicy policy = job_.snapshot;
-      policy.worker_prefix += "s" + std::to_string(shard) + "-";
-      shard_writers_.emplace_back(std::move(policy));
-    }
-  }
-
   cache_ = std::make_unique<ClientCache>(
       n, CacheCapacity(), [this](int id) { return MakeCacheEntry(id); });
   if (!job_.virtualize) {
@@ -122,7 +88,6 @@ void FedRunner::BuildWorkers() {
   if (job_.obs.enabled()) {
     queue_.set_obs(&job_.obs);
     server_->set_obs(&job_.obs);
-    for (auto& agg : aggregators_) agg->set_obs(&job_.obs);
     if (fault_channel_ != nullptr) fault_channel_->set_obs(&job_.obs);
   }
 }
@@ -238,51 +203,7 @@ void FedRunner::CrashAndRestoreServer() {
 void FedRunner::WriteSnapshot() {
   Checkpoint snapshot;
   server_->ExportSnapshot(&snapshot);
-  BookSnapshot(&job_.obs, snapshot_writer_.Write(std::move(snapshot)),
-               "snapshot", /*annotate=*/true);
-}
-
-void FedRunner::DeliverToAggregator(const Message& msg) {
-  const auto it = aggregator_index_.find(msg.receiver);
-  if (it == aggregator_index_.end()) {
-    FS_LOG(Warning) << "message to unknown aggregator " << msg.receiver;
-    return;
-  }
-  if (dead_aggregators_.count(msg.receiver) > 0) {
-    // A dead process silently eats its traffic — the standalone analogue
-    // of the distributed hosts' mid-course connection EOF.
-    fault_plan_.CountDeadAggregatorDrop();
-    return;
-  }
-  EdgeAggregator* agg = aggregators_[it->second].get();
-  const int crash_round =
-      fault_plan_.AggregatorCrashRound(agg->shard(), agg->slot());
-  if (crash_round >= 0 && msg.state >= crash_round) {
-    // The scheduled crash: the incarnation dies on (not after) the first
-    // delivery that would have had it act on round `crash_round`.
-    dead_aggregators_.insert(msg.receiver);
-    ++aggregators_killed_;
-    fault_plan_.CountDeadAggregatorDrop();
-    FS_LOG(Warning) << "fault plan killed aggregator " << msg.receiver
-                    << " (shard " << agg->shard() << " slot " << agg->slot()
-                    << ") at round " << msg.state;
-    return;
-  }
-  agg->HandleMessage(msg);
-  MaybeSnapshotAggregator(agg);
-}
-
-void FedRunner::MaybeSnapshotAggregator(EdgeAggregator* agg) {
-  const int shard = agg->shard();
-  if (shard >= static_cast<int>(shard_writers_.size()) ||
-      !shard_writers_[shard].enabled()) {
-    return;
-  }
-  if (agg->partials_forwarded() <= shard_forwarded_[shard]) return;
-  shard_forwarded_[shard] = agg->partials_forwarded();
-  BookSnapshot(&job_.obs, shard_writers_[shard].Write(agg->MakeCheckpoint()),
-               "shard " + std::to_string(shard) + " snapshot",
-               /*annotate=*/false);
+  BookSnapshot(&job_.obs, snapshot_writer_.Write(std::move(snapshot)));
 }
 
 void FedRunner::DeliverToClient(const Message& msg) {
@@ -328,9 +249,9 @@ void FedRunner::Send(const Message& msg) {
 
 size_t FedRunner::RunParallelStage(int64_t* delivered) {
   // Candidate batch: the maximal prefix of the equal-virtual-time ready
-  // set whose receivers are clients. A server-, aggregator-, or
-  // unknown-targeted delivery ends the batch — that handling mutates
-  // shared state and stays on the pump thread (DESIGN.md §12).
+  // set whose receivers are clients. A server- or unknown-targeted
+  // delivery ends the batch — that handling mutates shared state and
+  // stays on the pump thread (DESIGN.md §12).
   const std::vector<const Message*> ready = queue_.PeekReadyBatch();
   size_t limit = ready.size();
   // Never batch across the crash drill: the kill must land between the
@@ -483,16 +404,6 @@ CompletenessReport FedRunner::CheckCompleteness() {
     checker.MarkOptional(events::kTimeUp);
   }
   if (!deadline) checker.MarkOptional(events::kReceiveDeadline);
-  if (job_.server.topology.hierarchical() && !aggregators_.empty()) {
-    // The shard layer's flows join the graph; the root's partial_update
-    // handler raises the synchronous trigger internally.
-    checker.AddRegistry(aggregators_[0]->registry());
-    bridge(events::kPartialUpdate, events::kAllReceived);
-    // Replication heartbeats terminate at the standbys; the watchdog
-    // chain only fires on failures.
-    checker.MarkOptional(events::kShardSnapshot);
-    checker.MarkOptional(events::kStandbyPromoted);
-  }
   // Failure handling is registered but only exercised when faults occur.
   checker.MarkOptional(events::kClientFailure);
   // Built-in capabilities that a particular course may not exercise.
@@ -517,9 +428,7 @@ RunResult FedRunner::Run() {
   ScopedSpan course_span(job_.obs.tracer, "fl_course", 0.0, kServerId);
 
   // Building up: the whole population requests to join at t = 0 in one
-  // batch join_in (DESIGN.md §13). Standby aggregators arm their failure
-  // watchdogs (no-op for active slots).
-  for (auto& agg : aggregators_) agg->StartWatchdog();
+  // batch join_in (DESIGN.md §13).
   worker_channel_->Send(MakeBatchJoin());
 
   // Pump the virtual-time event loop. Messages to finished/unknown workers
@@ -560,8 +469,6 @@ RunResult FedRunner::Run() {
       DeliverToClient(msg);
     } else if (msg.receiver == kBroadcast) {
       DeliverMulticast(msg);
-    } else if (IsAggregatorId(msg.receiver)) {
-      DeliverToAggregator(msg);
     } else {
       FS_LOG(Warning) << "message to unknown receiver " << msg.receiver;
     }
@@ -621,14 +528,8 @@ RunResult FedRunner::Run() {
     job_.obs.SetGauge("fs_virtual_clients_live_peak",
                       static_cast<double>(cs.live_peak));
   }
-  // The last snapshots persisted while the course wound down.
-  BookSnapshot(&job_.obs, snapshot_writer_.Flush(), "snapshot",
-               /*annotate=*/true);
-  for (size_t shard = 0; shard < shard_writers_.size(); ++shard) {
-    BookSnapshot(&job_.obs, shard_writers_[shard].Flush(),
-                 "shard " + std::to_string(shard) + " snapshot",
-                 /*annotate=*/false);
-  }
+  // The last snapshot persisted while the course wound down.
+  BookSnapshot(&job_.obs, snapshot_writer_.Flush());
   return result;
 }
 

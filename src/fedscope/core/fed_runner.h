@@ -2,15 +2,12 @@
 #define FEDSCOPE_CORE_FED_RUNNER_H_
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "fedscope/core/client.h"
 #include "fedscope/core/client_cache.h"
 #include "fedscope/core/completeness.h"
-#include "fedscope/core/edge_aggregator.h"
 #include "fedscope/core/server.h"
 #include "fedscope/data/client_data_provider.h"
 #include "fedscope/data/dataset.h"
@@ -156,14 +153,6 @@ class FedRunner : public CommChannel {
   /// The cache holding every client (never null). Its capacity is the
   /// population unless the course is virtualized.
   const ClientCache* client_cache() const { return cache_.get(); }
-  /// Edge aggregator of `shard` × `slot` (hierarchical topologies only;
-  /// null when the incarnation does not exist).
-  EdgeAggregator* aggregator(int shard, int slot);
-  const std::vector<std::unique_ptr<EdgeAggregator>>& aggregators() const {
-    return aggregators_;
-  }
-  /// Aggregator incarnations killed by FaultPlan::aggregator_crashes.
-  int64_t aggregators_killed() const { return aggregators_killed_; }
   /// The instantiated fault model (disabled when FedJob::fault is null).
   const FaultPlan& fault_plan() const { return fault_plan_; }
   /// Deliveries suppressed by FedJob::suppress_duplicates (0 when off).
@@ -232,13 +221,6 @@ class FedRunner : public CommChannel {
   void CrashAndRestoreServer();
   /// Exports a snapshot and hands it to the writer per FedJob::snapshot.
   void WriteSnapshot();
-  /// Delivers `msg` to an edge aggregator, applying the fault plan's
-  /// aggregator-crash schedule (a dead incarnation silently eats traffic,
-  /// the standalone analogue of a mid-course TCP EOF).
-  void DeliverToAggregator(const Message& msg);
-  /// Writes `agg`'s durable checkpoint when its forwarded count advanced
-  /// (per-shard "s<N>-"-prefixed files under FedJob::snapshot.directory).
-  void MaybeSnapshotAggregator(EdgeAggregator* agg);
   /// Non-const: a virtualized course instantiates client 1 to read its
   /// handler registry.
   CompletenessReport CheckCompleteness();
@@ -256,16 +238,6 @@ class FedRunner : public CommChannel {
   std::unique_ptr<TapChannel> tap_channel_;
   PairwiseDuplicateSuppressor dedup_;
   std::unique_ptr<Server> server_;
-  /// All edge-aggregator incarnations (hierarchical topologies only),
-  /// indexed through aggregator_index_ by worker id.
-  std::vector<std::unique_ptr<EdgeAggregator>> aggregators_;
-  std::map<int, size_t> aggregator_index_;
-  std::set<int> dead_aggregators_;
-  int64_t aggregators_killed_ = 0;
-  /// Per-shard durable snapshot writers ("s<N>-" filename prefix so all
-  /// shards and the root share FedJob::snapshot.directory safely).
-  std::vector<SnapshotWriter> shard_writers_;
-  std::vector<int64_t> shard_forwarded_;
   /// The channel handed to workers (outermost decorator); kept so a
   /// crash-restored server is wired identically to the original.
   CommChannel* worker_channel_ = nullptr;

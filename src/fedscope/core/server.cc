@@ -1,7 +1,6 @@
 #include "fedscope/core/server.h"
 
 #include <algorithm>
-#include <span>
 
 #include "fedscope/comm/compression.h"
 #include "fedscope/core/events.h"
@@ -41,23 +40,6 @@ Server::Server(ServerOptions options, Model global_model,
     guard_ = std::make_unique<UpdateGuard>(options_.guard);
   }
   FS_CHECK_GT(options_.concurrency, 0);
-  if (options_.topology.hierarchical()) {
-    FS_CHECK_OK(ValidateTopology(options_.topology));
-    // Partial updates cover whole cohort slices at once, which only the
-    // blocking synchronous trigger can account for; the async strategies,
-    // receive deadlines, and per-update rebroadcasts reason about
-    // individual client updates the root no longer sees.
-    FS_CHECK(options_.strategy == Strategy::kSyncVanilla)
-        << "hierarchical topologies require the sync_vanilla strategy";
-    FS_CHECK(options_.broadcast == BroadcastManner::kAfterAggregating)
-        << "hierarchical topologies require after-aggregating broadcasts";
-    FS_CHECK_LE(options_.receive_deadline, 0.0)
-        << "hierarchical topologies do not support receive deadlines";
-    FS_CHECK_GT(options_.expected_clients, 0)
-        << "hierarchical topologies need expected_clients to assign shards";
-    shard_epochs_.assign(options_.topology.num_shards, 0);
-    shard_active_slot_.assign(options_.topology.num_shards, 0);
-  }
   RegisterDefaultHandlers();
 }
 
@@ -77,16 +59,6 @@ void Server::RegisterDefaultHandlers() {
       events::kClientFailure,
       [this](const Message& msg) { OnClientFailure(msg); },
       /*emits=*/{events::kModelPara});
-  if (options_.topology.hierarchical()) {
-    registry_.Register(
-        events::kPartialUpdate,
-        [this](const Message& msg) { OnPartialUpdate(msg); },
-        /*emits=*/{events::kModelPara});
-    registry_.Register(
-        events::kStandbyPromoted,
-        [this](const Message& msg) { OnStandbyPromoted(msg); },
-        /*emits=*/{events::kModelPara});
-  }
 
   // Condition events of §3.3: which one fires is decided by the checks in
   // OnModelUpdate / OnTimer; what it does is a swappable handler.
@@ -228,13 +200,9 @@ std::vector<int> Server::SampleIdle(int k) {
   if (k <= 0) return {};
   // The idle set is [1, largest member] minus the membership gaps and the
   // in-flight ids, so the sampler draws without enumerating the population
-  // (DESIGN.md §13). A buffered partial fixes its contributors' weight in
-  // the round, so they are not idle until it aggregates.
+  // (DESIGN.md §13).
   IdSet idle = members_;
   for (const auto& [id, round] : ledger_.in_flight()) idle.Erase(id);
-  for (const std::vector<int>& contributors : buffer_contributors_) {
-    for (int id : contributors) idle.Erase(id);
-  }
   const int population = members_.empty() ? 0 : members_.max();
   return sampler_->SampleIds(
       CandidateView(population, idle.Complement(1, population).ToVector()),
@@ -244,163 +212,26 @@ std::vector<int> Server::SampleIdle(int k) {
 void Server::BroadcastModel(const std::vector<int>& client_ids,
                             double timestamp) {
   if (client_ids.empty()) return;
-  // Flat: one model_para per client. Hierarchical: one per shard, to the
-  // shard's active edge aggregator, naming the shard's part of the cohort.
-  std::vector<std::pair<int, std::vector<int64_t>>> sends;  // receiver, cohort
-  std::map<int, std::vector<int64_t>> by_shard;
-  for (int id : client_ids) {
-    ledger_.Open(id, round_);
-    if (options_.topology.hierarchical()) {
-      by_shard[ShardOfClient(options_.topology, id, options_.expected_clients)]
-          .push_back(id);
-    } else {
-      sends.push_back({id, {}});
-    }
-  }
-  for (auto& [shard, cohort] : by_shard) {
-    sends.push_back({ActiveAggregatorId(shard), std::move(cohort)});
-  }
-  FS_CHECK(by_shard.empty() || config_provider_ == nullptr)
-      << "hierarchical topologies do not support per-client HPO configs";
+  for (int id : client_ids) ledger_.Open(id, round_);
   const StateDict shared = global_model_.GetStateDict(options_.share_filter);
-  for (auto& [receiver, cohort] : sends) {
+  for (int id : client_ids) {
     Message msg;
-    msg.receiver = receiver;
+    msg.receiver = id;
     msg.msg_type = events::kModelPara;
     msg.state = round_;
     msg.timestamp = timestamp;
     msg.payload.SetStateDict(kModelKey, shared);
-    if (!cohort.empty()) {  // an edge aggregator
-      SetPackedInt64s(&msg.payload, "cohort", cohort);
-      msg.payload.SetInt("shard_epoch",
-                         shard_epochs_[AggregatorShard(receiver)]);
-    } else if (config_provider_) {
-      Config config = config_provider_(receiver, round_);
+    if (config_provider_) {
+      Config config = config_provider_(id, round_);
       for (const auto& key : config.Keys()) {
         msg.payload.SetDouble(key, config.GetDouble(key, 0.0));
       }
       msg.payload.SetInt("hpo.want_feedback", 1);
     }
     stats_.downlink_bytes += msg.payload.ByteSize();
-    stats_.broadcasts += std::max<int64_t>(1, cohort.size());
+    ++stats_.broadcasts;
     Send(std::move(msg));
   }
-}
-
-void Server::OnPartialUpdate(const Message& msg) {
-  if (finished_ || !started_) return;
-  const int shard = static_cast<int>(msg.payload.GetInt("shard", -1));
-  if (shard < 0 || shard >= options_.topology.num_shards) {
-    FS_LOG(Warning) << "partial_update with unknown shard " << shard
-                    << " from " << msg.sender;
-    return;
-  }
-  const int64_t epoch = msg.payload.GetInt("shard_epoch", 0);
-  if (epoch != shard_epochs_[shard]) {
-    // A superseded incarnation of the shard's aggregator: its cohort was
-    // re-broadcast through the promoted standby, so accepting this would
-    // double-count those clients.
-    ++stats_.stale_partials;
-    FS_LOG(Info) << "rejecting shard " << shard << " partial at epoch "
-                 << epoch << " (current " << shard_epochs_[shard] << ")";
-    return;
-  }
-  stats_.uplink_bytes += msg.payload.ByteSize();
-  ++stats_.partial_updates;
-  std::vector<int> contributors;
-  for (int64_t id : GetPackedInt64s(msg.payload, "contributors")) {
-    contributors.push_back(static_cast<int>(id));
-  }
-  std::vector<int> declined;
-  for (int64_t id : GetPackedInt64s(msg.payload, "declined_ids")) {
-    declined.push_back(static_cast<int>(id));
-    ++stats_.declined;
-  }
-  // Members whose updates the edge aggregator's guard rejected: the shard
-  // saw their reply but they contributed nothing; the root books the
-  // violation so quarantine is course-global.
-  std::vector<int> rejected;
-  for (int64_t id64 : GetPackedInt64s(msg.payload, "rejected_ids")) {
-    const int id = static_cast<int>(id64);
-    rejected.push_back(id);
-    stats_.Reject(&CourseCounters::rejected_edge);
-    if (guard_ != nullptr && guard_->RecordViolation(id)) {
-      QuarantineClient(id);
-    }
-  }
-  if (!contributors.empty()) {
-    const int staleness = round_ - msg.state;
-    if (staleness > options_.staleness_tolerance) {
-      stats_.dropped_stale += static_cast<int64_t>(contributors.size());
-    } else {
-      ClientUpdate update;
-      update.client_id = msg.sender;
-      update.round_started = msg.state;
-      update.staleness = staleness;
-      update.num_samples = msg.payload.GetDouble("total_weight", 1.0);
-      update.local_steps =
-          static_cast<int>(msg.payload.GetInt("local_steps", 1));
-      update.delta = msg.payload.GetStateDict(kDeltaKey);
-      bool usable = true;
-      if (guard_ != nullptr) {
-        // A hostile shard (or an in-flight corruption of the partial) must
-        // not poison the root. The sender is an aggregator, so violations
-        // are not tracked against it — its members were booked at the edge.
-        const StateDict signature =
-            global_model_.GetStateDict(options_.share_filter);
-        const GuardDecision decision = guard_->Inspect(
-            msg.sender, signature, &update.delta, /*track_violations=*/false);
-        if (decision.verdict == GuardVerdict::kClip) ++stats_.updates_clipped;
-        if (decision.rejected()) {
-          usable = false;
-          stats_.Reject(RejectionReason(decision.verdict));
-          FS_LOG(Warning) << "rejecting partial from aggregator "
-                          << msg.sender << " ("
-                          << GuardReasonLabel(decision.verdict)
-                          << "): " << decision.detail;
-        }
-      }
-      if (usable) {
-        buffer_.push_back(std::move(update));
-        buffer_contributors_.push_back(contributors);
-      } else {
-        // The partial carried their updates; its rejection is theirs.
-        rejected.insert(rejected.end(), contributors.begin(),
-                        contributors.end());
-        contributors.clear();
-      }
-    }
-  }
-  for (int id : contributors) ledger_.End(id, SlotOutcome::kReceived);
-  if (!rejected.empty()) RepairSlots(SlotOutcome::kRejected, rejected, msg);
-  RepairSlots(SlotOutcome::kDeclined, declined, msg);
-}
-
-void Server::OnStandbyPromoted(const Message& msg) {
-  if (finished_) return;
-  const int shard = static_cast<int>(msg.payload.GetInt("shard", -1));
-  if (shard < 0 || shard >= options_.topology.num_shards) {
-    FS_LOG(Warning) << "standby_promoted for unknown shard " << shard;
-    return;
-  }
-  const int64_t claimed = msg.payload.GetInt("shard_epoch", 0);
-  shard_epochs_[shard] = std::max(shard_epochs_[shard] + 1, claimed);
-  shard_active_slot_[shard] = AggregatorSlot(msg.sender);
-  ++stats_.shard_failovers;
-  FS_LOG(Warning) << "shard " << shard << " failed over to aggregator "
-                  << msg.sender << " (epoch " << shard_epochs_[shard] << ")";
-  if (!started_) return;
-  // Whatever the dead incarnation buffered or had in flight is lost:
-  // re-broadcast the shard's in-flight cohort through the new aggregator
-  // (stale-epoch rejection keeps any late survivor output out).
-  std::vector<int> inflight;
-  for (const auto& [id, round] : ledger_.in_flight()) {
-    if (ShardOfClient(options_.topology, id, options_.expected_clients) ==
-        shard) {
-      inflight.push_back(id);
-    }
-  }
-  BroadcastModel(inflight, msg.timestamp);
 }
 
 void Server::Replenish(double timestamp) {
@@ -534,7 +365,7 @@ void Server::CheckTrigger(const Message& msg) {
   // Condition checking (§3.2): has the aggregation trigger fired? A
   // synchronous round waits for every awaited update; over-selection for
   // the first `concurrency` of them.
-  const int buffered = BufferedUpdates();
+  const int buffered = static_cast<int>(buffer_.size());
   switch (options_.strategy) {
     case Strategy::kSyncVanilla:
       if (buffered >= ledger_.awaited()) {
@@ -556,18 +387,6 @@ void Server::CheckTrigger(const Message& msg) {
   }
 }
 
-int Server::BufferedUpdates() const {
-  if (!options_.topology.hierarchical()) {
-    return static_cast<int>(buffer_.size());
-  }
-  // A partial carries one update per contributor.
-  int n = 0;
-  for (const std::vector<int>& contributors : buffer_contributors_) {
-    n += static_cast<int>(contributors.size());
-  }
-  return n;
-}
-
 void Server::OnTimer(const Message& msg) {
   if (finished_ || !started_) return;
   if (msg.state != round_) return;  // a timer from a completed round
@@ -576,7 +395,7 @@ void Server::OnTimer(const Message& msg) {
   // deadline of the synchronous strategies and kAsyncTime's time_up.
   const char* event =
       deadline_active() ? events::kReceiveDeadline : events::kTimeUp;
-  if (BufferedUpdates() >= options_.min_received) {
+  if (static_cast<int>(buffer_.size()) >= options_.min_received) {
     RaiseEvent(event, msg);
     return;
   }
@@ -608,8 +427,7 @@ void Server::OnTimer(const Message& msg) {
   // awaited count is rebased first, so slots still in flight from older
   // rounds stop counting toward this round's trigger.
   const std::vector<int> outstanding = ledger_.OpenedOn(round_);
-  ledger_.set_awaited(BufferedUpdates() +
-                      static_cast<int>(outstanding.size()));
+  ledger_.set_awaited(static_cast<int>(buffer_.size() + outstanding.size()));
   stats_.dropouts += static_cast<int64_t>(outstanding.size());
   FS_LOG(Debug) << "round " << round_ << " " << event << " with too little "
                 << "feedback; " << outstanding.size() << " presumed dead";
@@ -668,31 +486,21 @@ void Server::PerformAggregation(const std::string& trigger,
   if (finished_ || buffer_.empty()) return;
 
   // Staleness is measured against the version at aggregation time; updates
-  // that aged beyond the toleration while buffered are dropped now. A flat
-  // update is attributed to its sender, a partial to each contributor it
-  // carried, so Figure-10-style stats match a flat course.
-  const bool hierarchical = options_.topology.hierarchical();
+  // that aged beyond the toleration while buffered are dropped now.
   std::vector<ClientUpdate> usable;
   usable.reserve(buffer_.size());
   CourseRoundRecord row;
-  for (size_t i = 0; i < buffer_.size(); ++i) {
-    ClientUpdate& update = buffer_[i];
+  for (ClientUpdate& update : buffer_) {
     update.staleness = round_ - update.round_started;
-    const std::span<const int> clients =
-        hierarchical ? std::span<const int>(buffer_contributors_[i])
-                     : std::span<const int>(&update.client_id, 1);
     if (update.staleness > options_.staleness_tolerance) {
-      stats_.dropped_stale += static_cast<int64_t>(clients.size());
+      ++stats_.dropped_stale;
       continue;
     }
-    row.contributors.insert(row.contributors.end(), clients.begin(),
-                            clients.end());
-    row.staleness.insert(row.staleness.end(), clients.size(),
-                         update.staleness);
+    row.contributors.push_back(update.client_id);
+    row.staleness.push_back(update.staleness);
     usable.push_back(std::move(update));
   }
   buffer_.clear();
-  buffer_contributors_.clear();
   if (usable.empty()) {
     // Everything buffered had gone stale: keep the round's timer chain
     // alive so a deadline/budget-driven course cannot silently stall.
@@ -849,17 +657,6 @@ void Server::FinishCourse(const Message& context) {
     msg.timestamp = context.timestamp;
     SetReceivers(&msg, members_);
     Send(std::move(msg));
-  }
-  // Dismiss the edge aggregators too (stops standby watchdog timers).
-  for (int shard = 0; shard < options_.topology.num_shards; ++shard) {
-    for (int slot = 0; slot <= options_.topology.standbys_per_shard; ++slot) {
-      Message msg;
-      msg.receiver = AggregatorId(shard, slot);
-      msg.msg_type = events::kFinish;
-      msg.state = round_;
-      msg.timestamp = context.timestamp;
-      Send(std::move(msg));
-    }
   }
 }
 

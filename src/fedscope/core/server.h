@@ -12,7 +12,6 @@
 #include "fedscope/core/cohort_ledger.h"
 #include "fedscope/core/id_set.h"
 #include "fedscope/core/sampler.h"
-#include "fedscope/core/topology.h"
 #include "fedscope/core/trainer.h"
 #include "fedscope/core/update_guard.h"
 #include "fedscope/core/worker.h"
@@ -84,11 +83,6 @@ struct ServerOptions {
   bool collect_client_metrics = false;
   /// The shared part of the model (must match the clients' share filter).
   NameFilter share_filter;
-  /// Aggregation topology (DESIGN.md §11). Flat by default; with shards,
-  /// the server broadcasts one grouped model_para per shard to the shard's
-  /// active edge aggregator and aggregates partial_update messages instead
-  /// of per-client model_update ones.
-  Topology topology;
   /// Ingress update validation (DESIGN.md §14). Disabled by default:
   /// guard-off courses are byte-identical to the pre-guard behaviour.
   UpdateGuardOptions guard;
@@ -193,16 +187,9 @@ class Server : public BaseWorker {
   void OnTimer(const Message& msg);
   void OnMetrics(const Message& msg);
   void OnClientFailure(const Message& msg);
-  /// Hierarchical topologies: one weighted pre-aggregated update from an
-  /// edge aggregator, covering (part of) its shard's cohort.
-  void OnPartialUpdate(const Message& msg);
   /// Exiles a client (leaves members_): it is out of the sampling pool for
   /// the rest of the course.
   void QuarantineClient(int id);
-  /// Hierarchical topologies: a standby took over a shard. Bumps the
-  /// shard's epoch, reroutes to the new aggregator, and re-broadcasts the
-  /// shard's in-flight cohort through it.
-  void OnStandbyPromoted(const Message& msg);
   /// The one slot repair (DESIGN.md §7): ends the in-flight slots among
   /// `ids` with `outcome`, refills each from idle members, lowers the
   /// awaited count by the slots it could not refill, then evaluates the
@@ -211,9 +198,6 @@ class Server : public BaseWorker {
                    const Message& msg);
   /// Raises the strategy's aggregation event when its condition holds.
   void CheckTrigger(const Message& msg);
-  /// Updates in the buffer: one per flat update, one per contributor of a
-  /// hierarchical partial.
-  int BufferedUpdates() const;
 
   /// Handler bodies for the condition events. `trigger` names the
   /// condition event that fired (all_received / goal_achieved / time_up);
@@ -233,13 +217,7 @@ class Server : public BaseWorker {
 
   /// Sends the current global model to the given clients at round round_,
   /// opening their cohort slots (a client in flight keeps its slot).
-  /// Hierarchical topologies group the cohort by shard and send one
-  /// model_para per shard to its active edge aggregator instead.
   void BroadcastModel(const std::vector<int>& client_ids, double timestamp);
-  /// Worker id of the aggregator currently serving `shard`.
-  int ActiveAggregatorId(int shard) const {
-    return AggregatorId(shard, shard_active_slot_[shard]);
-  }
   /// Samples up to `k` idle clients: members minus the in-flight ones.
   std::vector<int> SampleIdle(int k);
   /// Brings the number of in-flight clients back up to the configured
@@ -283,13 +261,6 @@ class Server : public BaseWorker {
   CohortLedger ledger_;
   std::vector<double> resp_scores_;  // by client id - 1
   std::vector<ClientUpdate> buffer_;
-  /// Hierarchical: client ids covered by the buffered partial at the same
-  /// index (per-client attribution of stats; empty vectors in flat mode).
-  std::vector<std::vector<int>> buffer_contributors_;
-  /// Hierarchical: per-shard session epoch (bumped on failover) and the
-  /// slot of the shard's currently active aggregator.
-  std::vector<int64_t> shard_epochs_;
-  std::vector<int> shard_active_slot_;
   int round_ = 0;
   bool started_ = false;
   bool finished_ = false;

@@ -13,7 +13,6 @@
 //   clients, resp_scores                    membership
 //   buffer/count, buffer/<i>/...            pending cohort incl. deltas
 //   sampler/..., aggregator/...             plug-in state (their SaveState)
-//   topology/..., buffer/<i>/contributors   hierarchical courses only
 //   guard/...                               guarded courses only
 //   counters, counters_base                 ServerStats' CourseCounters and
 //                                           their reading at the previous
@@ -77,17 +76,6 @@ void Server::ExportSnapshot(Checkpoint* checkpoint) {
     p.SetStateDict(BufferKey(i, "delta"), u.delta);
   }
 
-  if (options_.topology.hierarchical()) {
-    SetPackedInt64s(&p, "topology/shard_epochs", shard_epochs_);
-    SetPackedInt64s(&p, "topology/active_slots",
-                    std::vector<int64_t>(shard_active_slot_.begin(),
-                                         shard_active_slot_.end()));
-    for (int64_t i = 0; i < static_cast<int64_t>(buffer_.size()); ++i) {
-      SetPackedInt64s(&p, BufferKey(i, "contributors"),
-                      std::vector<int64_t>(buffer_contributors_[i].begin(),
-                                           buffer_contributors_[i].end()));
-    }
-  }
   if (guard_ != nullptr) guard_->SaveState(&p, "guard");
 
   if (sampler_) {
@@ -192,7 +180,6 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
 
   const int64_t buffer_count = p.GetInt("buffer/count");
   buffer_.clear();
-  buffer_contributors_.clear();
   buffer_.reserve(buffer_count);
   for (int64_t i = 0; i < buffer_count; ++i) {
     ClientUpdate u;
@@ -207,29 +194,6 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
       return Status::DataLoss("snapshot buffered delta is incomplete");
     }
     buffer_.push_back(std::move(u));
-    if (options_.topology.hierarchical()) {
-      std::vector<int> contributors;
-      for (int64_t id : GetPackedInt64s(p, BufferKey(i, "contributors"))) {
-        contributors.push_back(static_cast<int>(id));
-      }
-      buffer_contributors_.push_back(std::move(contributors));
-    }
-  }
-
-  if (options_.topology.hierarchical()) {
-    const std::vector<int64_t> epochs =
-        GetPackedInt64s(p, "topology/shard_epochs");
-    const std::vector<int64_t> slots =
-        GetPackedInt64s(p, "topology/active_slots");
-    if (static_cast<int>(epochs.size()) != options_.topology.num_shards ||
-        static_cast<int>(slots.size()) != options_.topology.num_shards) {
-      return Status::FailedPrecondition(
-          "snapshot shard layout does not match server topology");
-    }
-    shard_epochs_ = epochs;
-    for (int shard = 0; shard < options_.topology.num_shards; ++shard) {
-      shard_active_slot_[shard] = static_cast<int>(slots[shard]);
-    }
   }
 
   // The sampler object is reconstructed from options + scores (fixed after

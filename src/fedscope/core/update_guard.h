@@ -67,13 +67,12 @@ class UpdateGuard {
 
   /// Validates `delta` against `signature`; clips it in place when the L2
   /// bound is exceeded in clip mode. A rejecting verdict books a violation
-  /// against `client_id` when `track_violations` is set (partials from
-  /// edge aggregators pass false: the members were booked at the edge).
+  /// against `client_id` when `track_violations` is set.
   GuardDecision Inspect(int client_id, const StateDict& signature,
                         StateDict* delta, bool track_violations = true);
 
-  /// Books one violation detected elsewhere (an edge aggregator's reject)
-  /// against `client_id`; returns true when it tripped quarantine.
+  /// Books one violation against `client_id`; returns true when it
+  /// tripped quarantine.
   bool RecordViolation(int client_id);
 
   bool IsQuarantined(int client_id) const {

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "fedscope/core/events.h"
-#include "fedscope/core/topology.h"
 #include "fedscope/util/logging.h"
 
 namespace fedscope {
@@ -14,8 +13,7 @@ constexpr uint64_t kDefaultSeed = 0xFA017;
 
 bool IsDataPlane(const std::string& msg_type) {
   return msg_type == events::kModelPara || msg_type == events::kModelUpdate ||
-         msg_type == events::kEvaluate || msg_type == events::kMetrics ||
-         msg_type == events::kPartialUpdate;
+         msg_type == events::kEvaluate || msg_type == events::kMetrics;
 }
 
 bool IsUplink(const std::string& msg_type) {
@@ -41,9 +39,6 @@ FaultPlan::FaultPlan(const FaultPlanOptions& options, int num_clients)
   FS_CHECK_LE(options_.dropout_frac, 1.0);
   FS_CHECK_GE(options_.straggler_frac, 0.0);
   FS_CHECK_LE(options_.straggler_frac, 1.0);
-  for (const AggregatorCrash& crash : options_.aggregator_crashes) {
-    aggregator_crash_rounds_[{crash.shard, crash.slot}] = crash.round;
-  }
   FS_CHECK_GE(options_.hostile_frac, 0.0);
   FS_CHECK_LE(options_.hostile_frac, 1.0);
   enabled_ = options_.dropout_frac > 0.0 ||
@@ -53,8 +48,6 @@ FaultPlan::FaultPlan(const FaultPlanOptions& options, int num_clients)
              options_.msg_loss_prob > 0.0 ||
              options_.msg_duplicate_prob > 0.0 ||
              (options_.msg_delay_prob > 0.0 && options_.msg_delay_max > 0.0) ||
-             (options_.aggregator_straggler_shard >= 0 &&
-              options_.aggregator_straggler_delay > 0.0) ||
              options_.hostile_frac > 0.0;
   if (!enabled_) return;
   const Rng seeder(options_.seed != 0 ? options_.seed : kDefaultSeed);
@@ -70,25 +63,9 @@ FaultPlan::FaultPlan(const FaultPlanOptions& options, int num_clients)
   hostile_ = PickClients(options_.hostile_frac, num_clients, &hostile_rng_);
 }
 
-int FaultPlan::AggregatorCrashRound(int shard, int slot) const {
-  auto it = aggregator_crash_rounds_.find({shard, slot});
-  return it != aggregator_crash_rounds_.end() ? it->second : -1;
-}
-
 FaultPlan::MessageFate FaultPlan::Judge(const Message& msg) {
   MessageFate fate;
   if (!enabled_ || !IsDataPlane(msg.msg_type)) return fate;
-
-  if (msg.msg_type == events::kPartialUpdate) {
-    if (options_.aggregator_straggler_shard >= 0 &&
-        options_.aggregator_straggler_delay > 0.0 &&
-        IsAggregatorId(msg.sender) &&
-        AggregatorShard(msg.sender) == options_.aggregator_straggler_shard) {
-      fate.extra_delay += options_.aggregator_straggler_delay;
-      ++counters_.delayed;
-    }
-    return fate;  // partials skip the per-client channel-fault draws
-  }
 
   if (IsUplink(msg.msg_type)) {
     if (IsDropped(msg.sender)) {

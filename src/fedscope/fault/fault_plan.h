@@ -2,27 +2,13 @@
 #define FEDSCOPE_FAULT_FAULT_PLAN_H_
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "fedscope/comm/message.h"
 #include "fedscope/util/rng.h"
 
 namespace fedscope {
-
-/// One scheduled edge-aggregator crash (hierarchical topologies,
-/// DESIGN.md §11): the aggregator serving `shard` in `slot` dies when it
-/// would first act on round `round` (its shard broadcast or any later
-/// message), and every subsequent message addressed to it is dropped —
-/// the standalone equivalent of a mid-course EOF.
-struct AggregatorCrash {
-  int shard = 0;
-  int slot = 0;
-  int round = 0;
-};
 
 /// Configuration of the deterministic fault model. All knobs default to
 /// zero: a default-constructed plan injects nothing and adds no overhead,
@@ -62,16 +48,6 @@ struct FaultPlanOptions {
   /// -1 disables. Handled by the runner, not the channel decorator, so it
   /// does not flip enabled() and adds no per-message rng draws.
   int64_t server_crash_at_event = -1;
-  // -- per-aggregator faults (server-side workers) --------------------------
-  /// Crash schedule for edge aggregators. Handled by the runner like
-  /// server_crash_at_event (no per-message rng draws), so an empty
-  /// schedule does not flip enabled() and stays bit-identical.
-  std::vector<AggregatorCrash> aggregator_crashes;
-  /// Shard whose forwarded partial updates take `aggregator_straggler_delay`
-  /// extra virtual seconds (a slow or overloaded edge aggregator);
-  /// -1 disables.
-  int aggregator_straggler_shard = -1;
-  double aggregator_straggler_delay = 0.0;
   // -- hostile clients (DESIGN.md §14) --------------------------------------
   /// Fraction of the fleet acting as Byzantine attackers: their
   /// model_update payloads are mutated in flight by the channel decorator,
@@ -125,9 +101,6 @@ class FaultPlan {
     int64_t lost = 0;
     int64_t duplicated = 0;
     int64_t delayed = 0;
-    /// Messages addressed to a crashed edge aggregator and dropped at
-    /// delivery (counted by the runner via CountDeadAggregatorDrop).
-    int64_t aggregator_dropped = 0;
     /// Hostile mutations, by kind (what fuzz oracle 14 reconciles against
     /// the server's rejection counts).
     int64_t poisoned_nonfinite = 0;
@@ -157,13 +130,6 @@ class FaultPlan {
   /// (standalone Send order qualifies; threaded transports do not).
   MessageFate Judge(const Message& msg);
 
-  /// Round at which the aggregator serving (shard, slot) is scheduled to
-  /// crash; -1 when it is not scheduled to crash at all.
-  int AggregatorCrashRound(int shard, int slot) const;
-  /// Records one message dropped at a dead aggregator (runner-side, so the
-  /// message-conservation oracle can account for it).
-  void CountDeadAggregatorDrop() { ++counters_.aggregator_dropped; }
-
   const Counters& counters() const { return counters_; }
 
  private:
@@ -172,7 +138,6 @@ class FaultPlan {
   std::set<int> dropped_;
   std::set<int> stragglers_;
   std::set<int> hostile_;
-  std::map<std::pair<int, int>, int> aggregator_crash_rounds_;
   Rng rng_{0};
   /// Separate stream for hostile draws so adding hostility never perturbs
   /// the dropout/straggler/channel fault sequences of an existing seed.

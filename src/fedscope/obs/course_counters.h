@@ -13,14 +13,14 @@ namespace fedscope {
 /// one array; the Prometheus exposition carries one series per field
 /// (kCounterFields), written at course end.
 struct CourseCounters {
-  /// Payload bytes of model_update and accepted partial_update messages
-  /// received (declined notices included).
+  /// Payload bytes of model_update messages received (declined notices
+  /// included).
   int64_t uplink_bytes = 0;
   /// Payload bytes of model_para messages sent.
   int64_t downlink_bytes = 0;
-  /// model_para broadcasts sent (a grouped shard one counts its cohort).
+  /// model_para broadcasts sent.
   int64_t broadcasts = 0;
-  /// Updates dropped past the staleness toleration (per contributor).
+  /// Updates dropped past the staleness toleration.
   int64_t dropped_stale = 0;
   /// Training requests declined by clients (e.g. low_bandwidth behaviour).
   int64_t declined = 0;
@@ -33,21 +33,13 @@ struct CourseCounters {
   /// Starved timer expiries: deadlines or time budgets that found fewer than
   /// min_received updates (the remedial measures of §3.3.2).
   int64_t round_extensions = 0;
-  /// Pre-aggregated shard partials accepted (hierarchical topologies).
-  int64_t partial_updates = 0;
-  /// Shard failovers acknowledged (standby_promoted messages accepted).
-  int64_t shard_failovers = 0;
-  /// Partials rejected for a superseded shard epoch (a dead incarnation's).
-  int64_t stale_partials = 0;
   /// Updates the ingress guard rejected (DESIGN.md §14): the sum of the
   /// by-reason counts below (see Reject).
   int64_t updates_rejected = 0;
-  /// Rejected by the root's guard, by verdict (GuardReasonLabel).
+  /// Rejected by the guard, by verdict (GuardReasonLabel).
   int64_t rejected_signature = 0;
   int64_t rejected_non_finite = 0;
   int64_t rejected_norm = 0;
-  /// Members whose update an edge aggregator's guard rejected.
-  int64_t rejected_edge = 0;
   /// Over-norm updates scaled down to the L2 bound (guard clip mode).
   int64_t updates_clipped = 0;
   /// Clients exiled from the sampling pool by the guard's quarantine.
@@ -85,9 +77,6 @@ inline constexpr CounterField kCounterFields[] = {
     {&CourseCounters::dropouts, "fs_server_dropouts_total"},
     {&CourseCounters::replacements, "fs_server_replacements_total"},
     {&CourseCounters::round_extensions, "fs_server_round_extensions_total"},
-    {&CourseCounters::partial_updates, "fs_server_partial_updates_total"},
-    {&CourseCounters::shard_failovers, "fs_server_shard_failovers_total"},
-    {&CourseCounters::stale_partials, "fs_server_stale_partials_total"},
     {&CourseCounters::updates_rejected, nullptr},
     {&CourseCounters::rejected_signature, "fs_server_updates_rejected_total",
      "reason", "signature"},
@@ -95,8 +84,6 @@ inline constexpr CounterField kCounterFields[] = {
      "reason", "non_finite"},
     {&CourseCounters::rejected_norm, "fs_server_updates_rejected_total",
      "reason", "norm"},
-    {&CourseCounters::rejected_edge, "fs_server_updates_rejected_total",
-     "reason", "edge"},
     {&CourseCounters::updates_clipped, "fs_server_updates_clipped_total"},
     {&CourseCounters::clients_quarantined,
      "fs_server_clients_quarantined_total"},

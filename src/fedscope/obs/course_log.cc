@@ -112,12 +112,6 @@ std::string CourseLog::ToJsonl() const {
       os << ",\"dropouts\":" << r.dropouts
          << ",\"replacements\":" << r.replacements;
     }
-    // Topology fields appear only in hierarchical courses, keeping flat
-    // course logs byte-identical to the pre-topology format.
-    if (r.partial_updates != 0 || r.shard_failovers != 0) {
-      os << ",\"partial_updates\":" << r.partial_updates
-         << ",\"shard_failovers\":" << r.shard_failovers;
-    }
     // Guard fields appear only on rounds with guard activity, keeping
     // guard-off course logs byte-identical to the pre-guard format.
     if (r.updates_rejected != 0 || r.clients_quarantined != 0) {
@@ -141,21 +135,16 @@ std::string CourseLog::ToJsonl() const {
 }
 
 std::string CourseLog::ToCsv() const {
-  // Topology columns appear only when some round has topology activity,
-  // keeping flat course CSVs byte-identical to the pre-topology format.
-  bool topology = false;
-  // Guard columns likewise appear only when some round rejected or
-  // quarantined, keeping guard-off CSVs byte-identical to the old format.
+  // Guard columns appear only when some round rejected or quarantined,
+  // keeping guard-off CSVs byte-identical to the pre-guard format.
   bool guard = false;
   for (const auto& r : rounds_) {
-    if (r.partial_updates != 0 || r.shard_failovers != 0) topology = true;
     if (r.updates_rejected != 0 || r.clients_quarantined != 0) guard = true;
   }
   std::ostringstream os;
   os << "round,trigger,time,contributors,staleness,uplink_bytes,"
         "downlink_bytes,broadcasts,dropped_stale,declined,dropouts,"
         "replacements,";
-  if (topology) os << "partial_updates,shard_failovers,";
   if (guard) os << "updates_rejected,clients_quarantined,";
   os << "snapshots,snapshot_bytes,evaluated,eval_accuracy,eval_loss\n";
   for (const auto& r : rounds_) {
@@ -164,7 +153,6 @@ std::string CourseLog::ToCsv() const {
        << "," << r.uplink_bytes << "," << r.downlink_bytes << ","
        << r.broadcasts << "," << r.dropped_stale << "," << r.declined << ","
        << r.dropouts << "," << r.replacements << ",";
-    if (topology) os << r.partial_updates << "," << r.shard_failovers << ",";
     if (guard) {
       os << r.updates_rejected << "," << r.clients_quarantined << ",";
     }

@@ -89,12 +89,6 @@ Config CourseSpec::ToConfig() const {
   c.Set("suppress_duplicates", suppress_duplicates);
   c.Set("crash_frac", crash_frac);
   c.Set("population", population);
-  c.Set("topology.shards", topology_shards);
-  c.Set("topology.standbys", topology_standbys);
-  c.Set("topology.assignment", topology_assignment);
-  c.Set("topology.failure_timeout", topology_failure_timeout);
-  c.Set("topology.kill_shard", topology_kill_shard);
-  c.Set("topology.kill_round", topology_kill_round);
   c.Set("fault.dropout_frac", fault_dropout_frac);
   c.Set("fault.crash_prob", fault_crash_prob);
   c.Set("fault.straggler_frac", fault_straggler_frac);
@@ -172,18 +166,6 @@ Result<CourseSpec> CourseSpec::FromConfig(const Config& config) {
       config.GetBool("suppress_duplicates", s.suppress_duplicates);
   s.crash_frac = config.GetDouble("crash_frac", s.crash_frac);
   s.population = static_cast<int>(config.GetInt("population", s.population));
-  s.topology_shards =
-      static_cast<int>(config.GetInt("topology.shards", s.topology_shards));
-  s.topology_standbys =
-      static_cast<int>(config.GetInt("topology.standbys", s.topology_standbys));
-  s.topology_assignment =
-      config.GetString("topology.assignment", s.topology_assignment);
-  s.topology_failure_timeout =
-      config.GetDouble("topology.failure_timeout", s.topology_failure_timeout);
-  s.topology_kill_shard = static_cast<int>(
-      config.GetInt("topology.kill_shard", s.topology_kill_shard));
-  s.topology_kill_round = static_cast<int>(
-      config.GetInt("topology.kill_round", s.topology_kill_round));
   s.fault_dropout_frac =
       config.GetDouble("fault.dropout_frac", s.fault_dropout_frac);
   s.fault_crash_prob = config.GetDouble("fault.crash_prob", s.fault_crash_prob);
@@ -321,28 +303,9 @@ CourseSpec CourseGen::Sample(uint64_t seed) {
   // every pre-existing field.
   s.crash_frac = rng.Uniform(0.0, 1.0);
 
-  // Topology axis (flat / 2-shard / 4-shard / standby failover), appended
-  // after crash_frac for the same corpus-stability reason. Kept a minority
-  // draw: Clamp projects hierarchical specs onto the synchronous
-  // weighted-mean sub-lattice, so a frequent draw would collapse most of
-  // the strategy/aggregator/fault diversity sampled above.
-  const int topo = rng.Bernoulli(0.3) ? rng.UniformInt(1, 3) : 0;
-  if (topo != 0) {
-    s.topology_shards = topo == 2 ? 4 : 2;
-    s.topology_assignment =
-        PickOne<std::string>(&rng, {"round_robin", "contiguous"});
-    s.topology_failure_timeout = rng.Uniform(10.0, 50.0);
-    s.topology_standbys = rng.UniformInt(0, 2);
-    if (topo == 3) {
-      s.topology_standbys = std::max(1, s.topology_standbys);
-      s.topology_kill_shard = rng.UniformInt(0, s.topology_shards - 1);
-      s.topology_kill_round = rng.UniformInt(0, s.max_rounds - 1);
-    }
-  }
-
   // Population axis (client virtualization, DESIGN.md §13), appended after
-  // the topology draws for corpus stability. A minority draw: it multiplies
-  // course size by ~3x, so most specs stay small and fast.
+  // crash_frac for the same corpus-stability reason. A minority draw: it
+  // multiplies course size by ~3x, so most specs stay small and fast.
   if (rng.Bernoulli(0.25)) s.population = rng.UniformInt(12, 28);
 
   // Hostility axis (ingress guard + Byzantine clients, DESIGN.md §14),
@@ -478,58 +441,6 @@ CourseSpec CourseGen::Clamp(CourseSpec s) {
     s.receive_deadline = 0.75;
   }
 
-  // -- topology rules (DESIGN.md §11) ---------------------------------------
-  if (!OneOf(s.topology_assignment, {"round_robin", "contiguous"})) {
-    s.topology_assignment = "round_robin";
-  }
-  if (s.topology_shards <= 0) {
-    // Flat: the whole axis collapses to defaults, so flat specs (and every
-    // pre-topology corpus line) keep a single canonical form.
-    s.topology_shards = 0;
-    s.topology_standbys = 0;
-    s.topology_assignment = "round_robin";
-    s.topology_failure_timeout = 30.0;
-    s.topology_kill_shard = -1;
-    s.topology_kill_round = 0;
-  } else {
-    s.topology_shards = clamp_int(s.topology_shards, 2, 4);
-    s.topology_standbys = clamp_int(s.topology_standbys, 0, 2);
-    s.topology_failure_timeout =
-        clamp_double(s.topology_failure_timeout, 10.0, 50.0);
-    if (s.topology_kill_shard >= 0) {
-      s.topology_kill_shard =
-          clamp_int(s.topology_kill_shard, 0, s.topology_shards - 1);
-      s.topology_kill_round =
-          clamp_int(s.topology_kill_round, 0, s.max_rounds - 1);
-      // A killed primary needs a standby to take over, or the shard (and
-      // with it the synchronous round) is gone for good.
-      s.topology_standbys = std::max(1, s.topology_standbys);
-    } else {
-      s.topology_kill_shard = -1;
-      s.topology_kill_round = 0;
-    }
-    // Hierarchical pre-aggregation is defined for the weighted-mean root
-    // under the synchronous full-coverage trigger; other strategies and
-    // aggregators are outside the topology lattice.
-    s.strategy = "sync_vanilla";
-    s.broadcast = "after_aggregating";
-    s.receive_deadline = 0.0;
-    s.aggregator = "fedavg";
-    // Standalone lossy faults suppress uplinks silently (no client_failure
-    // control message exists in standalone mode), which would stall a
-    // shard's sub-cohort forever — there is no deadline backstop in the
-    // hierarchical trigger. Duplicated partials would double-count client
-    // weight. Delay-only faults stay in the lattice.
-    s.fault_dropout_frac = 0.0;
-    s.fault_crash_prob = 0.0;
-    s.fault_msg_loss_prob = 0.0;
-    s.fault_msg_duplicate_prob = 0.0;
-    s.suppress_duplicates = false;
-    // Per-client metric collection reads model_update payloads the root
-    // never sees under sharding.
-    s.collect_client_metrics = false;
-  }
-
   // -- population rules -----------------------------------------------------
   if (s.population <= 0) {
     s.population = 0;  // canonical "use num_clients" form
@@ -568,34 +479,31 @@ CourseSpec CourseGen::Clamp(CourseSpec s) {
                               std::max(2, (s.EffectiveClients() * 3) / 5));
     s.aggregation_goal = std::min(s.aggregation_goal, s.concurrency);
     s.min_received = std::min(s.min_received, s.concurrency);
-    if (!s.Hierarchical()) {
-      // The root aggregates raw cohorts: it needs a Byzantine-robust
-      // aggregator. (Hierarchical roots see edge-guarded partials and stay
-      // on the weighted mean the topology lattice requires.)
-      if (s.aggregator == "fedavg") {
-        s.aggregator = "median";
-      } else if (s.aggregator == "fedopt") {
-        s.aggregator = "trimmed_mean";
-      } else if (s.aggregator == "fednova") {
-        s.aggregator = "krum";
-      }
-      if (s.aggregator == "trimmed_mean") {
-        // The trim must out-vote the hostile share, or the attack sits
-        // inside the aggregator's breakdown point by construction.
-        s.trim_frac = clamp_double(s.trim_frac, s.hostile_frac + 0.05, 0.45);
-      }
-      if (s.strategy == "async_goal") {
-        // Rejected updates never fill the goal; the rebroadcast-per-reply
-        // cycle keeps feedback flowing until quarantine exiles attackers.
-        s.broadcast = "after_receiving";
-      }
-      const bool hostile_sync = s.strategy == "sync_vanilla" ||
-                                s.strategy == "sync_overselect";
-      if (hostile_sync && s.receive_deadline <= 0.0) {
-        // Same backstop as lossy faults: a rejection can shrink a
-        // synchronous cohort mid-round.
-        s.receive_deadline = 0.75;
-      }
+    // The server aggregates raw cohorts: it needs a Byzantine-robust
+    // aggregator.
+    if (s.aggregator == "fedavg") {
+      s.aggregator = "median";
+    } else if (s.aggregator == "fedopt") {
+      s.aggregator = "trimmed_mean";
+    } else if (s.aggregator == "fednova") {
+      s.aggregator = "krum";
+    }
+    if (s.aggregator == "trimmed_mean") {
+      // The trim must out-vote the hostile share, or the attack sits
+      // inside the aggregator's breakdown point by construction.
+      s.trim_frac = clamp_double(s.trim_frac, s.hostile_frac + 0.05, 0.45);
+    }
+    if (s.strategy == "async_goal") {
+      // Rejected updates never fill the goal; the rebroadcast-per-reply
+      // cycle keeps feedback flowing until quarantine exiles attackers.
+      s.broadcast = "after_receiving";
+    }
+    const bool hostile_sync =
+        s.strategy == "sync_vanilla" || s.strategy == "sync_overselect";
+    if (hostile_sync && s.receive_deadline <= 0.0) {
+      // Same backstop as lossy faults: a rejection can shrink a
+      // synchronous cohort mid-round.
+      s.receive_deadline = 0.75;
     }
   }
   if (!s.guard) {
@@ -755,16 +663,6 @@ FedJob CourseFixture::MakeJob() const {
     fleet_opts.straggler_slowdown = 0.25;
     Rng fleet_rng(s.seed ^ 0xf1ee7ull);
     job.fleet = MakeFleet(s.EffectiveClients(), fleet_opts, &fleet_rng);
-  }
-
-  job.server.topology.num_shards = s.topology_shards;
-  job.server.topology.standbys_per_shard = s.topology_standbys;
-  job.server.topology.assignment = s.topology_assignment;
-  job.server.topology.failure_timeout = s.topology_failure_timeout;
-  if (s.topology_kill_shard >= 0) {
-    job.fault.aggregator_crashes.push_back(
-        AggregatorCrash{s.topology_kill_shard, /*slot=*/0,
-                        s.topology_kill_round});
   }
 
   job.through_wire = s.through_wire;

@@ -73,21 +73,6 @@ struct CourseSpec {
   /// one. Always exercised: courses cannot opt out of crash consistency.
   double crash_frac = 0.5;
 
-  // -- topology (hierarchical sharded aggregation, DESIGN.md §11) -----------
-  /// Shard count of the aggregation tree; 0 = flat (the default). Flat
-  /// specs collapse the whole topology axis to defaults under Clamp so
-  /// pre-topology corpus lines keep their historical repro form.
-  int topology_shards = 0;
-  /// Hot standbys per shard (slots 1..N behind the slot-0 primary).
-  int topology_standbys = 0;
-  std::string topology_assignment = "round_robin";  ///< | "contiguous"
-  /// Standby watchdog silence threshold (virtual seconds).
-  double topology_failure_timeout = 30.0;
-  /// Shard whose slot-0 primary is crash-scheduled mid-course; -1 = no
-  /// kill. A kill forces topology_standbys >= 1 (someone must take over).
-  int topology_kill_shard = -1;
-  int topology_kill_round = 0;
-
   // -- population (client virtualization, DESIGN.md §13) --------------------
   /// Total participant count when it exceeds the dataset-diversity axis:
   /// 0 = num_clients (the historical default; every pre-population corpus
@@ -140,9 +125,6 @@ struct CourseSpec {
     return fault_dropout_frac > 0.0 || fault_crash_prob > 0.0 ||
            fault_msg_loss_prob > 0.0;
   }
-
-  /// True when the spec runs a hierarchical (sharded) aggregation tree.
-  bool Hierarchical() const { return topology_shards > 0; }
 
   /// True when part of the fleet attacks (hostile-client axis active).
   bool Hostile() const { return hostile_frac > 0.0; }

@@ -126,8 +126,7 @@ void CheckReproduces(std::vector<Violation>* v, const std::string& oracle,
             ref.fault.crashes == run.fault.crashes &&
             ref.fault.lost == run.fault.lost &&
             ref.fault.duplicated == run.fault.duplicated &&
-            ref.fault.delayed == run.fault.delayed &&
-            ref.fault.aggregator_dropped == run.fault.aggregator_dropped,
+            ref.fault.delayed == run.fault.delayed,
         oracle,
         tag + "fault-plan counters differ (fault rng consumed off-order)");
   Check(v,
@@ -194,10 +193,6 @@ CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
   if (all_sinks) {
     job.obs.metrics = &metrics;
     job.obs.tracer = &tracer;
-  }
-  if (all_sinks || spec.Hierarchical()) {
-    // Hierarchical oracles need the per-round contributor record to check
-    // weight conservation across failovers.
     job.obs.course_log = &obs.course_log;
   }
   double last_delivery_time = -1.0;
@@ -233,19 +228,13 @@ CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
   obs.recoveries = runner.recoveries();
   obs.fault = runner.fault_plan().counters();
   obs.hostile = runner.fault_plan().hostile_clients();
-  obs.aggregators_killed = runner.aggregators_killed();
-  for (const auto& agg : runner.aggregators()) {
-    obs.promotions += agg->promotions();
-    obs.partials_forwarded += agg->partials_forwarded();
-  }
   obs.cache = runner.client_cache()->stats();
   obs.metrics = metrics.Snapshot();
   return obs;
 }
 
 bool DistributedEligible(const CourseSpec& spec) {
-  return spec.population == 0 && spec.topology_shards == 0 &&
-         spec.strategy == "sync_vanilla" &&
+  return spec.population == 0 && spec.strategy == "sync_vanilla" &&
          spec.concurrency == spec.num_clients &&
          spec.receive_deadline == 0.0 && !spec.suppress_duplicates &&
          spec.fault_dropout_frac == 0.0 && spec.fault_crash_prob == 0.0 &&
@@ -511,10 +500,6 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
         Vs("starved expiries beyond the course's bound", extension_bound,
            stats.round_extensions));
 
-  // aggregator_dropped is deliberately absent from `vanished`: messages
-  // addressed to a crashed aggregator are dispatched by the pump (the
-  // delivery tap sees them) and then eaten by the dead endpoint, so at
-  // pump level they are delivered, not lost in transit.
   const int64_t vanished =
       a.fault.dropout_suppressed + a.fault.crashes + a.fault.lost;
   Check(&v, a.delivered == a.sent - vanished + a.fault.duplicated - a.suppressed,
@@ -582,81 +567,6 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
     Check(&v, c.recoveries == 1, "crash_resume",
           Vs("server restores performed", int64_t{1}, c.recoveries));
     CheckReproduces(&v, "crash_resume", "crash-resume: ", a, c);
-  }
-
-  // -- oracle 9: flat-vs-sharded equivalence --------------------------------
-  // FedAvg pre-aggregation is exact in real arithmetic: Σ_s (N_s/N)(Σ_i
-  // n_i δ_i / N_s) == Σ_i (n_i/N) δ_i. The flat twin (same spec, topology
-  // axis zeroed) must therefore produce the same round structure and the
-  // same per-client aggregation counts; accuracies agree only to float
-  // reassociation tolerance.
-  // Hostile specs are excluded: the hostile draws consume the plan's rng in
-  // send order, and the sharded and flat message sequences differ, so the
-  // two runs are attacked differently — no equivalence to check. Specs
-  // with declining clients are excluded too: a flat root refills each
-  // declined slot as the decline arrives, a sharded one when the shard's
-  // partial reports it, so the two draw different refills.
-  if (spec.Hierarchical() && spec.topology_kill_shard < 0 && !spec.Hostile() &&
-      spec.low_bandwidth_frac == 0.0) {
-    CourseSpec flat_spec = spec;
-    flat_spec.topology_shards = 0;
-    flat_spec = CourseGen::Clamp(std::move(flat_spec));
-    CourseObservation f = RunInstrumentedCourse(flat_spec, -1, options.exec_threads);
-    Check(&v, f.finished, "sharding_equivalence", "flat twin stalled");
-    Check(&v, f.result.server.rounds == stats.rounds, "sharding_equivalence",
-          Vs("flat twin round count differs", stats.rounds,
-             f.result.server.rounds));
-    Check(&v, f.result.server.curve.size() == stats.curve.size(),
-          "sharding_equivalence",
-          Vs("flat twin curve length differs", stats.curve.size(),
-             f.result.server.curve.size()));
-    Check(&v, f.result.server.agg_count == stats.agg_count,
-          "sharding_equivalence",
-          "flat twin per-client aggregation counts differ");
-    Check(&v,
-          std::abs(f.result.server.final_accuracy - stats.final_accuracy) <
-              0.1,
-          "sharding_equivalence",
-          Vs("flat twin final accuracy diverged", f.result.server.final_accuracy,
-             stats.final_accuracy));
-    Check(&v, stats.shard_failovers == 0, "sharding_equivalence",
-          Vs("failover without a kill schedule", int64_t{0},
-             stats.shard_failovers));
-  }
-
-  // -- oracle 10: aggregator failover ---------------------------------------
-  if (spec.Hierarchical()) {
-    // Weight conservation across the failover boundary: a client may train
-    // twice (original broadcast + post-promotion re-broadcast) but only one
-    // of its updates may reach aggregation per round.
-    for (const CourseRoundRecord& r : a.course_log.rounds()) {
-      std::set<int> distinct(r.contributors.begin(), r.contributors.end());
-      Check(&v, distinct.size() == r.contributors.size(),
-            "aggregator_failover",
-            "round " + std::to_string(r.round) +
-                " aggregated a client twice (" +
-                std::to_string(r.contributors.size()) + " contributions, " +
-                std::to_string(distinct.size()) + " distinct)");
-      for (int id : r.contributors) {
-        Check(&v, id >= 1 && id <= spec.EffectiveClients(),
-              "aggregator_failover",
-              Vs("contributor id out of fleet range", spec.EffectiveClients(),
-                 id));
-      }
-    }
-    if (spec.topology_kill_shard >= 0) {
-      Check(&v, a.aggregators_killed >= 1, "aggregator_failover",
-            Vs("kill scheduled but no aggregator died", int64_t{1},
-               a.aggregators_killed));
-      Check(&v, a.promotions >= 1, "aggregator_failover",
-            Vs("no standby promoted after the kill", int64_t{1},
-               a.promotions));
-      Check(&v, stats.shard_failovers >= 1, "aggregator_failover",
-            Vs("root acknowledged no failover", int64_t{1},
-               stats.shard_failovers));
-      Check(&v, !stats.aborted, "aggregator_failover",
-            "course aborted instead of failing over");
-    }
   }
 
   // -- oracle 11: serial-vs-threaded differential ---------------------------
@@ -804,15 +714,10 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
                                              stats.quarantined.end());
     Check(&v, distinct_quarantined.size() == stats.quarantined.size(),
           "byzantine_tolerance", "a client was quarantined twice");
-    if (spec.topology_kill_shard < 0) {
-      // With a kill schedule a poisoned update can be eaten by the dead
-      // aggregator incarnation before any guard sees it, so the exact
-      // reconciliation only holds without one.
-      Check(&v, a.nonfinite_updates_delivered <= stats.updates_rejected,
-            "byzantine_tolerance",
-            Vs("non-finite updates delivered vs rejected at ingress",
-               stats.updates_rejected, a.nonfinite_updates_delivered));
-    }
+    Check(&v, a.nonfinite_updates_delivered <= stats.updates_rejected,
+          "byzantine_tolerance",
+          Vs("non-finite updates delivered vs rejected at ingress",
+             stats.updates_rejected, a.nonfinite_updates_delivered));
   }
 
   return v;

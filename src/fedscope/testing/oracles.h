@@ -36,14 +36,7 @@ struct CourseObservation {
   FaultPlan::Counters fault;
   /// First delivery whose virtual timestamp regressed ("" if monotone).
   std::string time_regression;
-  /// Aggregator incarnations killed by the plan's crash schedule.
-  int64_t aggregators_killed = 0;
-  /// Standby promotions across all edge-aggregator incarnations.
-  int64_t promotions = 0;
-  /// Partial updates forwarded across all edge-aggregator incarnations.
-  int64_t partials_forwarded = 0;
-  /// Per-round course record; attached for hierarchical specs (the
-  /// failover oracle reads it) and for runs with every sink attached.
+  /// Per-round course record; empty unless every sink was attached.
   CourseLog course_log;
   /// The metrics registry at course end; empty unless every sink was
   /// attached.
@@ -74,8 +67,7 @@ inline constexpr int kAutoCapacity = 0;
 /// `cache_capacity` picks the client lifecycle (kPopulationCapacity,
 /// kAutoCapacity, or an explicit capacity). `all_sinks` attaches a private
 /// MetricsRegistry, Tracer and the observation's CourseLog, and stores the
-/// registry's snapshot in `metrics`; otherwise only hierarchical specs get
-/// a course log, and the rest of the ObsContext stays null.
+/// registry's snapshot in `metrics`; otherwise the ObsContext stays null.
 CourseObservation RunInstrumentedCourse(
     const CourseSpec& spec, int64_t crash_at_event = -1, int exec_threads = 0,
     int cache_capacity = kPopulationCapacity, bool all_sinks = false);
@@ -114,15 +106,8 @@ bool DistributedEligible(const CourseSpec& spec);
 ///   8. crash-resume bit-identity: kill the server at the spec's
 ///      crash_frac point, restore from a serialized snapshot, and require
 ///      the resumed course to match the uninterrupted run bit for bit,
-///   9. flat-vs-sharded equivalence (hierarchical specs without a kill):
-///      the flat twin of the spec must produce the same round structure
-///      and per-client aggregation counts, and a final accuracy within
-///      float-reassociation tolerance (FedAvg pre-aggregation is exact in
-///      real arithmetic),
-///  10. aggregator failover (specs with a kill schedule): the course still
-///      finishes unaborted, a standby promotion is observed, and no client
-///      is aggregated twice in one round (weight conservation across the
-///      failover boundary),
+///   9. and 10. retired with the edge-aggregator hierarchy (DESIGN.md
+///      §11); the numbers are kept so the others keep theirs,
 ///  11. serial-vs-threaded differential: the course rerun under
 ///      ExecutionBackend::kThreaded at each OracleOptions::parallel_threads
 ///      helper count must reproduce the base run bit for bit (final model,

@@ -84,7 +84,6 @@ ShrinkResult ShrinkCourse(const CourseSpec& failing,
       {&CourseSpec::strategy},        {&CourseSpec::broadcast},
       {&CourseSpec::sampler},         {&CourseSpec::aggregator},
       {&CourseSpec::personalization}, {&CourseSpec::compression},
-      {&CourseSpec::topology_assignment},
   };
   const struct {
     bool CourseSpec::* field;
@@ -105,10 +104,6 @@ ShrinkResult ShrinkCourse(const CourseSpec& failing,
       {&CourseSpec::min_received},   {&CourseSpec::max_round_extensions},
       {&CourseSpec::max_rounds},     {&CourseSpec::eval_interval},
       {&CourseSpec::local_steps},    {&CourseSpec::batch_size},
-      {&CourseSpec::topology_shards},
-      {&CourseSpec::topology_standbys},
-      {&CourseSpec::topology_kill_shard},
-      {&CourseSpec::topology_kill_round},
   };
   const struct {
     double CourseSpec::* field;
@@ -131,7 +126,6 @@ ShrinkResult ShrinkCourse(const CourseSpec& failing,
       {&CourseSpec::fault_msg_duplicate_prob},
       {&CourseSpec::fault_msg_delay_prob},
       {&CourseSpec::fault_msg_delay_max},
-      {&CourseSpec::topology_failure_timeout},
   };
 
   int fields_reset = 0;

@@ -211,6 +211,12 @@ struct StrategyCase {
   std::string sampler;
 };
 
+// gtest would otherwise print the raw bytes, heap pointers included, into
+// each test's listed name, which then differs from one run to the next.
+void PrintTo(const StrategyCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class StrategySweep : public ::testing::TestWithParam<StrategyCase> {};
 
 TEST_P(StrategySweep, DeterministicAndInvariantsHold) {

@@ -204,59 +204,6 @@ TEST(CheckpointFileTest, LoadLatestSkipsCorruptSnapshots) {
             StatusCode::kNotFound);
 }
 
-TEST(CheckpointFileTest, WorkerPrefixesShareOneDirectoryDisjointly) {
-  // A shard's primary, its standbys, and the root may all snapshot into
-  // one directory; the worker prefix must keep their files, pruning, and
-  // loads fully disjoint.
-  const std::string dir = ::testing::TempDir() + "/snapshots_prefixed";
-  auto make_writer = [&](const std::string& prefix) {
-    SnapshotPolicy policy;
-    policy.directory = dir;
-    policy.keep_last = 1;
-    policy.worker_prefix = prefix;
-    return SnapshotWriter(policy);
-  };
-  SnapshotWriter s0 = make_writer("s0-");
-  SnapshotWriter s1 = make_writer("s1-");
-  SnapshotWriter root = make_writer("");
-
-  Checkpoint ckpt = SampleCheckpoint();
-  for (int round : {1, 2}) {
-    ckpt.round = round;
-    ckpt.course.SetInt("owner", 0);
-    ASSERT_TRUE(Persisted(s0.Write(ckpt)));
-    ckpt.course.SetInt("owner", 1);
-    ASSERT_TRUE(Persisted(s1.Write(ckpt)));
-  }
-  ckpt.round = 7;
-  ckpt.course.SetInt("owner", -1);
-  ASSERT_TRUE(Persisted(root.Write(ckpt)));
-  for (SnapshotWriter* writer : {&s0, &s1, &root}) {
-    ASSERT_TRUE(Persisted(writer->Flush()));
-  }
-
-  // Each prefix loads its own newest snapshot, never a neighbour's —
-  // even though s1 wrote later rounds into the same directory than root.
-  auto loaded0 = LoadLatestSnapshot(dir, "s0-");
-  ASSERT_TRUE(loaded0.ok()) << loaded0.status().ToString();
-  EXPECT_EQ(loaded0->round, 2);
-  EXPECT_EQ(loaded0->course.GetInt("owner", 99), 0);
-  auto loaded1 = LoadLatestSnapshot(dir, "s1-");
-  ASSERT_TRUE(loaded1.ok()) << loaded1.status().ToString();
-  EXPECT_EQ(loaded1->course.GetInt("owner", 99), 1);
-  // The unprefixed (legacy) reader never matches prefixed files.
-  auto loaded_root = LoadLatestSnapshot(dir);
-  ASSERT_TRUE(loaded_root.ok()) << loaded_root.status().ToString();
-  EXPECT_EQ(loaded_root->round, 7);
-  EXPECT_EQ(loaded_root->course.GetInt("owner", 99), -1);
-
-  // keep_last=1 pruning is per-prefix: s0's round-1 file is gone, but s1's
-  // and the root's files survived s0's pruning passes.
-  EXPECT_FALSE(ReadCheckpointFile(dir + "/s0-snapshot-000001.ckpt").ok());
-  EXPECT_TRUE(ReadCheckpointFile(dir + "/s1-snapshot-000002.ckpt").ok());
-  EXPECT_TRUE(ReadCheckpointFile(dir + "/snapshot-000007.ckpt").ok());
-}
-
 TEST(CheckpointTest, RestoreModelLoadsParameters) {
   Checkpoint ckpt = SampleCheckpoint();
   Rng rng(9);

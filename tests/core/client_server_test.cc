@@ -679,20 +679,21 @@ TEST(ServerTest, OverselectTriggerFollowsLostSlots) {
 }
 
 TEST(ServerTest, FlatBroadcastReachesLargeClientIds) {
-  // A flat population may use ids at or above the edge-aggregator id base
-  // (a million-client course does); each still gets its own model_para.
+  // A population may use ids in the hundreds of thousands (a
+  // million-client course does); each still gets its own model_para.
+  constexpr int kLargeId = 100001;
   QueueChannel channel;
   ServerOptions options;
   options.expected_clients = 1;
   options.concurrency = 1;
   auto server = MakeServer(&channel, options);
-  server->HandleMessage(JoinFrom(kAggregatorIdBase + 1));
+  server->HandleMessage(JoinFrom(kLargeId));
   int broadcasts = 0;
   while (!channel.Empty()) {
     const Message m = channel.Pop();
     if (m.msg_type != events::kModelPara) continue;
     ++broadcasts;
-    EXPECT_EQ(m.receiver, kAggregatorIdBase + 1);
+    EXPECT_EQ(m.receiver, kLargeId);
     EXPECT_FALSE(m.payload.HasScalar("cohort"));
   }
   EXPECT_EQ(broadcasts, 1);

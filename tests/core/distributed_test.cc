@@ -1,12 +1,17 @@
 #include "fedscope/core/distributed.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <cstring>
 #include <thread>
 
 #include "fedscope/comm/socket_transport.h"
-#include "fedscope/core/distributed_aggregator.h"
 #include "fedscope/core/events.h"
+#include "fedscope/core/id_set.h"
 #include "fedscope/nn/model_zoo.h"
 #include "fedscope/obs/course_log.h"
 #include "fedscope/obs/metrics.h"
@@ -358,181 +363,230 @@ TEST(DistributedTest, AsyncGoalStrategyOverTcp) {
   EXPECT_GT(stats.final_accuracy, 0.8);
 }
 
-TEST(DistributedTest, HierarchicalCourseOverTcp) {
-  // Two-shard topology over real sockets: the root host doubles as the
-  // hub relaying aggregator<->client traffic; workers are unchanged.
-  constexpr int kClients = 4;
-  constexpr int kShards = 2;
-  Rng init_rng(1);
-  Model init = MakeLogisticRegression(2, 2, &init_rng);
+// ---------------------------------------------------------------------------
+// Raw peers: frames no DistributedClientHost would send
+// ---------------------------------------------------------------------------
 
-  auto listener = TcpListener::Bind(0);
-  ASSERT_TRUE(listener.ok());
-  const int port = listener->port();
-
-  ServerOptions server_options;
-  server_options.strategy = Strategy::kSyncVanilla;
-  server_options.concurrency = kClients;
-  server_options.expected_clients = kClients;
-  server_options.max_rounds = 6;
-  server_options.seed = 2;
-  server_options.topology.num_shards = kShards;
-
-  DistributedServerHost server_host(
-      server_options, init, std::make_unique<FedAvgAggregator>(),
-      std::move(listener.value()));
-  Dataset server_test = Blobs(64, 99);
-  server_host.server()->set_evaluator([&server_test](Model* model) {
-    return EvaluateClassifier(model, server_test);
-  });
-
-  ServerStats stats;
-  std::thread server_thread([&] { stats = server_host.Run(); });
-
-  std::vector<std::unique_ptr<DistributedAggregatorHost>> agg_hosts;
-  for (int shard = 0; shard < kShards; ++shard) {
-    EdgeAggregatorOptions options;
-    options.topology = server_options.topology;
-    options.shard = shard;
-    agg_hosts.push_back(std::make_unique<DistributedAggregatorHost>(
-        options, "127.0.0.1", port));
-  }
-  std::vector<std::thread> agg_threads;
-  std::vector<Status> agg_statuses(kShards);
-  for (int shard = 0; shard < kShards; ++shard) {
-    agg_threads.emplace_back([&, shard] {
-      agg_statuses[shard] = agg_hosts[shard]->Run();
-    });
-  }
-
-  std::vector<std::thread> client_threads;
-  std::vector<Status> client_statuses(kClients);
-  for (int id = 1; id <= kClients; ++id) {
-    client_threads.emplace_back([&, id] {
-      ClientOptions options;
-      options.jitter_sigma = 0.0;
-      options.seed = 100 + id;
-      Rng split_rng(id);
-      SplitDataset data = Split(Blobs(40, id), 0.7, 0.1, &split_rng);
-      DistributedClientHost host(id, std::move(options), init,
-                                 std::move(data),
-                                 std::make_unique<GeneralTrainer>(),
-                                 "127.0.0.1", port);
-      client_statuses[id - 1] = host.Run();
-    });
-  }
-  for (auto& t : client_threads) t.join();
-  for (auto& t : agg_threads) t.join();
-  server_thread.join();
-
-  for (const auto& status : client_statuses) {
-    EXPECT_TRUE(status.ok()) << status.ToString();
-  }
-  for (const auto& status : agg_statuses) {
-    EXPECT_TRUE(status.ok()) << status.ToString();
-  }
-  EXPECT_EQ(stats.rounds, 6);
-  EXPECT_GT(stats.final_accuracy, 0.85);  // the course actually learned
-  EXPECT_EQ(stats.shard_failovers, 0);
-  EXPECT_EQ(server_host.failed_aggregators(), 0);
-  for (int id = 1; id <= kClients; ++id) {
-    EXPECT_EQ(stats.agg_count[id], 6) << "client " << id;
-  }
-  // Full participation: one partial per shard per round.
-  for (int shard = 0; shard < kShards; ++shard) {
-    EXPECT_EQ(agg_hosts[shard]->aggregator()->partials_forwarded(), 6)
-        << "shard " << shard;
-  }
+/// A peer that speaks the wire protocol by hand, with a recv timeout so a
+/// test fails instead of hanging when the server does not answer.
+TcpConnection RawPeer(int port) {
+  auto conn = TcpConnection::Connect("127.0.0.1", port);
+  EXPECT_TRUE(conn.ok()) << conn.status().ToString();
+  EXPECT_TRUE(conn->SetTimeouts(0.0, 10.0).ok());
+  return std::move(conn.value());
 }
 
-TEST(DistributedTest, HierarchicalFailoverOverTcp) {
-  // Shard 0's primary halts mid-course (the socket drops exactly as a
-  // SIGKILL would); the hub wakes the shard's hot standby, which promotes
-  // under a bumped shard epoch, and the course completes through it.
-  constexpr int kClients = 4;
-  constexpr int kShards = 2;
-  Rng init_rng(1);
-  Model init = MakeLogisticRegression(2, 2, &init_rng);
+Message Hello(int sender) {
+  Message join;
+  join.sender = sender;
+  join.receiver = kServerId;
+  join.msg_type = events::kJoinIn;
+  return join;
+}
 
+/// True once the server has closed `peer`'s connection.
+bool ClosedByServer(TcpConnection* peer) {
+  const Result<Message> next = peer->ReceiveMessage();
+  return !next.ok() && next.status().code() != StatusCode::kDeadlineExceeded;
+}
+
+ServerOptions SmallSyncCourse(int clients, int rounds) {
+  ServerOptions options;
+  options.strategy = Strategy::kSyncVanilla;
+  options.concurrency = clients;
+  options.expected_clients = clients;
+  options.max_rounds = rounds;
+  options.seed = 9;
+  return options;
+}
+
+std::unique_ptr<DistributedClientHost> BlobClient(int id, const Model& init,
+                                                  int port) {
+  ClientOptions options;
+  options.jitter_sigma = 0.0;
+  options.seed = 500 + id;
+  Rng split_rng(id);
+  return std::make_unique<DistributedClientHost>(
+      id, std::move(options), init,
+      Split(Blobs(40, 40 + id), 0.7, 0.1, &split_rng),
+      std::make_unique<GeneralTrainer>(), "127.0.0.1", port);
+}
+
+TEST(DistributedTest, BadHellosCloseOnlyTheirConnection) {
+  // Each kind of bad first frame, from a peer of its own: the server closes
+  // that connection, counts it, and keeps accepting until every client id
+  // has joined. Each peer waits for its close before the next connects, so
+  // the server meets them in this order.
+  constexpr int kClients = 3;
+  constexpr int kRounds = 3;
+  Rng init_rng(8);
+  Model init = MakeLogisticRegression(2, 2, &init_rng);
   auto listener = TcpListener::Bind(0);
   ASSERT_TRUE(listener.ok());
   const int port = listener->port();
-
-  ServerOptions server_options;
-  server_options.strategy = Strategy::kSyncVanilla;
-  server_options.concurrency = kClients;
-  server_options.expected_clients = kClients;
-  server_options.max_rounds = 6;
-  server_options.seed = 2;
-  server_options.topology.num_shards = kShards;
-  server_options.topology.standbys_per_shard = 1;
-  server_options.topology.failure_timeout = 0.05;  // wall seconds here
-
-  DistributedServerHost server_host(
-      server_options, init, std::make_unique<FedAvgAggregator>(),
-      std::move(listener.value()));
-  Dataset server_test = Blobs(64, 99);
-  server_host.server()->set_evaluator([&server_test](Model* model) {
-    return EvaluateClassifier(model, server_test);
-  });
-
+  DistributedServerHost server_host(SmallSyncCourse(kClients, kRounds), init,
+                                    std::make_unique<FedAvgAggregator>(),
+                                    std::move(listener.value()));
+  MetricsRegistry metrics;
+  ObsContext server_obs;
+  server_obs.metrics = &metrics;
+  server_host.set_obs(&server_obs);
   ServerStats stats;
   std::thread server_thread([&] { stats = server_host.Run(); });
 
-  std::vector<std::unique_ptr<DistributedAggregatorHost>> agg_hosts;
-  for (int shard = 0; shard < kShards; ++shard) {
-    for (int slot = 0; slot <= 1; ++slot) {
-      EdgeAggregatorOptions options;
-      options.topology = server_options.topology;
-      options.shard = shard;
-      options.slot = slot;
-      agg_hosts.push_back(std::make_unique<DistributedAggregatorHost>(
-          options, "127.0.0.1", port));
-    }
+  int bad_hellos = 0;
+  {
+    // A frame that does not decode: a length prefix and 8 garbage bytes.
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    const uint8_t frame[12] = {8, 0, 0, 0, 'n', 'o', 't', ' ', 'w', 'i', 'r',
+                               'e'};
+    ASSERT_EQ(::send(fd, frame, sizeof(frame), 0),
+              static_cast<ssize_t>(sizeof(frame)));
+    TcpConnection garbage(fd);
+    ASSERT_TRUE(garbage.SetTimeouts(0.0, 10.0).ok());
+    EXPECT_TRUE(ClosedByServer(&garbage));
+    ++bad_hellos;
   }
-  agg_hosts[0]->set_halt_after_forwards(2);  // shard 0 primary dies
-  std::vector<std::thread> agg_threads;
-  for (auto& host : agg_hosts) {
-    agg_threads.emplace_back([&host] { host->Run().ok(); });
+  Message not_join = Hello(1);
+  not_join.msg_type = events::kModelUpdate;
+  for (const Message& hello : {not_join, Hello(0), Hello(kClients + 1),
+                               Hello(100000000)}) {
+    TcpConnection peer = RawPeer(port);
+    ASSERT_TRUE(peer.SendMessage(hello).ok());
+    EXPECT_TRUE(ClosedByServer(&peer)) << MessageSummary(hello);
+    ++bad_hellos;
   }
 
+  // Client 1 joins; a second hello under its id is refused. Each host
+  // connects as it is built.
+  std::vector<std::unique_ptr<DistributedClientHost>> hosts;
+  std::vector<Status> statuses(kClients);
   std::vector<std::thread> client_threads;
-  std::vector<Status> client_statuses(kClients);
-  for (int id = 1; id <= kClients; ++id) {
-    client_threads.emplace_back([&, id] {
-      ClientOptions options;
-      options.jitter_sigma = 0.0;
-      options.seed = 100 + id;
-      Rng split_rng(id);
-      SplitDataset data = Split(Blobs(40, id), 0.7, 0.1, &split_rng);
-      DistributedClientHost host(id, std::move(options), init,
-                                 std::move(data),
-                                 std::make_unique<GeneralTrainer>(),
-                                 "127.0.0.1", port);
-      client_statuses[id - 1] = host.Run();
-    });
+  auto start_client = [&](int id) {
+    hosts.push_back(BlobClient(id, init, port));
+    DistributedClientHost* host = hosts.back().get();
+    client_threads.emplace_back(
+        [&statuses, host, id] { statuses[id - 1] = host->Run(); });
+  };
+  start_client(1);
+  {
+    TcpConnection duplicate = RawPeer(port);
+    ASSERT_TRUE(duplicate.SendMessage(Hello(1)).ok());
+    EXPECT_TRUE(ClosedByServer(&duplicate));
+    ++bad_hellos;
   }
+  for (int id = 2; id <= kClients; ++id) start_client(id);
   for (auto& t : client_threads) t.join();
-  for (auto& t : agg_threads) t.join();
   server_thread.join();
 
-  // Clients never lose their (root) connection during an aggregator
-  // failover — only a root crash forces the re-join protocol.
-  for (const auto& status : client_statuses) {
+  for (const Status& status : statuses) {
     EXPECT_TRUE(status.ok()) << status.ToString();
   }
-  EXPECT_EQ(stats.rounds, 6);
-  EXPECT_EQ(server_host.failed_aggregators(), 1);
-  EXPECT_EQ(stats.shard_failovers, 1);
-  // agg_hosts[1] is shard 0 slot 1 — the standby that took over.
-  EXPECT_EQ(agg_hosts[1]->aggregator()->promotions(), 1);
-  EXPECT_TRUE(agg_hosts[1]->aggregator()->active());
-  EXPECT_GT(agg_hosts[1]->aggregator()->partials_forwarded(), 0);
-  // Every client of every round was aggregated exactly once despite the
-  // failover (weight conservation across the failover boundary).
+  EXPECT_EQ(stats.rounds, kRounds);
   for (int id = 1; id <= kClients; ++id) {
-    EXPECT_EQ(stats.agg_count[id], 6) << "client " << id;
+    EXPECT_EQ(stats.agg_count[id], kRounds) << "client " << id;
   }
+  EXPECT_EQ(bad_hellos, 6);
+  EXPECT_EQ(server_host.rejected_frames(), bad_hellos);
+  EXPECT_EQ(server_host.failed_clients(), 0);
+  EXPECT_EQ(metrics.CounterValue("fs_rejected_frames_total"),
+            static_cast<double>(bad_hellos));
+}
+
+TEST(DistributedTest, PeerCannotForgeFramesForOthers) {
+  // A raw peer joins as client 3 and, once the course has started, sends
+  // the other clients a finish that reads as the server's and an update
+  // under client 1's id. Neither may reach anyone: the real clients train
+  // every round, and each client is aggregated once per round.
+  constexpr int kClients = 3;
+  constexpr int kRounds = 3;
+  constexpr int kForger = 3;
+  Rng init_rng(9);
+  Model init = MakeLogisticRegression(2, 2, &init_rng);
+  auto listener = TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  const int port = listener->port();
+  DistributedServerHost server_host(SmallSyncCourse(kClients, kRounds), init,
+                                    std::make_unique<FedAvgAggregator>(),
+                                    std::move(listener.value()));
+  ServerStats stats;
+  std::thread server_thread([&] { stats = server_host.Run(); });
+
+  std::vector<std::unique_ptr<DistributedClientHost>> hosts;
+  std::vector<Status> statuses(kClients - 1);
+  std::vector<std::thread> client_threads;
+  for (int id = 1; id < kForger; ++id) {
+    hosts.push_back(BlobClient(id, init, port));
+    DistributedClientHost* host = hosts.back().get();
+    client_threads.emplace_back(
+        [&statuses, host, id] { statuses[id - 1] = host->Run(); });
+  }
+
+  // The forger answers each broadcast with a zero update, as client 3
+  // would, and forges its two frames on the first one.
+  TcpConnection forger = RawPeer(port);
+  ASSERT_TRUE(forger.SendMessage(Hello(kForger)).ok());
+  int updates_sent = 0;
+  bool forged = false;
+  while (true) {
+    Result<Message> msg = forger.ReceiveMessage();
+    ASSERT_TRUE(msg.ok()) << msg.status().ToString();
+    EXPECT_EQ(msg->receiver, kForger) << MessageSummary(*msg);
+    if (msg->msg_type == events::kFinish) break;
+    if (msg->msg_type != events::kModelPara) continue;
+    const int64_t epoch = msg->payload.GetInt(kSessionEpochKey, -1);
+    StateDict zeros;
+    for (const auto& [name, tensor] : msg->payload.GetStateDict("model")) {
+      zeros.emplace(name, Tensor::Zeros(tensor.shape()));
+    }
+    Message update;
+    update.receiver = kServerId;
+    update.msg_type = events::kModelUpdate;
+    update.state = msg->state;
+    update.payload.SetStateDict("delta", zeros);
+    update.payload.SetInt("num_samples", 1);
+    update.payload.SetInt(kSessionEpochKey, epoch);
+    if (!forged) {
+      forged = true;
+      Message finish;
+      finish.sender = kServerId;
+      finish.msg_type = events::kFinish;
+      finish.state = msg->state;
+      SetReceivers(&finish, IdSet::Range(1, kForger - 1));
+      finish.payload.SetInt(kSessionEpochKey, epoch);
+      ASSERT_TRUE(forger.SendMessage(finish).ok());
+      Message impostor = update;
+      impostor.sender = 1;
+      ASSERT_TRUE(forger.SendMessage(impostor).ok());
+    }
+    update.sender = kForger;
+    ASSERT_TRUE(forger.SendMessage(update).ok());
+    ++updates_sent;
+  }
+  forger.Close();
+  for (auto& t : client_threads) t.join();
+  server_thread.join();
+
+  for (const Status& status : statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  for (const auto& host : hosts) {
+    EXPECT_EQ(host->client()->rounds_trained(), kRounds);
+  }
+  EXPECT_EQ(updates_sent, kRounds);
+  EXPECT_EQ(stats.rounds, kRounds);
+  for (int id = 1; id <= kClients; ++id) {
+    EXPECT_EQ(stats.agg_count[id], kRounds) << "client " << id;
+  }
+  EXPECT_EQ(server_host.rejected_frames(), 2);
+  EXPECT_EQ(server_host.failed_clients(), 0);
 }
 
 TEST(DistributedTest, TimeStrategyRejected) {

@@ -63,8 +63,6 @@ bool SameBits(double a, double b) {
 bool RecordBitEqual(const ClientResume& a, const ClientResume& b) {
   return a.rng.SaveState() == b.rng.SaveState() && SameBits(a.time, b.time) &&
          SameBits(a.last_val_accuracy, b.last_val_accuracy) &&
-         a.shard_epoch == b.shard_epoch &&
-         a.stale_epoch_rejected == b.stale_epoch_rejected &&
          a.rounds_trained == b.rounds_trained &&
          a.perf_drops == b.perf_drops && a.declined == b.declined &&
          a.low_bandwidth_requests == b.low_bandwidth_requests &&
@@ -168,22 +166,19 @@ class VirtualizationTest : public ::testing::Test {
 struct StrategyCase {
   const char* name;
   const char* strategy;
-  int topology_shards;
   int exec_threads;
 };
 
 TEST_F(VirtualizationTest, LivePeakBoundedByCohortAcrossCourseShapes) {
   const StrategyCase cases[] = {
-      {"sync", "sync_vanilla", 0, 0},
-      {"overselect", "sync_overselect", 0, 0},
-      {"async_time", "async_time", 0, 0},
-      {"sharded", "sync_vanilla", 2, 0},
-      {"threaded", "sync_vanilla", 0, 2},
+      {"sync", "sync_vanilla", 0},
+      {"overselect", "sync_overselect", 0},
+      {"async_time", "async_time", 0},
+      {"threaded", "sync_vanilla", 2},
   };
   for (const auto& c : cases) {
     CourseSpec spec = BaseSpec();
     spec.strategy = c.strategy;
-    spec.topology_shards = c.topology_shards;
     spec = CourseGen::Clamp(spec);
     ASSERT_GT(spec.EffectiveClients(), CohortBound(spec)) << c.name;
 

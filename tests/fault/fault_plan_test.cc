@@ -6,7 +6,6 @@
 
 #include "fedscope/comm/channel.h"
 #include "fedscope/core/events.h"
-#include "fedscope/core/topology.h"
 #include "fedscope/fault/dedup.h"
 #include "fedscope/fault/fault_channel.h"
 
@@ -246,45 +245,6 @@ TEST(DuplicateSuppressorTest, NanPoisonedRepeatIsStillSuppressed) {
   EXPECT_FALSE(pairwise.IsDuplicate(msg));
   EXPECT_TRUE(pairwise.IsDuplicate(msg));
   EXPECT_EQ(pairwise.suppressed(), 1);
-}
-
-TEST(FaultPlanTest, AggregatorCrashScheduleDoesNotFlipEnabled) {
-  // The crash schedule is consumed by the runner, not the channel
-  // decorator: an otherwise-null plan must stay disabled (bit-identical
-  // delivery, no per-message rng draws).
-  FaultPlanOptions options;
-  options.aggregator_crashes.push_back(AggregatorCrash{0, 0, 1});
-  options.aggregator_crashes.push_back(AggregatorCrash{1, 2, 3});
-  FaultPlan plan(options, 6);
-  EXPECT_FALSE(plan.enabled());
-  EXPECT_EQ(plan.AggregatorCrashRound(0, 0), 1);
-  EXPECT_EQ(plan.AggregatorCrashRound(1, 2), 3);
-  EXPECT_EQ(plan.AggregatorCrashRound(0, 1), -1);  // unscheduled slot
-  EXPECT_EQ(plan.AggregatorCrashRound(2, 0), -1);  // unscheduled shard
-  FaultPlan::MessageFate fate = plan.Judge(Make(events::kModelUpdate, 3, 0));
-  EXPECT_FALSE(fate.drop);
-  EXPECT_EQ(fate.extra_delay, 0.0);
-}
-
-TEST(FaultPlanTest, AggregatorStragglerDelaysOnlyMatchingShardPartials) {
-  FaultPlanOptions options;
-  options.aggregator_straggler_shard = 1;
-  options.aggregator_straggler_delay = 2.5;
-  FaultPlan plan(options, 6);
-  EXPECT_TRUE(plan.enabled());
-
-  Message slow = Make(events::kPartialUpdate, AggregatorId(1, 0), 0);
-  EXPECT_DOUBLE_EQ(plan.Judge(slow).extra_delay, 2.5);
-  // The promoted standby of the same shard is just as slow.
-  slow.sender = AggregatorId(1, 1);
-  EXPECT_DOUBLE_EQ(plan.Judge(slow).extra_delay, 2.5);
-
-  Message fast = Make(events::kPartialUpdate, AggregatorId(0, 0), 0);
-  EXPECT_DOUBLE_EQ(plan.Judge(fast).extra_delay, 0.0);
-  // Per-client faults never touch partials, and the aggregator straggler
-  // never touches client uplinks.
-  Message client_update = Make(events::kModelUpdate, 3, AggregatorId(1, 0));
-  EXPECT_DOUBLE_EQ(plan.Judge(client_update).extra_delay, 0.0);
 }
 
 TEST(DuplicateSuppressorTest, TracksSendersIndependently) {

@@ -57,8 +57,7 @@ TEST(CourseCountersTest, RejectionReasonsAreTheGuardLabels) {
   EXPECT_EQ(reasons, (std::set<std::string>{
                          GuardReasonLabel(GuardVerdict::kRejectSignature),
                          GuardReasonLabel(GuardVerdict::kRejectNonFinite),
-                         GuardReasonLabel(GuardVerdict::kRejectNorm),
-                         "edge"}));
+                         GuardReasonLabel(GuardVerdict::kRejectNorm)}));
 }
 
 TEST(CourseCountersTest, RejectBooksTotalAndReasonAndDifferenceIsFieldwise) {
@@ -68,11 +67,11 @@ TEST(CourseCountersTest, RejectBooksTotalAndReasonAndDifferenceIsFieldwise) {
   EXPECT_EQ(earlier.rejected_norm, 1);
 
   CourseCounters later = earlier;
-  later.Reject(&CourseCounters::rejected_edge);
+  later.Reject(&CourseCounters::rejected_signature);
   later.dropouts = 3;
   CourseCounters expected;
   expected.updates_rejected = 1;
-  expected.rejected_edge = 1;
+  expected.rejected_signature = 1;
   expected.dropouts = 3;
   EXPECT_EQ(later - earlier, expected);
   EXPECT_EQ(later - later, CourseCounters());
@@ -131,7 +130,7 @@ class ServerCounterSinksTest : public ::testing::Test {
 TEST_F(ServerCounterSinksTest, EveryCounterReachesEverySink) {
   // Flat, with faults and a rejecting guard: dropouts, refills, starved
   // deadlines, declines, replayed (stale) updates, three rejection
-  // reasons, quarantine, and an aggregator that refuses every third cohort.
+  // reasons, and an aggregator that refuses every third cohort.
   testing::CourseSpec flat;
   flat.num_clients = 10;
   flat.concurrency = 6;
@@ -159,20 +158,13 @@ TEST_F(ServerCounterSinksTest, EveryCounterReachesEverySink) {
   clip.hostile_frac = 0.3;
   clip.hostile_mode = "scale";
 
-  // Sharded, with a primary killed mid-course and guarded edges; a short
-  // watchdog also promotes a standby over a live primary, whose late
-  // partial then carries a superseded epoch.
-  testing::CourseSpec sharded;
-  sharded.num_clients = 8;
-  sharded.concurrency = 8;
-  sharded.max_rounds = 4;
-  sharded.topology_shards = 2;
-  sharded.topology_standbys = 1;
-  sharded.topology_kill_shard = 0;
-  sharded.topology_kill_round = 1;
-  sharded.guard = true;
-  sharded.hostile_frac = 0.3;
-  sharded.low_bandwidth_frac = 0.3;
+  // Flat, with attackers quarantined on their first rejected update.
+  testing::CourseSpec quarantine;
+  quarantine.num_clients = 8;
+  quarantine.guard = true;
+  quarantine.guard_k = 1;
+  quarantine.hostile_frac = 0.25;
+  quarantine.hostile_mode = "nan";
 
   CourseCounters seen;
   auto run = [&seen](const std::string& tag, const testing::CourseSpec& spec,
@@ -197,9 +189,7 @@ TEST_F(ServerCounterSinksTest, EveryCounterReachesEverySink) {
     };
   });
   run("clip", clip, [](FedJob* job) { job->server.staleness_tolerance = 0; });
-  run("sharded", sharded, [](FedJob* job) {
-    job->server.topology.failure_timeout = 0.01;
-  });
+  run("quarantine", quarantine, [](FedJob*) {});
 
   for (const CounterField& field : kCounterFields) {
     EXPECT_EQ(seen.*field.member, 1)

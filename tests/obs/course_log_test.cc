@@ -102,41 +102,6 @@ TEST(CourseLogTest, CsvHeaderAndJoinedCells) {
             "1,all_received,10.000000,1;2,0;3,100,200,2,0,0,0,0,0,0,0,,");
 }
 
-TEST(CourseLogTest, TopologyColumnsAppearOnlyInHierarchicalCourses) {
-  // Flat courses (no partials, no failovers) keep the pre-topology export
-  // format byte-for-byte; a hierarchical course grows the extra columns in
-  // every row.
-  CourseLog flat;
-  flat.Append(MakeRound(1, {1, 2}, {0, 0}));
-  EXPECT_EQ(flat.ToCsv().find("partial_updates"), std::string::npos);
-  EXPECT_EQ(flat.ToJsonl().find("shard_failovers"), std::string::npos);
-
-  CourseLog sharded;
-  sharded.Append(MakeRound(1, {1, 2}, {0, 0}));  // pre-failover round
-  CourseRoundRecord r = MakeRound(2, {1, 2}, {0, 0});
-  r.partial_updates = 2;
-  r.shard_failovers = 1;
-  sharded.Append(r);
-  const std::string jsonl = sharded.ToJsonl();
-  EXPECT_NE(jsonl.find("\"partial_updates\":2,\"shard_failovers\":1"),
-            std::string::npos);
-  const std::string csv = sharded.ToCsv();
-  std::istringstream is(csv);
-  std::string header, row1, row2;
-  ASSERT_TRUE(std::getline(is, header));
-  ASSERT_TRUE(std::getline(is, row1));
-  ASSERT_TRUE(std::getline(is, row2));
-  EXPECT_NE(header.find("replacements,partial_updates,shard_failovers,"
-                        "snapshots"),
-            std::string::npos);
-  // Once any round has topology activity, every row carries the columns
-  // (zeros elsewhere) so the CSV stays rectangular.
-  EXPECT_EQ(row1, "1,all_received,10.000000,1;2,0;0,100,200,2,0,0,0,0,0,0,"
-                  "0,0,0,,");
-  EXPECT_EQ(row2, "2,all_received,20.000000,1;2,0;0,200,400,2,0,0,0,0,2,1,"
-                  "0,0,0,,");
-}
-
 TEST(CourseLogTest, AnnotateSnapshotMarksLastRoundOnly) {
   CourseLog log;
   log.AnnotateSnapshot(1, 123);  // empty log: no-op, no crash

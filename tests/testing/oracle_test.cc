@@ -14,6 +14,66 @@ class OracleTest : public ::testing::Test {
   void TearDown() override { Logging::set_min_level(LogLevel::kInfo); }
 };
 
+/// A synchronous course under message loss, duplication and delay, with
+/// the receive deadline that keeps it live, on a partial cohort with a
+/// plug-in stack of its own.
+CourseSpec LossySyncSpec() {
+  CourseSpec s;
+  s.seed = 7;
+  s.num_clients = 8;
+  s.pool_size = 152;
+  s.hidden = 6;
+  s.sampler = "responsiveness";
+  s.concurrency = 3;
+  s.min_received = 2;
+  s.receive_deadline = 0.49;
+  s.lr = 0.15;
+  s.batch_size = 8;
+  s.jitter_sigma = 0.3;
+  s.aggregator = "fedopt";
+  s.personalization = "pfedme";
+  s.compression = "quant8";
+  s.compression_keep_frac = 0.14;
+  s.dp_enable = true;
+  s.dp_noise = 0.05;
+  s.dp_clip = 2.0;
+  s.crash_frac = 0.68;
+  s.fault_msg_loss_prob = 0.12;
+  s.fault_msg_duplicate_prob = 0.28;
+  s.fault_msg_delay_prob = 0.4;
+  s.fault_msg_delay_max = 0.42;
+  return CourseGen::Clamp(s);
+}
+
+/// The shrink tests' synthetic failure: an async_time course with message
+/// duplication, among load-free fields the shrinker must reset.
+CourseSpec DuplicatingAsyncTimeSpec() {
+  CourseSpec s;
+  s.seed = 40;
+  s.model = "logreg";
+  s.pool_size = 96;
+  s.strategy = "async_time";
+  s.broadcast = "after_receiving";
+  s.sampler = "responsiveness";
+  s.concurrency = 6;
+  s.aggregation_goal = 1;
+  s.min_received = 3;
+  s.staleness_tolerance = 2;
+  s.time_budget = 1.29;
+  s.max_round_extensions = 7;
+  s.max_rounds = 4;
+  s.lr = 0.38;
+  s.local_steps = 2;
+  s.batch_size = 6;
+  s.jitter_sigma = 0.3;
+  s.heterogeneous_fleet = true;
+  s.crash_frac = 0.73;
+  s.fault_dropout_frac = 0.15;
+  s.fault_msg_duplicate_prob = 0.25;
+  s.suppress_duplicates = true;
+  return CourseGen::Clamp(s);
+}
+
 TEST_F(OracleTest, FixedSeedCoursesPassEveryOracle) {
   for (uint64_t seed : {1u, 2u, 7u, 20u}) {
     const CourseSpec spec = CourseGen::Sample(seed);
@@ -51,8 +111,7 @@ TEST_F(OracleTest, DistributedDifferentialPasses) {
 }
 
 TEST_F(OracleTest, MessageConservationHoldsUnderLossyFaultPlan) {
-  // Sampled seed with loss + duplication + delay (sync, deadline engaged).
-  CourseSpec spec = CourseGen::Sample(7);
+  CourseSpec spec = LossySyncSpec();
   ASSERT_TRUE(spec.HasLossyFaults());
   ASSERT_GT(spec.fault_msg_duplicate_prob, 0.0);
   CourseObservation obs = RunInstrumentedCourse(spec);
@@ -65,7 +124,7 @@ TEST_F(OracleTest, MessageConservationHoldsUnderLossyFaultPlan) {
 }
 
 TEST_F(OracleTest, DuplicateSuppressionIsExact) {
-  CourseSpec spec = CourseGen::Sample(7);
+  CourseSpec spec = LossySyncSpec();
   spec.fault_msg_duplicate_prob = 0.5;
   spec.suppress_duplicates = true;
   spec = CourseGen::Clamp(spec);
@@ -95,9 +154,7 @@ TEST_F(OracleTest, AggregateWeightConservationForEveryAggregator) {
 TEST_F(OracleTest, ShrinkReducesToThePredicateCore) {
   // Synthetic failure: any async_time course with message duplication
   // "fails". The shrinker must keep those two facts and reset the rest.
-  // (Seed 40 draws that corner; seed 20 — the historical exemplar — now
-  // draws the hierarchical-topology axis instead.)
-  CourseSpec failing = CourseGen::Sample(40);
+  CourseSpec failing = DuplicatingAsyncTimeSpec();
   ASSERT_EQ(failing.strategy, "async_time");
   ASSERT_GT(failing.fault_msg_duplicate_prob, 0.0);
   const auto predicate = [](const CourseSpec& s) {
@@ -120,7 +177,7 @@ TEST_F(OracleTest, ShrinkIsDeterministic) {
   const auto predicate = [](const CourseSpec& s) {
     return s.strategy == "async_time" && s.fault_msg_duplicate_prob > 0.0;
   };
-  const CourseSpec failing = CourseGen::Sample(40);
+  const CourseSpec failing = DuplicatingAsyncTimeSpec();
   const ShrinkResult a = ShrinkCourse(failing, predicate);
   const ShrinkResult b = ShrinkCourse(failing, predicate);
   EXPECT_EQ(a.spec, b.spec);
