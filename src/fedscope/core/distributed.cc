@@ -226,6 +226,13 @@ std::optional<Message> DistributedServerHost::AcceptClient(
     int expected, std::vector<bool>* joined) {
   auto conn = listener_.Accept();
   FS_CHECK(conn.ok()) << conn.status().ToString();
+  // Timeouts before the hello: a peer that connects and stays silent must
+  // not hold the accept loop, and with it the course.
+  Status timeouts =
+      conn->SetTimeouts(transport_.send_timeout, transport_.recv_timeout);
+  if (!timeouts.ok()) {
+    FS_LOG(Warning) << "timeouts not applied: " << timeouts.ToString();
+  }
   Result<Message> hello = conn->ReceiveMessage();
   std::string refusal;
   if (!hello.ok()) {
@@ -253,12 +260,6 @@ std::optional<Message> DistributedServerHost::AcceptClient(
     std::lock_guard<std::mutex> lock(send_mu_);
     connection =
         &connections_.emplace(id, std::move(conn.value())).first->second;
-    Status timeouts = connection->SetTimeouts(transport_.send_timeout,
-                                              transport_.recv_timeout);
-    if (!timeouts.ok()) {
-      FS_LOG(Warning) << "timeouts for client " << id
-                      << " not applied: " << timeouts.ToString();
-    }
   }
   readers_.emplace_back([this, id, connection] { ReaderLoop(id, connection); });
   hello->payload.RemoveScalar(kJoinIdsKey);  // announces only `id`

@@ -416,12 +416,10 @@ CompletenessReport FedRunner::CheckCompleteness() {
 
 RunResult FedRunner::Run() {
   RunResult result;
-  if (job_.check_completeness) {
-    result.completeness = CheckCompleteness();
-    FS_CHECK(result.completeness.complete)
-        << "constructed FL course is incomplete:\n"
-        << result.completeness.ToString();
-  }
+  result.completeness = CheckCompleteness();
+  FS_CHECK(result.completeness.complete)
+      << "constructed FL course is incomplete:\n"
+      << result.completeness.ToString();
 
   // Course-lifecycle span: opens at virtual t = 0 and closes at the
   // server's final virtual time (inert when no tracer is attached).

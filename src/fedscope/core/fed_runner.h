@@ -56,8 +56,6 @@ struct FedJob {
   /// decorator is not even constructed and behaviour is byte-identical to
   /// a fault-free build. Seeded plans replay identically for equal seeds.
   FaultPlanOptions fault;
-  /// Run the completeness check before starting (error if incomplete).
-  bool check_completeness = true;
   /// Observability sinks (borrowed; must outlive the runner). All-null by
   /// default: the course runs with zero instrumentation overhead and
   /// byte-identical behaviour. In standalone mode every recorded timestamp

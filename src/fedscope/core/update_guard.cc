@@ -27,7 +27,7 @@ UpdateGuard::UpdateGuard(UpdateGuardOptions options)
 }
 
 GuardDecision UpdateGuard::Inspect(int client_id, const StateDict& signature,
-                                   StateDict* delta, bool track_violations) {
+                                   StateDict* delta) {
   GuardDecision decision;
   if (!options_.enabled) return decision;
 
@@ -88,17 +88,13 @@ GuardDecision UpdateGuard::Inspect(int client_id, const StateDict& signature,
     }
   }
 
-  if (decision.rejected() && track_violations) {
-    decision.quarantine = RecordViolation(client_id);
+  if (decision.rejected()) {
+    const int count = ++violations_[client_id];
+    decision.quarantine = options_.quarantine_after > 0 &&
+                          count >= options_.quarantine_after &&
+                          quarantined_.insert(client_id).second;
   }
   return decision;
-}
-
-bool UpdateGuard::RecordViolation(int client_id) {
-  const int count = ++violations_[client_id];
-  if (options_.quarantine_after <= 0) return false;
-  if (count < options_.quarantine_after) return false;
-  return quarantined_.insert(client_id).second;
 }
 
 void UpdateGuard::SaveState(Payload* p, const std::string& prefix) const {

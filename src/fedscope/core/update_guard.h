@@ -67,13 +67,9 @@ class UpdateGuard {
 
   /// Validates `delta` against `signature`; clips it in place when the L2
   /// bound is exceeded in clip mode. A rejecting verdict books a violation
-  /// against `client_id` when `track_violations` is set.
+  /// against `client_id`.
   GuardDecision Inspect(int client_id, const StateDict& signature,
-                        StateDict* delta, bool track_violations = true);
-
-  /// Books one violation against `client_id`; returns true when it
-  /// tripped quarantine.
-  bool RecordViolation(int client_id);
+                        StateDict* delta);
 
   bool IsQuarantined(int client_id) const {
     return quarantined_.count(client_id) > 0;

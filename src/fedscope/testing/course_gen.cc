@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -44,68 +45,83 @@ bool OneOf(const std::string& v, std::initializer_list<const char*> allowed) {
 
 }  // namespace
 
-bool CourseSpec::operator==(const CourseSpec& other) const {
-  return ToConfig() == other.ToConfig();
+std::span<const SpecField> SpecFields() {
+  using S = CourseSpec;
+  static constexpr SpecField kFields[] = {
+      {"seed", &S::seed},
+      {"dataset", &S::dataset},
+      {"model", &S::model},
+      {"num_clients", &S::num_clients},
+      {"pool_size", &S::pool_size},
+      {"hidden", &S::hidden},
+      {"strategy", &S::strategy},
+      {"broadcast", &S::broadcast},
+      {"sampler", &S::sampler},
+      {"num_groups", &S::num_groups},
+      {"concurrency", &S::concurrency},
+      {"overselect_frac", &S::overselect_frac},
+      {"aggregation_goal", &S::aggregation_goal},
+      {"staleness_tolerance", &S::staleness_tolerance},
+      {"staleness_rho", &S::staleness_rho},
+      {"time_budget", &S::time_budget},
+      {"min_received", &S::min_received},
+      {"receive_deadline", &S::receive_deadline},
+      {"max_round_extensions", &S::max_round_extensions},
+      {"max_rounds", &S::max_rounds},
+      {"eval_interval", &S::eval_interval},
+      {"collect_client_metrics", &S::collect_client_metrics},
+      {"lr", &S::lr},
+      {"local_steps", &S::local_steps},
+      {"batch_size", &S::batch_size},
+      {"jitter_sigma", &S::jitter_sigma},
+      {"aggregator", &S::aggregator},
+      {"trim_frac", &S::trim_frac},
+      {"personalization", &S::personalization},
+      {"compression", &S::compression},
+      {"compression_keep_frac", &S::compression_keep_frac},
+      {"dp_enable", &S::dp_enable},
+      {"dp_noise", &S::dp_noise},
+      {"dp_clip", &S::dp_clip},
+      {"heterogeneous_fleet", &S::heterogeneous_fleet},
+      {"through_wire", &S::through_wire},
+      {"suppress_duplicates", &S::suppress_duplicates},
+      {"crash_frac", &S::crash_frac},
+      {"population", &S::population},
+      {"fault.dropout_frac", &S::fault_dropout_frac},
+      {"fault.crash_prob", &S::fault_crash_prob},
+      {"fault.straggler_frac", &S::fault_straggler_frac},
+      {"fault.straggler_delay", &S::fault_straggler_delay},
+      {"fault.msg_loss_prob", &S::fault_msg_loss_prob},
+      {"fault.msg_duplicate_prob", &S::fault_msg_duplicate_prob},
+      {"fault.msg_delay_prob", &S::fault_msg_delay_prob},
+      {"fault.msg_delay_max", &S::fault_msg_delay_max},
+      {"guard.enabled", &S::guard},
+      {"guard.l2", &S::guard_l2},
+      {"guard.clip", &S::guard_clip},
+      {"guard.quarantine_after", &S::guard_k},
+      {"fault.hostile_frac", &S::hostile_frac},
+      {"fault.hostile_mode", &S::hostile_mode},
+      {"fault.hostile_prob", &S::hostile_prob},
+      {"fault.hostile_scale", &S::hostile_scale},
+      {"low_bandwidth_frac", &S::low_bandwidth_frac},
+  };
+  return kFields;
 }
 
 Config CourseSpec::ToConfig() const {
   Config c;
-  c.Set("seed", static_cast<int64_t>(seed));
-  c.Set("dataset", dataset);
-  c.Set("model", model);
-  c.Set("num_clients", num_clients);
-  c.Set("pool_size", pool_size);
-  c.Set("hidden", hidden);
-  c.Set("strategy", strategy);
-  c.Set("broadcast", broadcast);
-  c.Set("sampler", sampler);
-  c.Set("num_groups", num_groups);
-  c.Set("concurrency", concurrency);
-  c.Set("overselect_frac", overselect_frac);
-  c.Set("aggregation_goal", aggregation_goal);
-  c.Set("staleness_tolerance", staleness_tolerance);
-  c.Set("staleness_rho", staleness_rho);
-  c.Set("time_budget", time_budget);
-  c.Set("min_received", min_received);
-  c.Set("receive_deadline", receive_deadline);
-  c.Set("max_round_extensions", max_round_extensions);
-  c.Set("max_rounds", max_rounds);
-  c.Set("eval_interval", eval_interval);
-  c.Set("collect_client_metrics", collect_client_metrics);
-  c.Set("lr", lr);
-  c.Set("local_steps", local_steps);
-  c.Set("batch_size", batch_size);
-  c.Set("jitter_sigma", jitter_sigma);
-  c.Set("aggregator", aggregator);
-  c.Set("trim_frac", trim_frac);
-  c.Set("personalization", personalization);
-  c.Set("compression", compression);
-  c.Set("compression_keep_frac", compression_keep_frac);
-  c.Set("dp_enable", dp_enable);
-  c.Set("dp_noise", dp_noise);
-  c.Set("dp_clip", dp_clip);
-  c.Set("heterogeneous_fleet", heterogeneous_fleet);
-  c.Set("through_wire", through_wire);
-  c.Set("suppress_duplicates", suppress_duplicates);
-  c.Set("crash_frac", crash_frac);
-  c.Set("population", population);
-  c.Set("fault.dropout_frac", fault_dropout_frac);
-  c.Set("fault.crash_prob", fault_crash_prob);
-  c.Set("fault.straggler_frac", fault_straggler_frac);
-  c.Set("fault.straggler_delay", fault_straggler_delay);
-  c.Set("fault.msg_loss_prob", fault_msg_loss_prob);
-  c.Set("fault.msg_duplicate_prob", fault_msg_duplicate_prob);
-  c.Set("fault.msg_delay_prob", fault_msg_delay_prob);
-  c.Set("fault.msg_delay_max", fault_msg_delay_max);
-  c.Set("guard.enabled", guard);
-  c.Set("guard.l2", guard_l2);
-  c.Set("guard.clip", guard_clip);
-  c.Set("guard.quarantine_after", guard_k);
-  c.Set("fault.hostile_frac", hostile_frac);
-  c.Set("fault.hostile_mode", hostile_mode);
-  c.Set("fault.hostile_prob", hostile_prob);
-  c.Set("fault.hostile_scale", hostile_scale);
-  c.Set("low_bandwidth_frac", low_bandwidth_frac);
+  for (const SpecField& f : SpecFields()) {
+    std::visit(
+        [&](auto member) {
+          if constexpr (std::is_same_v<decltype(member),
+                                       uint64_t CourseSpec::*>) {
+            c.Set(f.key, static_cast<int64_t>(this->*member));
+          } else {
+            c.Set(f.key, this->*member);
+          }
+        },
+        f.member);
+  }
   return c;
 }
 
@@ -118,80 +134,24 @@ Result<CourseSpec> CourseSpec::FromConfig(const Config& config) {
       return Status::InvalidArgument("unknown course-spec key: " + key);
     }
   }
-  s.seed = static_cast<uint64_t>(config.GetInt("seed", 1));
-  s.dataset = config.GetString("dataset", s.dataset);
-  s.model = config.GetString("model", s.model);
-  s.num_clients = static_cast<int>(config.GetInt("num_clients", s.num_clients));
-  s.pool_size = static_cast<int>(config.GetInt("pool_size", s.pool_size));
-  s.hidden = static_cast<int>(config.GetInt("hidden", s.hidden));
-  s.strategy = config.GetString("strategy", s.strategy);
-  s.broadcast = config.GetString("broadcast", s.broadcast);
-  s.sampler = config.GetString("sampler", s.sampler);
-  s.num_groups = static_cast<int>(config.GetInt("num_groups", s.num_groups));
-  s.concurrency = static_cast<int>(config.GetInt("concurrency", s.concurrency));
-  s.overselect_frac = config.GetDouble("overselect_frac", s.overselect_frac);
-  s.aggregation_goal =
-      static_cast<int>(config.GetInt("aggregation_goal", s.aggregation_goal));
-  s.staleness_tolerance = static_cast<int>(
-      config.GetInt("staleness_tolerance", s.staleness_tolerance));
-  s.staleness_rho = config.GetDouble("staleness_rho", s.staleness_rho);
-  s.time_budget = config.GetDouble("time_budget", s.time_budget);
-  s.min_received =
-      static_cast<int>(config.GetInt("min_received", s.min_received));
-  s.receive_deadline = config.GetDouble("receive_deadline", s.receive_deadline);
-  s.max_round_extensions = static_cast<int>(
-      config.GetInt("max_round_extensions", s.max_round_extensions));
-  s.max_rounds = static_cast<int>(config.GetInt("max_rounds", s.max_rounds));
-  s.eval_interval =
-      static_cast<int>(config.GetInt("eval_interval", s.eval_interval));
-  s.collect_client_metrics =
-      config.GetBool("collect_client_metrics", s.collect_client_metrics);
-  s.lr = config.GetDouble("lr", s.lr);
-  s.local_steps = static_cast<int>(config.GetInt("local_steps", s.local_steps));
-  s.batch_size = static_cast<int>(config.GetInt("batch_size", s.batch_size));
-  s.jitter_sigma = config.GetDouble("jitter_sigma", s.jitter_sigma);
-  s.aggregator = config.GetString("aggregator", s.aggregator);
-  s.trim_frac = config.GetDouble("trim_frac", s.trim_frac);
-  s.personalization = config.GetString("personalization", s.personalization);
-  s.compression = config.GetString("compression", s.compression);
-  s.compression_keep_frac =
-      config.GetDouble("compression_keep_frac", s.compression_keep_frac);
-  s.dp_enable = config.GetBool("dp_enable", s.dp_enable);
-  s.dp_noise = config.GetDouble("dp_noise", s.dp_noise);
-  s.dp_clip = config.GetDouble("dp_clip", s.dp_clip);
-  s.heterogeneous_fleet =
-      config.GetBool("heterogeneous_fleet", s.heterogeneous_fleet);
-  s.through_wire = config.GetBool("through_wire", s.through_wire);
-  s.suppress_duplicates =
-      config.GetBool("suppress_duplicates", s.suppress_duplicates);
-  s.crash_frac = config.GetDouble("crash_frac", s.crash_frac);
-  s.population = static_cast<int>(config.GetInt("population", s.population));
-  s.fault_dropout_frac =
-      config.GetDouble("fault.dropout_frac", s.fault_dropout_frac);
-  s.fault_crash_prob = config.GetDouble("fault.crash_prob", s.fault_crash_prob);
-  s.fault_straggler_frac =
-      config.GetDouble("fault.straggler_frac", s.fault_straggler_frac);
-  s.fault_straggler_delay =
-      config.GetDouble("fault.straggler_delay", s.fault_straggler_delay);
-  s.fault_msg_loss_prob =
-      config.GetDouble("fault.msg_loss_prob", s.fault_msg_loss_prob);
-  s.fault_msg_duplicate_prob =
-      config.GetDouble("fault.msg_duplicate_prob", s.fault_msg_duplicate_prob);
-  s.fault_msg_delay_prob =
-      config.GetDouble("fault.msg_delay_prob", s.fault_msg_delay_prob);
-  s.fault_msg_delay_max =
-      config.GetDouble("fault.msg_delay_max", s.fault_msg_delay_max);
-  s.guard = config.GetBool("guard.enabled", s.guard);
-  s.guard_l2 = config.GetDouble("guard.l2", s.guard_l2);
-  s.guard_clip = config.GetBool("guard.clip", s.guard_clip);
-  s.guard_k =
-      static_cast<int>(config.GetInt("guard.quarantine_after", s.guard_k));
-  s.hostile_frac = config.GetDouble("fault.hostile_frac", s.hostile_frac);
-  s.hostile_mode = config.GetString("fault.hostile_mode", s.hostile_mode);
-  s.hostile_prob = config.GetDouble("fault.hostile_prob", s.hostile_prob);
-  s.hostile_scale = config.GetDouble("fault.hostile_scale", s.hostile_scale);
-  s.low_bandwidth_frac =
-      config.GetDouble("low_bandwidth_frac", s.low_bandwidth_frac);
+  for (const SpecField& f : SpecFields()) {
+    std::visit(
+        [&](auto member) {
+          auto& value = s.*member;
+          using T = std::decay_t<decltype(value)>;
+          if constexpr (std::is_same_v<T, std::string>) {
+            value = config.GetString(f.key, value);
+          } else if constexpr (std::is_same_v<T, bool>) {
+            value = config.GetBool(f.key, value);
+          } else if constexpr (std::is_same_v<T, double>) {
+            value = config.GetDouble(f.key, value);
+          } else {
+            value = static_cast<T>(
+                config.GetInt(f.key, static_cast<int64_t>(value)));
+          }
+        },
+        f.member);
+  }
   FS_RETURN_IF_ERROR(CourseGen::Validate(s));
   return s;
 }

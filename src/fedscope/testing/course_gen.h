@@ -1,8 +1,11 @@
 #ifndef FEDSCOPE_TESTING_COURSE_GEN_H_
 #define FEDSCOPE_TESTING_COURSE_GEN_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <variant>
 
 #include "fedscope/core/fed_runner.h"
 #include "fedscope/util/config.h"
@@ -12,10 +15,11 @@ namespace fedscope {
 namespace testing {
 
 /// One point in the paper's plug-in configuration lattice, small enough to
-/// run as a sub-second standalone course. Every field round-trips through
-/// Config (key=value), so a failing draw prints as a one-line repro and
-/// replays from the corpus. String fields use the same vocabulary as the
-/// production options they map to (see MakeCourseFixture).
+/// run as a sub-second standalone course. Every field is a row of
+/// SpecFields() and round-trips through Config (key=value), so a failing
+/// draw prints as a one-line repro and replays from the corpus. String
+/// fields use the same vocabulary as the production options they map to
+/// (see MakeCourseFixture).
 struct CourseSpec {
   uint64_t seed = 1;
 
@@ -117,8 +121,7 @@ struct CourseSpec {
   /// cohort declines round 0.
   double low_bandwidth_frac = 0.0;
 
-  bool operator==(const CourseSpec& other) const;
-  bool operator!=(const CourseSpec& other) const { return !(*this == other); }
+  bool operator==(const CourseSpec& other) const = default;
 
   /// True when any lossy fault knob is set (messages can disappear).
   bool HasLossyFaults() const {
@@ -140,6 +143,20 @@ struct CourseSpec {
   std::string ToString() const;
   static Result<CourseSpec> FromString(const std::string& line);
 };
+
+/// One CourseSpec field: its config key and its member.
+struct SpecField {
+  const char* key;
+  std::variant<uint64_t CourseSpec::*, std::string CourseSpec::*,
+               bool CourseSpec::*, int CourseSpec::*, double CourseSpec::*>
+      member;
+};
+
+/// Every CourseSpec field, one row each. ToConfig, FromConfig and the
+/// shrinker walk this table; a field missing from it fails
+/// CourseGenTest.ConfigRoundTripPreservesEverySpec, since operator==
+/// compares every member.
+std::span<const SpecField> SpecFields();
 
 /// Seeded generator over the valid region of the lattice.
 class CourseGen {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,8 +21,6 @@
 namespace fedscope {
 namespace testing {
 namespace {
-
-bool Finite(double v) { return std::isfinite(v); }
 
 bool StateDictsBitEqual(const StateDict& a, const StateDict& b,
                         std::string* detail) {
@@ -60,25 +59,33 @@ void Check(std::vector<Violation>* v, bool ok, const std::string& oracle,
   if (!ok) v->push_back({oracle, detail});
 }
 
-bool StateDictFinite(const StateDict& sd, std::string* detail) {
+/// Files one differential oracle's violations under its label, each
+/// detail prefixed by its tag, which names the rerun; a check that belongs
+/// to another oracle names that oracle's label.
+struct Report {
+  std::vector<Violation>* v;
+  const char* oracle;
+  std::string tag;
+  void operator()(bool ok, const std::string& detail,
+                  const char* label = nullptr) const {
+    Check(v, ok, label != nullptr ? label : oracle, tag + detail);
+  }
+};
+
+/// True when every element is finite; otherwise names the first that is
+/// not in `detail`, when given.
+bool StateDictFinite(const StateDict& sd, std::string* detail = nullptr) {
   for (const auto& [name, tensor] : sd) {
     for (int64_t k = 0; k < tensor.numel(); ++k) {
       if (!std::isfinite(tensor.at(k))) {
-        *detail = name + "[" + std::to_string(k) + "] is non-finite";
+        if (detail != nullptr) {
+          *detail = name + "[" + std::to_string(k) + "] is non-finite";
+        }
         return false;
       }
     }
   }
   return true;
-}
-
-bool PayloadHasNonFiniteTensor(const Payload& payload) {
-  for (const auto& [name, tensor] : payload.tensors()) {
-    for (int64_t k = 0; k < tensor.numel(); ++k) {
-      if (!std::isfinite(tensor.at(k))) return true;
-    }
-  }
-  return false;
 }
 
 template <typename T>
@@ -102,42 +109,40 @@ std::string StripVirtualSeries(const std::string& text) {
 }
 
 /// Requires `run` to reproduce the reference run `ref` bit for bit:
-/// termination, final model, accuracy curve, message and fault counters,
-/// client accuracies, and round structure. `tag` names the rerun in every
-/// violation. (Non-const: Model::GetStateDict is a mutating accessor.)
-void CheckReproduces(std::vector<Violation>* v, const std::string& oracle,
-                     const std::string& tag, CourseObservation& ref,
+/// termination, final model, accuracy curve, message, fault and server
+/// counters, client accuracies, and round structure. (Non-const:
+/// Model::GetStateDict is a mutating accessor.)
+void CheckReproduces(const Report& report, CourseObservation& ref,
                      CourseObservation& run) {
-  Check(v, run.finished == ref.finished, oracle, tag + "termination differs");
+  report(run.finished == ref.finished, "termination differs");
   std::string detail;
   const bool same_model =
       StateDictsBitEqual(ref.result.final_model.GetStateDict(),
                          run.result.final_model.GetStateDict(), &detail);
-  Check(v, same_model, oracle, tag + "final model differs: " + detail);
-  Check(v, ref.result.server.curve == run.result.server.curve, oracle,
-        tag + "accuracy curve differs");
-  Check(v, ref.sent == run.sent && ref.delivered == run.delivered, oracle,
-        tag + Vs("message counts differ (sent)", ref.sent, run.sent) +
-            " / " + Vs("delivered", ref.delivered, run.delivered));
-  Check(v, ref.suppressed == run.suppressed, oracle,
-        tag + Vs("suppressed differs", ref.suppressed, run.suppressed));
-  Check(v,
-        ref.fault.dropout_suppressed == run.fault.dropout_suppressed &&
-            ref.fault.crashes == run.fault.crashes &&
-            ref.fault.lost == run.fault.lost &&
-            ref.fault.duplicated == run.fault.duplicated &&
-            ref.fault.delayed == run.fault.delayed,
-        oracle,
-        tag + "fault-plan counters differ (fault rng consumed off-order)");
-  Check(v,
-        ref.result.client_test_accuracy == run.result.client_test_accuracy,
-        oracle, tag + "client accuracies differ");
-  Check(v,
-        ref.result.server.rounds == run.result.server.rounds &&
-            ref.result.server.staleness_log ==
-                run.result.server.staleness_log &&
-            ref.result.server.agg_count == run.result.server.agg_count,
-        oracle, tag + "round structure differs");
+  report(same_model, "final model differs: " + detail);
+  report(ref.result.server.curve == run.result.server.curve,
+         "accuracy curve differs");
+  report(ref.sent == run.sent && ref.delivered == run.delivered,
+         Vs("message counts differ (sent)", ref.sent, run.sent) + " / " +
+             Vs("delivered", ref.delivered, run.delivered));
+  report(ref.suppressed == run.suppressed,
+         Vs("suppressed differs", ref.suppressed, run.suppressed));
+  report(ref.fault.dropout_suppressed == run.fault.dropout_suppressed &&
+             ref.fault.crashes == run.fault.crashes &&
+             ref.fault.lost == run.fault.lost &&
+             ref.fault.duplicated == run.fault.duplicated &&
+             ref.fault.delayed == run.fault.delayed,
+         "fault-plan counters differ (fault rng consumed off-order)");
+  report(static_cast<const CourseCounters&>(ref.result.server) ==
+             static_cast<const CourseCounters&>(run.result.server),
+         "server counters differ (CourseCounters)");
+  report(ref.result.client_test_accuracy == run.result.client_test_accuracy,
+         "client accuracies differ");
+  report(ref.result.server.rounds == run.result.server.rounds &&
+             ref.result.server.staleness_log ==
+                 run.result.server.staleness_log &&
+             ref.result.server.agg_count == run.result.server.agg_count,
+         "round structure differs");
 }
 
 /// True when two course logs hold the same rows: the same exported record
@@ -163,6 +168,100 @@ int64_t CohortCacheBound(const CourseSpec& spec) {
   return cohort + 2 + 1;
 }
 
+/// A spec and the knobs it runs under.
+struct CourseRun {
+  CourseSpec spec;
+  RunKnobs knobs;
+  bool operator==(const CourseRun& other) const = default;
+};
+
+/// One differential oracle: `run` must reproduce `base` bit for bit
+/// (CheckReproduces), plus the row's own comparisons and extras below.
+struct DifferentialRow {
+  const char* oracle;  ///< the violation label
+  std::string tag;     ///< names the rerun in every violation
+  CourseRun run;
+  /// Comparator: the metrics exposition (a virtualized run may add only
+  /// its fs_virtual_* gauges), and the course-log rows (oracle 16).
+  bool same_exposition = false;
+  bool same_log_rows = false;
+  /// Extras on `run`: one server restore performed; peak live clients in
+  /// [1, live_bound] when > 0; a guard that rejected, clipped and
+  /// quarantined nothing.
+  bool recovered = false;
+  int64_t live_bound = 0;
+  bool guard_idle = false;
+  /// The run compared against; the reference run when unset.
+  std::optional<CourseRun> base = std::nullopt;
+};
+
+/// The differential oracles as one table against `reference` (DESIGN.md
+/// §9). `delivered` is the reference's delivery count: both crash drills
+/// kill the server at the spec's crash_frac point of it.
+std::vector<DifferentialRow> DifferentialRows(
+    const CourseRun& reference, const std::vector<int>& parallel_threads,
+    int64_t delivered) {
+  const CourseSpec& spec = reference.spec;
+  const int threads = reference.knobs.exec_threads;
+  CourseSpec wired = spec;
+  wired.through_wire = !spec.through_wire;
+  // A pure-screening guard over a benign course must be bit-invisible.
+  // The norm-bound knobs are active interventions: both twins take the
+  // canonical guard-off values (no bound, no clip, guard_k 3).
+  CourseSpec unguarded = spec;
+  unguarded.guard = false;
+  unguarded = CourseGen::Clamp(unguarded);
+  CourseSpec guarded = unguarded;
+  guarded.guard = true;
+  const int64_t crash_at = std::min<int64_t>(
+      delivered - 1,
+      static_cast<int64_t>(spec.crash_frac * static_cast<double>(delivered)));
+
+  // The rerun without sinks is oracle 4 and oracle 16 at once: it differs
+  // from the reference on nondeterminism and on any sink side effect.
+  std::vector<DifferentialRow> rows = {
+      {"reproducibility",
+       "same seed, no sinks (nondeterminism or a sink side effect): ",
+       {spec, {.exec_threads = threads}}},
+      {"through_wire", "codec round-trip: ",
+       {wired, {.exec_threads = threads}}},
+  };
+  for (int helpers : parallel_threads) {
+    rows.push_back({"parallel_differential",
+                    "threads=" + std::to_string(helpers) + ": ",
+                    {spec, {.exec_threads = helpers}}});
+  }
+  for (const int capacity : {kAutoCapacity, 1}) {
+    rows.push_back({.oracle = "virtualization_differential",
+                    .tag = capacity == 1 ? "capacity 1: " : "auto capacity: ",
+                    .run = {spec, {-1, threads, capacity, true}},
+                    .same_exposition = true,
+                    .live_bound = capacity == 1 ? 2 : CohortCacheBound(spec)});
+  }
+  if (delivered > 0) {
+    rows.push_back({.oracle = "crash_resume",
+                    .tag = "crash-resume: ",
+                    .run = {spec, {crash_at, threads}},
+                    .recovered = true});
+    // The cache survives the server kill; the rows after the restore
+    // count from the baseline the snapshot carried.
+    rows.push_back({.oracle = "virtualization_differential",
+                    .tag = "virtualized crash-resume: ",
+                    .run = {spec, {crash_at, threads, kAutoCapacity, true}},
+                    .same_log_rows = true,
+                    .recovered = true});
+  }
+  if (!spec.Hostile()) {
+    rows.push_back({.oracle = "guard_transparency",
+                    .tag = "benign guard: ",
+                    .run = {guarded, reference.knobs},
+                    .same_exposition = true,
+                    .guard_idle = true,
+                    .base = CourseRun{unguarded, reference.knobs}});
+  }
+  return rows;
+}
+
 }  // namespace
 
 std::string FormatViolations(const std::vector<Violation>& violations) {
@@ -174,23 +273,21 @@ std::string FormatViolations(const std::vector<Violation>& violations) {
 }
 
 CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
-                                        int64_t crash_at_event,
-                                        int exec_threads, int cache_capacity,
-                                        bool all_sinks) {
+                                        const RunKnobs& knobs) {
   auto fixture = MakeCourseFixture(spec);
   FedJob job = fixture->MakeJob();
-  job.fault.server_crash_at_event = crash_at_event;
-  if (exec_threads > 0) {
+  job.fault.server_crash_at_event = knobs.crash_at_event;
+  if (knobs.exec_threads > 0) {
     job.exec.backend = ExecutionBackend::kThreaded;
-    job.exec.num_threads = exec_threads;
+    job.exec.num_threads = knobs.exec_threads;
   }
-  job.virtualize = cache_capacity != kPopulationCapacity;
-  job.client_cache_capacity = std::max(cache_capacity, 0);
+  job.virtualize = knobs.cache_capacity != kPopulationCapacity;
+  job.client_cache_capacity = std::max(knobs.cache_capacity, 0);
 
   CourseObservation obs;
   MetricsRegistry metrics;
   Tracer tracer;
-  if (all_sinks) {
+  if (knobs.all_sinks) {
     job.obs.metrics = &metrics;
     job.obs.tracer = &tracer;
     job.obs.course_log = &obs.course_log;
@@ -215,7 +312,7 @@ CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
     last_delivery_time = std::max(last_delivery_time, msg.timestamp);
     if (hostile_watch && msg.msg_type == events::kModelUpdate &&
         live_runner != nullptr && !live_runner->server()->finished() &&
-        PayloadHasNonFiniteTensor(msg.payload)) {
+        !StateDictFinite(msg.payload.tensors())) {
       ++obs.nonfinite_updates_delivered;
     }
   };
@@ -314,7 +411,7 @@ std::vector<Violation> CheckCounterSinks(const ServerStats& stats,
                                          const MetricsSnapshot& metrics,
                                          const CourseLog& log) {
   std::vector<Violation> v;
-  const std::string oracle = "obs_transparency";
+  const Report report{&v, "obs_transparency", ""};
   auto series = [&metrics](const std::string& name, MetricLabels labels) {
     const MetricSample* sample = metrics.Find(name, labels);
     return sample == nullptr ? MetricSample() : *sample;
@@ -330,24 +427,23 @@ std::vector<Violation> CheckCounterSinks(const ServerStats& stats,
     std::string name = f.series != nullptr ? f.series : "updates_rejected";
     if (*f.label != '\0') name += "{" + std::string(f.label_value) + "}";
     name += ": ";
-    Check(&v, row_sum.*f.member == expected, oracle,
-          Vs((name + "course-log rows vs ServerStats").c_str(), expected,
-             row_sum.*f.member));
+    report(row_sum.*f.member == expected,
+           Vs((name + "course-log rows vs ServerStats").c_str(), expected,
+              row_sum.*f.member));
     if (f.series == nullptr) continue;
     MetricLabels labels;
     if (*f.label != '\0') labels[f.label] = f.label_value;
     const double exported = series(f.series, labels).value;
-    Check(&v, exported == static_cast<double>(expected), oracle,
-          Vs((name + "series vs ServerStats").c_str(),
-             static_cast<double>(expected), exported));
+    report(exported == static_cast<double>(expected),
+           Vs((name + "series vs ServerStats").c_str(),
+              static_cast<double>(expected), exported));
   }
 
   const MetricSample staleness = series("fs_server_staleness", {});
-  Check(&v,
-        staleness.value == static_cast<double>(stats.staleness_log.size()) &&
-            staleness.sum == std::accumulate(stats.staleness_log.begin(),
-                                             stats.staleness_log.end(), 0.0),
-        oracle, "fs_server_staleness differs from staleness_log");
+  report(staleness.value == static_cast<double>(stats.staleness_log.size()) &&
+             staleness.sum == std::accumulate(stats.staleness_log.begin(),
+                                              stats.staleness_log.end(), 0.0),
+         "fs_server_staleness differs from staleness_log");
   std::vector<int64_t> contributions(stats.agg_count.size(), 0);
   double aggregations = 0.0;
   for (const MetricSample& sample : metrics.samples) {
@@ -359,27 +455,24 @@ std::vector<Violation> CheckCounterSinks(const ServerStats& stats,
       contributions[id] = static_cast<int64_t>(sample.value);
     }
   }
-  Check(&v, contributions == stats.agg_count, oracle,
-        "fs_server_agg_contributions_total differs from agg_count");
-  Check(&v, aggregations == static_cast<double>(stats.rounds), oracle,
-        Vs("fs_server_aggregations_total vs rounds",
-           static_cast<double>(stats.rounds), aggregations));
+  report(contributions == stats.agg_count,
+         "fs_server_agg_contributions_total differs from agg_count");
+  report(aggregations == static_cast<double>(stats.rounds),
+         Vs("fs_server_aggregations_total vs rounds",
+            static_cast<double>(stats.rounds), aggregations));
 
   // One row per aggregation, plus the abort row of a course given up.
   const bool closed =
       log.num_rounds() > 0 && log.rounds().back().trigger == kAbortTrigger;
-  Check(&v,
-        closed == stats.aborted && log.num_rounds() - closed == stats.rounds,
-        oracle,
-        "course log has " + std::to_string(log.num_rounds()) + " rows for " +
-            std::to_string(stats.rounds) + " rounds" +
-            (stats.aborted ? " and an abort" : ""));
-  Check(&v, log.AllStaleness() == stats.staleness_log, oracle,
-        "course-log staleness differs from staleness_log");
-  Check(&v,
-        log.AggCountPerClient(static_cast<int>(stats.agg_count.size()) - 1) ==
-            stats.agg_count,
-        oracle, "course-log contributors differ from agg_count");
+  report(closed == stats.aborted && log.num_rounds() - closed == stats.rounds,
+         "course log has " + std::to_string(log.num_rounds()) + " rows for " +
+             std::to_string(stats.rounds) + " rounds" +
+             (stats.aborted ? " and an abort" : ""));
+  report(log.AllStaleness() == stats.staleness_log,
+         "course-log staleness differs from staleness_log");
+  report(log.AggCountPerClient(static_cast<int>(stats.agg_count.size()) - 1) ==
+             stats.agg_count,
+         "course-log contributors differ from agg_count");
   return v;
 }
 
@@ -431,7 +524,7 @@ std::vector<Violation> CheckAggregateWeightConservation(
     for (int64_t idx = 0; idx < tensor.numel(); ++idx) {
       const double expected = static_cast<double>(g.at(idx)) + d.at(idx);
       const double observed = tensor.at(idx);
-      if (!Finite(observed) || std::abs(observed - expected) > 1e-4) {
+      if (!std::isfinite(observed) || std::abs(observed - expected) > 1e-4) {
         std::ostringstream out;
         out << spec.aggregator << " " << name << "[" << idx
             << "]: expected global+delta=" << expected << ", got " << observed;
@@ -447,10 +540,15 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
                                    const OracleOptions& options) {
   std::vector<Violation> v;
 
-  // -- oracle 1+2+3: one instrumented run ----------------------------------
-  // (non-const: Model::GetStateDict is a mutating accessor)
-  CourseObservation a = RunInstrumentedCourse(spec, -1, options.exec_threads);
+  // -- the reference run ----------------------------------------------------
+  // The spec as given, eager, on the configured backend, with every sink
+  // attached. The single-run oracles read it; the differential rows compare
+  // against it. (non-const: Model::GetStateDict is a mutating accessor)
+  const CourseRun reference{
+      spec, {.exec_threads = options.exec_threads, .all_sinks = true}};
+  CourseObservation a = RunInstrumentedCourse(spec, reference.knobs);
 
+  // -- oracle 1+2+3 ---------------------------------------------------------
   Check(&v, a.finished, "termination",
         "course neither finished nor aborted (stalled event graph)");
   const ServerStats& stats = a.result.server;
@@ -459,9 +557,9 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
   Check(&v, stats.rounds > 0 || stats.aborted || spec.max_rounds == 0,
         "stats_sanity", "zero rounds without an abort");
   for (const auto& [t, acc] : stats.curve) {
-    Check(&v, Finite(acc) && acc >= 0.0 && acc <= 1.0, "stats_sanity",
+    Check(&v, std::isfinite(acc) && acc >= 0.0 && acc <= 1.0, "stats_sanity",
           Vs("curve accuracy out of [0,1]", 0.0, acc));
-    Check(&v, Finite(t) && t >= 0.0, "time_monotonicity",
+    Check(&v, std::isfinite(t) && t >= 0.0, "time_monotonicity",
           Vs("negative/NaN curve time", 0.0, t));
   }
   for (size_t i = 1; i < stats.curve.size(); ++i) {
@@ -477,18 +575,15 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
              staleness));
   }
   for (double acc : a.result.client_test_accuracy) {
-    Check(&v, Finite(acc) && acc >= 0.0 && acc <= 1.0, "stats_sanity",
+    Check(&v, std::isfinite(acc) && acc >= 0.0 && acc <= 1.0, "stats_sanity",
           Vs("client accuracy out of [0,1]", 0.0, acc));
   }
   Check(&v, a.time_regression.empty(), "time_monotonicity", a.time_regression);
 
   // -- oracle 15: round liveness --------------------------------------------
-  // A round ends on its (max_round_extensions + 1)-th starved timer expiry
-  // at the latest, plus one expiry per slot rejected in it while
-  // quarantine is on; each plan-hostile client is rejected at most guard_k
-  // times before it is exiled (DESIGN.md §7). The rounds that can starve
-  // are the completed ones and an aborted last one. Termination itself is
-  // checked above; slot conservation is FS_CHECKed by the server's ledger.
+  // At most (max_round_extensions + 1) starved expiries per completed or
+  // aborted round, plus guard_k per plan-hostile client under quarantine
+  // (DESIGN.md §7); slot conservation is FS_CHECKed by the server's ledger.
   const int64_t starvable_rounds = stats.rounds + (stats.aborted ? 1 : 0);
   int64_t extension_bound =
       starvable_rounds * (spec.max_round_extensions + 1);
@@ -506,25 +601,11 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
         "message_conservation",
         Vs("delivered != sent - dropped + duplicated - suppressed",
            a.sent - vanished + a.fault.duplicated - a.suppressed, a.delivered));
-  if (spec.suppress_duplicates) {
-    Check(&v, a.suppressed == a.fault.duplicated, "message_conservation",
-          Vs("suppressed != fault-duplicated", a.fault.duplicated,
-             a.suppressed));
-  } else {
-    Check(&v, a.suppressed == 0, "message_conservation",
-          Vs("suppression off but deliveries suppressed", int64_t{0},
-             a.suppressed));
-  }
-
-  // -- oracle 4: same-seed bit-reproducibility ------------------------------
-  CourseObservation b = RunInstrumentedCourse(spec, -1, options.exec_threads);
-  CheckReproduces(&v, "reproducibility", "same seed: ", a, b);
-
-  // -- oracle 5: through_wire equivalence -----------------------------------
-  CourseSpec wired = spec;
-  wired.through_wire = !spec.through_wire;
-  CourseObservation w = RunInstrumentedCourse(wired, -1, options.exec_threads);
-  CheckReproduces(&v, "through_wire", "codec round-trip: ", a, w);
+  // Suppression is exact: every injected duplicate and nothing else.
+  const int64_t duplicates = spec.suppress_duplicates ? a.fault.duplicated : 0;
+  Check(&v, a.suppressed == duplicates, "message_conservation",
+        Vs("suppressed != fault-duplicated (0 with suppression off)",
+           duplicates, a.suppressed));
 
   // -- oracle 6: aggregate-weight conservation ------------------------------
   for (Violation& violation : CheckAggregateWeightConservation(spec)) {
@@ -535,145 +616,68 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
   if (options.run_distributed && DistributedEligible(spec)) {
     Status status = Status::Ok();
     const ServerStats dist = RunDistributedCourse(spec, &status);
-    Check(&v, status.ok(), "distributed_differential",
-          "distributed run failed: " + status.ToString());
+    const Report report{&v, "distributed_differential", ""};
+    report(status.ok(), "distributed run failed: " + status.ToString());
     if (status.ok()) {
-      Check(&v, dist.rounds == stats.rounds, "distributed_differential",
-            Vs("round count differs", stats.rounds, dist.rounds));
-      Check(&v, dist.curve.size() == stats.curve.size(),
-            "distributed_differential",
-            Vs("curve length differs", stats.curve.size(), dist.curve.size()));
+      report(dist.rounds == stats.rounds,
+             Vs("round count differs", stats.rounds, dist.rounds));
+      report(dist.curve.size() == stats.curve.size(),
+             Vs("curve length differs", stats.curve.size(), dist.curve.size()));
       // Arrival order changes float summation order, so accuracies agree
       // only approximately (the structure above must agree exactly).
-      Check(&v, std::abs(dist.final_accuracy - stats.final_accuracy) < 0.25,
-            "distributed_differential",
-            Vs("final accuracy diverged", stats.final_accuracy,
-               dist.final_accuracy));
+      report(std::abs(dist.final_accuracy - stats.final_accuracy) < 0.25,
+             Vs("final accuracy diverged", stats.final_accuracy,
+                dist.final_accuracy));
     }
   }
 
-  // -- oracle 8: crash-resume bit-identity ----------------------------------
-  // Kill the server between two deliveries at the spec's crash_frac point,
-  // restore a freshly built server from a wire-codec-serialized snapshot
-  // (exactly what a restarted process reads from disk), and require the
-  // resumed course to be indistinguishable from the uninterrupted run: any
-  // divergence means some server state escaped the snapshot schema.
-  if (a.delivered > 0) {
-    const int64_t crash_at = std::min<int64_t>(
-        a.delivered - 1,
-        static_cast<int64_t>(spec.crash_frac *
-                             static_cast<double>(a.delivered)));
-    CourseObservation c = RunInstrumentedCourse(spec, crash_at, options.exec_threads);
-    Check(&v, c.recoveries == 1, "crash_resume",
-          Vs("server restores performed", int64_t{1}, c.recoveries));
-    CheckReproduces(&v, "crash_resume", "crash-resume: ", a, c);
-  }
-
-  // -- oracle 11: serial-vs-threaded differential ---------------------------
-  // The threaded backend commits parallel client work in canonical order
-  // (DESIGN.md §12), so at every helper count the course must reproduce
-  // the base run bit for bit — models, curve, counters, round structure.
-  for (int threads : options.parallel_threads) {
-    CourseObservation p = RunInstrumentedCourse(spec, -1, threads);
-    CheckReproduces(&v, "parallel_differential",
-                    "threads=" + std::to_string(threads) + ": ", a, p);
-  }
-
-  // -- oracle 12: client-cache capacity sweep ------------------------------
-  // Every course keeps its clients in one ClientCache (DESIGN.md §13), and
-  // capacity is a pure performance knob. The eager course — a cache as
-  // large as the population, filled at construction — is the reference;
-  // the virtualized auto capacity and the pathological capacity 1 must
-  // reproduce it bit for bit. Every arm runs with every sink attached so
-  // the full obs exposition is compared too — a virtualized run may add
-  // only its fs_virtual_* gauges, which are stripped before comparing.
-  {
-    CourseObservation e =
-        RunInstrumentedCourse(spec, -1, options.exec_threads,
-                              kPopulationCapacity, /*all_sinks=*/true);
-    const std::string eager_metrics = e.metrics.ToPrometheusText();
-    struct Arm {
-      int capacity;
-      int64_t live_bound;  // Get runs before Trim: capacity + 1 at most
-      const char* tag;
+  // -- the differential rows ------------------------------------------------
+  for (const DifferentialRow& row :
+       DifferentialRows(reference, options.parallel_threads, a.delivered)) {
+    std::optional<CourseObservation> reruns[2];
+    const auto observe = [&](const CourseRun& run,
+                             std::optional<CourseObservation>& slot)
+        -> CourseObservation& {
+      return run == reference
+                 ? a
+                 : slot.emplace(RunInstrumentedCourse(run.spec, run.knobs));
     };
-    for (const Arm& arm :
-         {Arm{kAutoCapacity, CohortCacheBound(spec), "auto capacity: "},
-          Arm{1, 2, "capacity 1: "}}) {
-      const std::string tag = arm.tag;
-      CourseObservation vv = RunInstrumentedCourse(
-          spec, -1, options.exec_threads, arm.capacity, /*all_sinks=*/true);
-      CheckReproduces(&v, "virtualization_differential", tag, e, vv);
-      Check(&v,
-            StripVirtualSeries(vv.metrics.ToPrometheusText()) == eager_metrics,
-            "virtualization_differential",
-            tag + "metrics exposition differs beyond the fs_virtual_ gauges");
-      Check(&v, vv.cache.live_peak >= 1 && vv.cache.live_peak <= arm.live_bound,
-            "virtualization_differential",
-            tag + Vs("peak live clients outside [1, bound]", arm.live_bound,
-                     vv.cache.live_peak));
+    CourseObservation& base = observe(row.base.value_or(reference), reruns[0]);
+    CourseObservation& run = observe(row.run, reruns[1]);
+    const Report report{&v, row.oracle, row.tag};
+    CheckReproduces(report, base, run);
+    if (row.same_exposition) {
+      const std::string text = run.metrics.ToPrometheusText();
+      const bool eager = row.run.knobs.cache_capacity == kPopulationCapacity;
+      report((eager ? text : StripVirtualSeries(text)) ==
+                 base.metrics.ToPrometheusText(),
+             "metrics exposition differs");
     }
-
-    // -- oracle 16: obs transparency ----------------------------------------
-    // The sinks only read the server's counter table: attaching them all
-    // must not change the course, and what they recorded must agree with
-    // ServerStats.
-    CheckReproduces(&v, "obs_transparency", "all sinks attached: ", a, e);
-    for (Violation& violation :
-         CheckCounterSinks(e.result.server, e.metrics, e.course_log)) {
-      v.push_back(std::move(violation));
+    if (row.same_log_rows) {
+      report(SameRows(base.course_log, run.course_log),
+             "changed the course log", "obs_transparency");
     }
-
-    // Virtualized crash drill — oracle 8 under virtualization: the cache
-    // (the "other processes") survives the server kill, and the resumed
-    // course must still match the eager uninterrupted run bit for bit. Its
-    // course log must match too (oracle 16): the rows after the restore
-    // count from the baseline the snapshot carried.
-    if (e.delivered > 0) {
-      const int64_t crash_at = std::min<int64_t>(
-          e.delivered - 1,
-          static_cast<int64_t>(spec.crash_frac *
-                               static_cast<double>(e.delivered)));
-      CourseObservation vc =
-          RunInstrumentedCourse(spec, crash_at, options.exec_threads,
-                                kAutoCapacity, /*all_sinks=*/true);
-      Check(&v, vc.recoveries == 1, "virtualization_differential",
-            Vs("virtualized server restores performed", int64_t{1},
-               vc.recoveries));
-      CheckReproduces(&v, "virtualization_differential",
-                      "virtualized crash-resume: ", e, vc);
-      Check(&v, SameRows(e.course_log, vc.course_log), "obs_transparency",
-            "virtualized crash-resume changed the course log");
+    if (row.recovered) {
+      report(run.recoveries == 1,
+             Vs("server restores performed", int64_t{1}, run.recoveries));
+    }
+    if (row.live_bound > 0) {
+      report(run.cache.live_peak >= 1 && run.cache.live_peak <= row.live_bound,
+             Vs("peak live clients outside [1, bound]", row.live_bound,
+                run.cache.live_peak));
+    }
+    if (row.guard_idle) {
+      const ServerStats& guarded = run.result.server;
+      report(guarded.updates_rejected == 0 && guarded.updates_clipped == 0 &&
+                 guarded.quarantined.empty(),
+             "rejected, clipped, or quarantined");
     }
   }
 
-  // -- oracle 13: guard transparency ----------------------------------------
-  // A pure-screening ingress guard (no norm bound) over a benign course
-  // inspects every update and rejects none; it must be bit-invisible. The
-  // norm-bound/clip knobs are active interventions and are normalized out
-  // of both twins — transparency is a claim about screening only.
-  if (!spec.Hostile()) {
-    CourseSpec on = spec;
-    on.guard = true;
-    on.guard_l2 = 0.0;
-    on.guard_clip = false;
-    on.guard_k = 3;
-    CourseSpec off = on;
-    off.guard = false;
-    CourseObservation gon = RunInstrumentedCourse(
-        on, -1, options.exec_threads, kPopulationCapacity, /*all_sinks=*/true);
-    CourseObservation goff = RunInstrumentedCourse(
-        off, -1, options.exec_threads, kPopulationCapacity, /*all_sinks=*/true);
-    CheckReproduces(&v, "guard_transparency", "benign guard: ", goff, gon);
-    Check(&v,
-          gon.metrics.ToPrometheusText() == goff.metrics.ToPrometheusText(),
-          "guard_transparency", "benign guard changed the metrics exposition");
-    Check(&v,
-          gon.result.server.updates_rejected == 0 &&
-              gon.result.server.updates_clipped == 0 &&
-              gon.result.server.quarantined.empty(),
-          "guard_transparency",
-          "benign guard rejected, clipped, or quarantined");
+  // -- oracle 16: every sink agrees with ServerStats ------------------------
+  for (Violation& violation :
+       CheckCounterSinks(stats, a.metrics, a.course_log)) {
+    v.push_back(std::move(violation));
   }
 
   // -- oracle 14: Byzantine tolerance ---------------------------------------
@@ -685,41 +689,30 @@ std::vector<Violation> CheckCourse(const CourseSpec& spec,
   // the final model is what witnesses that they stayed outvoted.)
   if (spec.Hostile()) {
     // Clean completion is owed only once the guard has rejected something:
-    // the plan draws hostile *clients*, but heavy benign faults
-    // (crash/loss/dropout) can silence the fleet before any hostile member
-    // lands in a cohort — such a run is bit-identical to its benign twin,
-    // and an abort there is a benign-fault outcome this oracle has no
-    // business blaming on the adversary. Accepted mutations (sign-flip or
-    // scale inside the norm bound) are counted like honest updates and
-    // cannot stall a round either, so rejections are the exact signal that
-    // hostility touched liveness. The server answers each rejected slot
-    // with a refill and one more expiry of budget for the round (DESIGN.md
-    // §7), so the fleet's honest members get to finish it. Finiteness,
-    // quarantine soundness, and the delivered-vs-rejected reconciliation
-    // below still bind unconditionally.
+    // rejections are the exact signal that hostility touched liveness, and
+    // heavy benign faults can silence the fleet before any hostile member
+    // lands in a cohort (DESIGN.md §9, oracle 14).
+    const Report report{&v, "byzantine_tolerance", ""};
     if (stats.updates_rejected > 0) {
-      Check(&v, a.finished && !stats.aborted, "byzantine_tolerance",
-            "hostile course did not complete cleanly");
+      report(a.finished && !stats.aborted,
+             "hostile course did not complete cleanly");
     }
     std::string detail;
-    Check(&v,
-          StateDictFinite(a.result.final_model.GetStateDict(), &detail),
-          "byzantine_tolerance",
-          "poison reached the final model: " + detail);
+    const bool finite =
+        StateDictFinite(a.result.final_model.GetStateDict(), &detail);
+    report(finite, "poison reached the final model: " + detail);
     for (int id : stats.quarantined) {
-      Check(&v, a.hostile.count(id) > 0, "byzantine_tolerance",
-            "honest client " + std::to_string(id) + " was quarantined");
+      report(a.hostile.count(id) > 0,
+             "honest client " + std::to_string(id) + " was quarantined");
     }
     const std::set<int> distinct_quarantined(stats.quarantined.begin(),
                                              stats.quarantined.end());
-    Check(&v, distinct_quarantined.size() == stats.quarantined.size(),
-          "byzantine_tolerance", "a client was quarantined twice");
-    Check(&v, a.nonfinite_updates_delivered <= stats.updates_rejected,
-          "byzantine_tolerance",
-          Vs("non-finite updates delivered vs rejected at ingress",
-             stats.updates_rejected, a.nonfinite_updates_delivered));
+    report(distinct_quarantined.size() == stats.quarantined.size(),
+           "a client was quarantined twice");
+    report(a.nonfinite_updates_delivered <= stats.updates_rejected,
+           Vs("non-finite updates delivered vs rejected at ingress",
+              stats.updates_rejected, a.nonfinite_updates_delivered));
   }
-
   return v;
 }
 

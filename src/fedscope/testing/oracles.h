@@ -51,26 +51,38 @@ struct CourseObservation {
   int64_t nonfinite_updates_delivered = 0;
 };
 
-/// Client-cache capacities for RunInstrumentedCourse. kPopulationCapacity
-/// runs the eager course: a cache as large as the population, filled at
+/// Client-cache capacities for RunKnobs. kPopulationCapacity runs the
+/// eager course: a cache as large as the population, filled at
 /// construction. kAutoCapacity virtualizes with the cohort-derived auto
 /// bound. Any value >= 1 virtualizes with that explicit capacity
 /// (DESIGN.md §13).
 inline constexpr int kPopulationCapacity = -1;
 inline constexpr int kAutoCapacity = 0;
 
-/// `crash_at_event` >= 0 kills the server between the crash_at_event-th
-/// and the next delivery and restores it from a wire-codec-serialized
-/// snapshot (FaultPlanOptions::server_crash_at_event); -1 runs untouched.
-/// `exec_threads` > 0 runs the course under ExecutionBackend::kThreaded
-/// with that many pool helper threads; 0 keeps the serial default.
-/// `cache_capacity` picks the client lifecycle (kPopulationCapacity,
-/// kAutoCapacity, or an explicit capacity). `all_sinks` attaches a private
-/// MetricsRegistry, Tracer and the observation's CourseLog, and stores the
-/// registry's snapshot in `metrics`; otherwise the ObsContext stays null.
-CourseObservation RunInstrumentedCourse(
-    const CourseSpec& spec, int64_t crash_at_event = -1, int exec_threads = 0,
-    int cache_capacity = kPopulationCapacity, bool all_sinks = false);
+/// How RunInstrumentedCourse runs a spec: the knobs the differential
+/// oracles vary besides the spec itself.
+struct RunKnobs {
+  /// >= 0 kills the server between the crash_at_event-th and the next
+  /// delivery and restores it from a wire-codec-serialized snapshot
+  /// (FaultPlanOptions::server_crash_at_event); -1 runs untouched.
+  int64_t crash_at_event = -1;
+  /// > 0 runs under ExecutionBackend::kThreaded with that many pool
+  /// helper threads; 0 keeps the serial default.
+  int exec_threads = 0;
+  /// The client lifecycle: kPopulationCapacity, kAutoCapacity, or an
+  /// explicit capacity.
+  int cache_capacity = kPopulationCapacity;
+  /// Attaches a private MetricsRegistry, Tracer and the observation's
+  /// CourseLog, and stores the registry's snapshot in `metrics`; otherwise
+  /// the ObsContext stays null.
+  bool all_sinks = false;
+
+  bool operator==(const RunKnobs& other) const = default;
+};
+
+/// Runs `spec` once under `knobs`, observed through the FedJob taps.
+CourseObservation RunInstrumentedCourse(const CourseSpec& spec,
+                                        const RunKnobs& knobs = {});
 
 struct OracleOptions {
   /// Also run the standalone-vs-distributed differential when the spec is
@@ -93,57 +105,22 @@ struct OracleOptions {
 /// courses have an arrival-order-independent round structure.
 bool DistributedEligible(const CourseSpec& spec);
 
-/// Runs every invariant oracle against one course spec:
-///   1. termination + stats sanity (finished/aborted, bounded accuracies,
-///      staleness within tolerance, round count within max_rounds),
-///   2. virtual-time monotonicity of deliveries and of the accuracy curve,
-///   3. message conservation under the fault plan (delivered == sent
-///      - dropped + duplicated - suppressed; suppression exact),
-///   4. same-seed bit-reproducibility (final model, curve, counters),
-///   5. through_wire equivalence (flipping the codec flag is invisible),
-///   6. aggregate-weight conservation of the spec's aggregator,
-///   7. (optional) standalone-vs-distributed differential,
-///   8. crash-resume bit-identity: kill the server at the spec's
-///      crash_frac point, restore from a serialized snapshot, and require
-///      the resumed course to match the uninterrupted run bit for bit,
-///   9. and 10. retired with the edge-aggregator hierarchy (DESIGN.md
-///      §11); the numbers are kept so the others keep theirs,
-///  11. serial-vs-threaded differential: the course rerun under
-///      ExecutionBackend::kThreaded at each OracleOptions::parallel_threads
-///      helper count must reproduce the base run bit for bit (final model,
-///      curve, client accuracies, message counts, round structure),
-///  12. client-cache capacity sweep (DESIGN.md §13): the eager course (a
-///      cache as large as the population, the reference) is rerun
-///      virtualized at the auto capacity and at capacity 1, and each must
-///      reproduce it bit for bit — final model, curve, client accuracies,
-///      message and fault counters, round structure, and the metrics
-///      exposition (up to the fs_virtual_* gauges only virtualized runs
-///      emit). Peak live clients must stay within the cohort-derived bound
-///      at the auto capacity and within 2 at capacity 1, and the
-///      auto-capacity crash drill must resume bit-identically too,
-///  13. guard transparency (benign specs, DESIGN.md §14): a pure-screening
-///      ingress guard (no norm bound) over a course with zero hostile
-///      clients must be bit-invisible — final model, curve, counters,
-///      round structure, and the full metrics exposition all match the
-///      guard-off twin, and nothing is rejected or quarantined,
-///  14. Byzantine tolerance (hostile specs): the course completes without
-///      aborting, the final shared model is finite, only plan-hostile
-///      clients are ever quarantined (each at most once), and every
-///      non-finite update delivered while the course was live was rejected
-///      at ingress (delivered-poison count <= rejection count),
-///  15. round liveness: the course's starved timer expiries
-///      (ServerStats::round_extensions) stay within (max_round_extensions
-///      + 1) per completed or aborted round, plus guard_k per plan-hostile
-///      client when quarantine is on (DESIGN.md §7); termination is check
-///      1, and
-///      slot conservation is FS_CHECKed by the server's cohort ledger on
-///      every transition,
-///  16. obs transparency: oracle 12's eager reference runs with every sink
-///      attached and must reproduce the base run bit for bit; its metrics
-///      and course log must agree with ServerStats (CheckCounterSinks);
-///      and the virtualized crash drill's course log must equal the
-///      reference's row for row (the snapshot carries the rows' baseline).
-/// Returns every violation found (empty = course passed).
+/// Runs every invariant oracle against one course spec (DESIGN.md §9
+/// lists them). One reference run — the spec as given, eager, on
+/// OracleOptions::exec_threads, with every sink attached — feeds the
+/// single-run oracles: 1 termination + stats sanity, 2 virtual-time
+/// monotonicity, 3 message conservation, 14 Byzantine tolerance (hostile
+/// specs), 15 round liveness, and 16's agreement of every sink with
+/// ServerStats (CheckCounterSinks). Oracle 6 runs no course; oracle 7
+/// keeps its own TCP runner. Every other oracle is a row of one table: a
+/// spec and RunKnobs whose run must reproduce the reference bit for bit,
+/// plus the row's own comparator and extras — 4 + 16 the same spec
+/// without sinks, 5 through_wire flipped, 8 a server crash at crash_frac
+/// of the reference's deliveries, 11 each parallel_threads count, 12 the
+/// auto capacity, capacity 1 and the auto-capacity crash drill, 13 a
+/// benign spec's guard on vs off. A row run equal to the reference run is
+/// the reference itself. Returns every violation found (empty = course
+/// passed).
 std::vector<Violation> CheckCourse(const CourseSpec& spec,
                                    const OracleOptions& options = {});
 

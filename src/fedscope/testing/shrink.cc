@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <variant>
 
 namespace fedscope {
 namespace testing {
@@ -75,88 +77,37 @@ ShrinkResult ShrinkCourse(const CourseSpec& failing,
 
   Shrinker s{CourseGen::Clamp(failing), still_fails, options.max_evals};
 
-  // Categorical fields: either the benign default reproduces or the field
-  // is load-bearing — no intermediate values to bisect.
-  const struct {
-    std::string CourseSpec::* field;
-  } kStringFields[] = {
-      {&CourseSpec::dataset},         {&CourseSpec::model},
-      {&CourseSpec::strategy},        {&CourseSpec::broadcast},
-      {&CourseSpec::sampler},         {&CourseSpec::aggregator},
-      {&CourseSpec::personalization}, {&CourseSpec::compression},
-  };
-  const struct {
-    bool CourseSpec::* field;
-  } kBoolFields[] = {
-      {&CourseSpec::collect_client_metrics},
-      {&CourseSpec::dp_enable},
-      {&CourseSpec::heterogeneous_fleet},
-      {&CourseSpec::through_wire},
-      {&CourseSpec::suppress_duplicates},
-  };
-  const struct {
-    int CourseSpec::* field;
-  } kIntFields[] = {
-      {&CourseSpec::num_clients},    {&CourseSpec::pool_size},
-      {&CourseSpec::hidden},         {&CourseSpec::num_groups},
-      {&CourseSpec::concurrency},    {&CourseSpec::aggregation_goal},
-      {&CourseSpec::staleness_tolerance},
-      {&CourseSpec::min_received},   {&CourseSpec::max_round_extensions},
-      {&CourseSpec::max_rounds},     {&CourseSpec::eval_interval},
-      {&CourseSpec::local_steps},    {&CourseSpec::batch_size},
-  };
-  const struct {
-    double CourseSpec::* field;
-  } kDoubleFields[] = {
-      {&CourseSpec::overselect_frac},
-      {&CourseSpec::staleness_rho},
-      {&CourseSpec::time_budget},
-      {&CourseSpec::receive_deadline},
-      {&CourseSpec::lr},
-      {&CourseSpec::jitter_sigma},
-      {&CourseSpec::trim_frac},
-      {&CourseSpec::compression_keep_frac},
-      {&CourseSpec::dp_noise},
-      {&CourseSpec::dp_clip},
-      {&CourseSpec::fault_dropout_frac},
-      {&CourseSpec::fault_crash_prob},
-      {&CourseSpec::fault_straggler_frac},
-      {&CourseSpec::fault_straggler_delay},
-      {&CourseSpec::fault_msg_loss_prob},
-      {&CourseSpec::fault_msg_duplicate_prob},
-      {&CourseSpec::fault_msg_delay_prob},
-      {&CourseSpec::fault_msg_delay_max},
-  };
-
   int fields_reset = 0;
   // Passes repeat until a fixpoint: resetting one field (e.g. strategy)
-  // often re-opens Clamp headroom for another (e.g. fault knobs).
+  // often re-opens Clamp headroom for another (e.g. fault knobs). Each
+  // pass walks the field table once per type, in variant order after the
+  // seed (never shrunk): strings, bools, ints, doubles. A categorical
+  // field either reproduces at its benign default or is load-bearing; a
+  // numeric one bisects toward its default.
   for (int pass = 0; pass < 4 && !s.Exhausted(); ++pass) {
     bool changed = false;
-    for (const auto& f : kStringFields) {
-      if (s.best.*f.field != baseline.*f.field &&
-          s.TryField(f.field, baseline.*f.field)) {
-        ++fields_reset;
-        changed = true;
-      }
-    }
-    for (const auto& f : kBoolFields) {
-      if (s.best.*f.field != baseline.*f.field &&
-          s.TryField(f.field, baseline.*f.field)) {
-        ++fields_reset;
-        changed = true;
-      }
-    }
-    for (const auto& f : kIntFields) {
-      if (s.BisectField(f.field, baseline.*f.field)) {
-        if (s.best.*f.field == baseline.*f.field) ++fields_reset;
-        changed = true;
-      }
-    }
-    for (const auto& f : kDoubleFields) {
-      if (s.BisectField(f.field, baseline.*f.field)) {
-        if (s.best.*f.field == baseline.*f.field) ++fields_reset;
-        changed = true;
+    constexpr size_t kTypes = std::variant_size_v<decltype(SpecField::member)>;
+    for (size_t type = 1; type < kTypes; ++type) {
+      for (const SpecField& f : SpecFields()) {
+        if (f.member.index() != type) continue;
+        std::visit(
+            [&](auto field) {
+              using T = std::decay_t<decltype(s.best.*field)>;
+              if constexpr (std::is_same_v<T, std::string> ||
+                            std::is_same_v<T, bool>) {
+                if (s.best.*field != baseline.*field &&
+                    s.TryField(field, baseline.*field)) {
+                  ++fields_reset;
+                  changed = true;
+                }
+              } else if constexpr (!std::is_same_v<T, uint64_t>) {
+                if (s.BisectField(field, baseline.*field)) {
+                  if (s.best.*field == baseline.*field) ++fields_reset;
+                  changed = true;
+                }
+              }
+            },
+            f.member);
       }
     }
     if (!changed) break;

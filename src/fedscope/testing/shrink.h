@@ -23,9 +23,10 @@ struct ShrinkResult {
 };
 
 /// First-failure minimizer: config-field bisection toward a benign
-/// baseline (`CourseSpec{}` with the failing seed). For each field, first
-/// try the baseline value outright; for numeric fields that must stay
-/// large, bisect between the baseline and the failing value. Every
+/// baseline (`CourseSpec{}` with the failing seed). For each field of
+/// SpecFields() but the seed, first try the baseline value outright; for
+/// numeric fields that must stay large, bisect between the baseline and
+/// the failing value. Every
 /// candidate is projected through CourseGen::Clamp so the shrinker can
 /// never leave the valid lattice, and candidates that clamp back to the
 /// current spec are skipped. `failing` must satisfy `still_fails`.

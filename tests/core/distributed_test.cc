@@ -6,6 +6,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -498,6 +500,59 @@ TEST(DistributedTest, BadHellosCloseOnlyTheirConnection) {
   EXPECT_EQ(server_host.failed_clients(), 0);
   EXPECT_EQ(metrics.CounterValue("fs_rejected_frames_total"),
             static_cast<double>(bad_hellos));
+}
+
+TEST(DistributedTest, SilentPeerCannotStallTheAcceptLoop) {
+  // A peer connects ahead of the real clients and never sends its hello.
+  // The server's recv timeout must refuse it, so the course runs while the
+  // peer still holds its socket open. The test closes that socket after
+  // 10 s at the latest, so a server that waits on the hello fails the test
+  // instead of hanging it.
+  constexpr int kClients = 2;
+  constexpr int kRounds = 2;
+  Rng init_rng(10);
+  Model init = MakeLogisticRegression(2, 2, &init_rng);
+  auto listener = TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok());
+  const int port = listener->port();
+  TransportOptions transport;
+  transport.recv_timeout = 1.0;
+  DistributedServerHost server_host(SmallSyncCourse(kClients, kRounds), init,
+                                    std::make_unique<FedAvgAggregator>(),
+                                    std::move(listener.value()), transport);
+  ServerStats stats;
+  std::atomic<bool> course_ended{false};
+  std::thread server_thread([&] {
+    stats = server_host.Run();
+    course_ended = true;
+  });
+
+  TcpConnection silent = RawPeer(port);
+  std::vector<std::unique_ptr<DistributedClientHost>> hosts;
+  std::vector<Status> statuses(kClients);
+  std::vector<std::thread> client_threads;
+  for (int id = 1; id <= kClients; ++id) {
+    hosts.push_back(BlobClient(id, init, port));
+    DistributedClientHost* host = hosts.back().get();
+    client_threads.emplace_back(
+        [&statuses, host, id] { statuses[id - 1] = host->Run(); });
+  }
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!course_ended && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const bool ended_while_open = course_ended;
+  silent.Close();
+  for (auto& t : client_threads) t.join();
+  server_thread.join();
+
+  EXPECT_TRUE(ended_while_open) << "the silent peer held the accept loop";
+  for (const Status& status : statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  EXPECT_EQ(stats.rounds, kRounds);
+  EXPECT_EQ(server_host.rejected_frames(), 1);
 }
 
 TEST(DistributedTest, PeerCannotForgeFramesForOthers) {

@@ -33,6 +33,16 @@ UpdateGuard MakeGuard(double l2 = 0.0, bool clip = false, int k = 3) {
   return UpdateGuard(options);
 }
 
+/// Books one violation against `client_id` through Inspect (a NaN delta);
+/// returns true when it tripped quarantine.
+bool RecordViolation(UpdateGuard* guard, int client_id) {
+  StateDict bad = MatchingDelta();
+  bad["w"].at(0) = std::numeric_limits<float>::quiet_NaN();
+  const GuardDecision decision = guard->Inspect(client_id, Signature(), &bad);
+  EXPECT_EQ(decision.verdict, GuardVerdict::kRejectNonFinite);
+  return decision.quarantine;
+}
+
 TEST(UpdateGuardTest, CleanDeltaAccepted) {
   UpdateGuard guard = MakeGuard();
   const StateDict signature = Signature();
@@ -160,32 +170,19 @@ TEST(UpdateGuardTest, ZeroQuarantineAfterDisablesQuarantine) {
   EXPECT_FALSE(guard.IsQuarantined(3));
 }
 
-TEST(UpdateGuardTest, UntrackedInspectionBooksNoViolation) {
-  UpdateGuard guard = MakeGuard(0.0, false, /*k=*/1);
-  const StateDict signature = Signature();
-  StateDict bad = MatchingDelta();
-  bad["w"].at(0) = std::numeric_limits<float>::quiet_NaN();
-  const auto decision =
-      guard.Inspect(4, signature, &bad, /*track_violations=*/false);
-  EXPECT_TRUE(decision.rejected());
-  EXPECT_FALSE(decision.quarantine);
-  EXPECT_TRUE(guard.violations().empty());
-  EXPECT_FALSE(guard.IsQuarantined(4));
-}
-
 TEST(UpdateGuardTest, RecordViolationTripsQuarantine) {
   UpdateGuard guard = MakeGuard(0.0, false, /*k=*/2);
-  EXPECT_FALSE(guard.RecordViolation(9));
-  EXPECT_TRUE(guard.RecordViolation(9));   // trips the bar
-  EXPECT_FALSE(guard.RecordViolation(9));  // already quarantined
+  EXPECT_FALSE(RecordViolation(&guard, 9));
+  EXPECT_TRUE(RecordViolation(&guard, 9));   // trips the bar
+  EXPECT_FALSE(RecordViolation(&guard, 9));  // already quarantined
   EXPECT_TRUE(guard.IsQuarantined(9));
 }
 
 TEST(UpdateGuardTest, SaveLoadStateRoundTrips) {
   UpdateGuard guard = MakeGuard(0.0, false, /*k=*/2);
-  guard.RecordViolation(2);
-  guard.RecordViolation(5);
-  guard.RecordViolation(5);  // quarantines 5
+  RecordViolation(&guard, 2);
+  RecordViolation(&guard, 5);
+  RecordViolation(&guard, 5);  // quarantines 5
 
   Payload snapshot;
   guard.SaveState(&snapshot, "guard/");
@@ -197,7 +194,7 @@ TEST(UpdateGuardTest, SaveLoadStateRoundTrips) {
   EXPECT_TRUE(restored.IsQuarantined(5));
   EXPECT_FALSE(restored.IsQuarantined(2));
   // The restored guard resumes counting where the original stopped.
-  EXPECT_TRUE(restored.RecordViolation(2));
+  EXPECT_TRUE(RecordViolation(&restored, 2));
 }
 
 }  // namespace

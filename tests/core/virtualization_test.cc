@@ -183,7 +183,8 @@ TEST_F(VirtualizationTest, LivePeakBoundedByCohortAcrossCourseShapes) {
     ASSERT_GT(spec.EffectiveClients(), CohortBound(spec)) << c.name;
 
     const CourseObservation obs = RunInstrumentedCourse(
-        spec, /*crash_at_event=*/-1, c.exec_threads, kAutoCapacity);
+        spec,
+        {.exec_threads = c.exec_threads, .cache_capacity = kAutoCapacity});
     EXPECT_TRUE(obs.finished) << c.name;
     EXPECT_GE(obs.cache.live_peak, 1) << c.name;
     EXPECT_LE(obs.cache.live_peak, CohortBound(spec)) << c.name;
@@ -206,7 +207,7 @@ TEST_F(VirtualizationTest, VirtualizedCourseBitIdenticalToEager) {
   const CourseSpec spec = BaseSpec();
   CourseObservation eager = RunInstrumentedCourse(spec);
   CourseObservation virt =
-      RunInstrumentedCourse(spec, -1, /*exec_threads=*/0, kAutoCapacity);
+      RunInstrumentedCourse(spec, {.cache_capacity = kAutoCapacity});
   EXPECT_EQ(eager.finished, virt.finished);
   EXPECT_TRUE(BitEqual(eager.result.final_model.GetStateDict(),
                        virt.result.final_model.GetStateDict()));
@@ -220,8 +221,8 @@ TEST_F(VirtualizationTest, VirtualizedCourseBitIdenticalToEager) {
 TEST_F(VirtualizationTest, ThreadedVirtualizedCourseBitIdenticalToSerialEager) {
   const CourseSpec spec = BaseSpec();
   CourseObservation eager = RunInstrumentedCourse(spec);
-  CourseObservation virt =
-      RunInstrumentedCourse(spec, -1, /*exec_threads=*/3, kAutoCapacity);
+  CourseObservation virt = RunInstrumentedCourse(
+      spec, {.exec_threads = 3, .cache_capacity = kAutoCapacity});
   EXPECT_EQ(eager.finished, virt.finished);
   EXPECT_TRUE(BitEqual(eager.result.final_model.GetStateDict(),
                        virt.result.final_model.GetStateDict()));

@@ -51,7 +51,7 @@ TEST(ThreadedCorpusTest, CorpusReplaysBitIdenticallyUnderThreadedBackend) {
     for (int threads : {2, 4}) {
       SCOPED_TRACE(file.string() + " threads=" + std::to_string(threads));
       CourseObservation threaded =
-          RunInstrumentedCourse(spec.value(), -1, threads);
+          RunInstrumentedCourse(spec.value(), {.exec_threads = threads});
       EXPECT_EQ(serial.finished, threaded.finished);
       EXPECT_TRUE(serial.result.final_model.GetStateDict() ==
                   threaded.result.final_model.GetStateDict());

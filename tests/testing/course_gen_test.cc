@@ -1,7 +1,11 @@
 #include "fedscope/testing/course_gen.h"
 
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 
 #include "gtest/gtest.h"
 
@@ -62,6 +66,46 @@ TEST(CourseGenTest, ConfigRoundTripPreservesEverySpec) {
     ASSERT_TRUE(from_string.ok()) << from_string.status().ToString();
     EXPECT_EQ(from_string.value(), spec) << "seed " << seed;
   }
+}
+
+/// The repro line's values, by key.
+std::map<std::string, std::string> ReproFields(const CourseSpec& spec) {
+  std::map<std::string, std::string> fields;
+  std::istringstream in(spec.ToString());
+  for (std::string token; std::getline(in, token, ',');) {
+    const size_t eq = token.find('=');
+    fields[token.substr(0, eq)] = token.substr(eq + 1);
+  }
+  return fields;
+}
+
+TEST(CourseGenTest, EveryFieldRowOwnsOneKey) {
+  const auto before = ReproFields(CourseSpec{});
+  std::set<std::string> keys;
+  for (const SpecField& f : SpecFields()) {
+    EXPECT_TRUE(keys.insert(f.key).second) << "duplicate key " << f.key;
+    CourseSpec changed;
+    std::visit(
+        [&changed](auto member) {
+          auto& value = changed.*member;
+          using T = std::decay_t<decltype(value)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            value = !value;
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            value += "x";
+          } else {
+            value += 1;
+          }
+        },
+        f.member);
+    const auto after = ReproFields(changed);
+    ASSERT_EQ(after.size(), before.size()) << f.key;
+    for (const auto& [key, value] : before) {
+      EXPECT_EQ(after.at(key) != value, key == f.key)
+          << "changing row " << f.key << "'s member moved key " << key;
+    }
+  }
+  EXPECT_EQ(keys.size(), before.size());
 }
 
 TEST(CourseGenTest, FromConfigRejectsUnknownKeys) {

@@ -173,6 +173,46 @@ TEST_F(OracleTest, ShrinkReducesToThePredicateCore) {
   EXPECT_EQ(result.spec.broadcast, defaults.broadcast);
 }
 
+TEST_F(OracleTest, ShrinkResetsTheLateAxes) {
+  // The synthetic failure again, drawn on every late axis: a hostile,
+  // guarded, bandwidth-starved population with a late crash point. None
+  // of those axes is load-bearing for the predicate, so each must land on
+  // its default.
+  CourseSpec s = DuplicatingAsyncTimeSpec();
+  s.population = 20;
+  s.hostile_frac = 0.3;
+  s.hostile_mode = "sign_flip";
+  s.hostile_prob = 0.7;
+  s.hostile_scale = 1e3;
+  s.guard_k = 2;
+  s.guard_l2 = 50.0;
+  s.guard_clip = true;
+  s.low_bandwidth_frac = 0.5;
+  s.crash_frac = 0.9;
+  const CourseSpec failing = CourseGen::Clamp(s);
+  ASSERT_TRUE(failing.Hostile() && failing.guard && failing.guard_clip);
+  ASSERT_EQ(failing.aggregator, "median");  // Clamp's robust remap
+  const auto predicate = [](const CourseSpec& c) {
+    return c.strategy == "async_time" && c.fault_msg_duplicate_prob > 0.0;
+  };
+  const ShrinkResult result = ShrinkCourse(failing, predicate);
+  EXPECT_TRUE(predicate(result.spec));
+  const CourseSpec d;
+  EXPECT_EQ(result.spec.hostile_mode, d.hostile_mode);
+  EXPECT_EQ(result.spec.guard, d.guard);
+  EXPECT_EQ(result.spec.guard_clip, d.guard_clip);
+  EXPECT_EQ(result.spec.population, d.population);
+  EXPECT_EQ(result.spec.guard_k, d.guard_k);
+  EXPECT_EQ(result.spec.crash_frac, d.crash_frac);
+  EXPECT_EQ(result.spec.guard_l2, d.guard_l2);
+  EXPECT_EQ(result.spec.hostile_frac, d.hostile_frac);
+  EXPECT_EQ(result.spec.hostile_prob, d.hostile_prob);
+  EXPECT_EQ(result.spec.hostile_scale, d.hostile_scale);
+  EXPECT_EQ(result.spec.low_bandwidth_frac, d.low_bandwidth_frac);
+  // With the hostility gone, the robust remap lets go of the aggregator.
+  EXPECT_EQ(result.spec.aggregator, d.aggregator);
+}
+
 TEST_F(OracleTest, ShrinkIsDeterministic) {
   const auto predicate = [](const CourseSpec& s) {
     return s.strategy == "async_time" && s.fault_msg_duplicate_prob > 0.0;
