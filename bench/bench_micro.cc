@@ -128,35 +128,43 @@ void BM_ModelForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelForwardBackward);
 
-// One SGD step at batch 16. Arg 0: convnet_sync's ConvNet2 on 1x8x8.
-// Arg 1: hostile_cifar's Flatten + MLP 192-32-10 on 3x8x8. A learning rate
-// of 0 keeps the parameters, and with them the timing, the same from one
-// iteration to the next.
+// One SGD step. Arg 0: convnet_sync's ConvNet2 on 1x8x8 at batch 16.
+// Arg 1: hostile_cifar's Flatten + MLP 192-32-10 on 3x8x8 at batch 16.
+// Arg 2: crossdevice_1m's 16->4 logistic regression at batch 8. A learning
+// rate of 0 keeps the parameters, and with them the timing, the same from
+// one iteration to the next.
 void BM_SgdStep(benchmark::State& state) {
   Rng rng(14);
-  const bool conv = state.range(0) == 0;
+  const int64_t arg = state.range(0);
+  const int64_t batch = arg == 2 ? 8 : 16;
+  const int64_t classes = arg == 2 ? 4 : 10;
   Model model;
-  if (conv) {
+  Tensor x;
+  if (arg == 0) {
     model = MakeConvNet2(1, 8, 10, 64, 0.0, &rng);
-  } else {
+    x = Tensor::Randn({batch, 1, 8, 8}, &rng);
+  } else if (arg == 1) {
     model.Add("flat", std::make_unique<Flatten>());
     Model mlp = MakeMlp({192, 32, 10}, &rng);
     for (int i = 0; i < mlp.num_layers(); ++i) {
       model.Add(mlp.layer_name(i), mlp.layer(i)->Clone());
     }
+    x = Tensor::Randn({batch, 3, 8, 8}, &rng);
+  } else {
+    model = MakeLogisticRegression(16, 4, &rng);
+    x = Tensor::Randn({batch, 16}, &rng);
   }
-  Tensor x = Tensor::Randn({16, conv ? 1 : 3, 8, 8}, &rng);
-  std::vector<int64_t> labels(16);
-  for (auto& label : labels) label = rng.UniformInt(0, 9);
+  std::vector<int64_t> labels(batch);
+  for (auto& label : labels) label = rng.UniformInt(0, classes - 1);
   SgdOptions options;
   options.lr = 0.0;
   Sgd sgd(options);
   for (auto _ : state) {
     benchmark::DoNotOptimize(SgdStepOnBatch(&model, &sgd, x, labels));
   }
-  state.SetItemsProcessed(state.iterations() * 16);
+  state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_SgdStep)->Arg(0)->Arg(1);
+BENCHMARK(BM_SgdStep)->Arg(0)->Arg(1)->Arg(2);
 
 // -- server evaluation (DESIGN.md §12) ---------------------------------------
 // The convnet_sync server test set: ConvNet2 on 512 rows of 8×8. Arg 0:

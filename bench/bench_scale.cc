@@ -7,9 +7,9 @@
 // sub-millisecond round signal) and the process peak RSS after each
 // population's runs. A rounds axis then runs the 1M population for 100,
 // 1000 and 3000 rounds: every round suspends about 32 more clients, so
-// the growth of peak RSS between two rows, divided by the growth of the
-// suspended count (evictions - restores), is the heap a suspended client
-// costs. The headline reading is the last two rows'.
+// the growth of the heap in use at course end between two rows, divided
+// by the growth of the suspended count (evictions - restores), is the heap
+// a suspended client costs. The headline reading is the last two rows'.
 //
 //   bench_scale [--out=BENCH_scale.json] [--smoke]
 //
@@ -21,10 +21,14 @@
 //   each population's runs. It is monotone across the curve; populations
 //   run in ascending order so each reading is dominated by its own
 //   stage, but it is a ceiling, not an isolated measurement. -1 means
-//   /proc/self/status was unavailable. The rounds axis runs last, in
-//   ascending rounds, so each of its rows raises the ceiling by what its
-//   longer course adds; sanitizer builds inflate RSS, so nothing gates
-//   on it.
+//   /proc/self/status was unavailable.
+// * The rounds axis reads heap in use, not RSS: glibc's
+//   mallinfo2().uordblks, which sums every arena, taken when the course
+//   ends and before the runner is torn down. A ceiling cannot see records
+//   that fit under the peak an earlier, larger course left, and a helper
+//   thread's arena raises RSS by what it reserves, not by what the course
+//   holds. Sanitizer builds replace malloc, so there the reading is
+//   informational, and nothing gates on it.
 // * The memory proof is the live-client counter, not RSS: peak live
 //   Clients must stay within the cache capacity + 1 (the pre-Trim
 //   transient) at every population, or the bench fails.
@@ -32,6 +36,8 @@
 //   bit-identical to an eagerly instantiated run of the same course
 //   (oracle 12's differential); the larger populations are too big to
 //   instantiate eagerly — which is the point.
+
+#include <malloc.h>
 
 #include <chrono>
 #include <cmath>
@@ -114,6 +120,9 @@ struct Sample {
   double wall_ms = 0.0;
   RunResult result;
   ClientCacheStats cache;
+  /// Heap in use over every arena when the course ended, with the runner
+  /// and its suspended records still alive.
+  int64_t heap_bytes = 0;
 };
 
 Sample TimeRun(const ClientDataProvider* provider, int rounds) {
@@ -124,6 +133,7 @@ Sample TimeRun(const ClientDataProvider* provider, int rounds) {
   s.cache = runner.client_cache()->stats();
   const auto end = std::chrono::steady_clock::now();
   s.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
+  s.heap_bytes = static_cast<int64_t>(mallinfo2().uordblks);
   return s;
 }
 
@@ -147,15 +157,16 @@ struct RoundsRow {
   int rounds = 0;
   double wall_ms = 0.0;
   int64_t suspended = 0;
+  int64_t heap_bytes = 0;
   int64_t rss_kb = -1;
 };
 
-/// Heap bytes per suspended client between rows `a` and `b`: the peak RSS
-/// growth over the suspended-count growth; -1 when RSS is unavailable or
+/// Heap bytes per suspended client between rows `a` and `b`: the growth of
+/// the heap in use at course end over the suspended-count growth; -1 when
 /// nothing more was suspended.
 double BytesPerSuspended(const RoundsRow& a, const RoundsRow& b) {
-  if (a.rss_kb < 0 || b.rss_kb < 0 || b.suspended <= a.suspended) return -1;
-  return 1024.0 * static_cast<double>(b.rss_kb - a.rss_kb) /
+  if (b.suspended <= a.suspended) return -1;
+  return static_cast<double>(b.heap_bytes - a.heap_bytes) /
          static_cast<double>(b.suspended - a.suspended);
 }
 
@@ -207,10 +218,11 @@ int Main(int argc, char** argv) {
       "concurrently instantiated Clients and must stay within "
       "cache_capacity + 1 regardless of population. rounds_axis runs "
       "one population for more and more rounds after the curve; suspended "
-      "= evictions - restores at course end, and bytes_per_suspended is "
-      "the VmHWM growth over the suspended growth between consecutive "
-      "rows; bytes_per_suspended_client is the last two rows' reading, "
-      "because the first row reads the ceiling the curve left.\",\n";
+      "= evictions - restores at course end, heap_bytes is glibc's "
+      "mallinfo2().uordblks (heap in use over every arena) at course end "
+      "before the runner is torn down, and bytes_per_suspended is the "
+      "heap_bytes growth over the suspended growth between consecutive "
+      "rows; bytes_per_suspended_client is the last two rows' reading.\",\n";
   json += "  \"host\": {\n    \"num_cpus\": " +
           std::to_string(std::thread::hardware_concurrency()) + "\n  },\n";
   json += "  \"populations\": {\n";
@@ -297,8 +309,8 @@ int Main(int argc, char** argv) {
   const ProceduralDataProvider axis_provider(
       MakeDataOptions(axis_population));
   std::printf("\nrounds axis: %d clients\n", axis_population);
-  Table rounds_table({"rounds", "course ms", "suspended", "peak RSS MB",
-                      "B/suspended"});
+  Table rounds_table({"rounds", "course ms", "suspended", "heap MB",
+                      "peak RSS MB", "B/suspended"});
   json += "  \"rounds_axis\": {\n    \"population\": " +
           std::to_string(axis_population) + ",\n    \"rounds\": {\n";
   std::vector<RoundsRow> rows;
@@ -308,6 +320,7 @@ int Main(int argc, char** argv) {
     row.rounds = axis_rounds[ri];
     row.wall_ms = run.wall_ms;
     row.suspended = run.cache.evictions - run.cache.restores;
+    row.heap_bytes = run.heap_bytes;
     row.rss_kb = PeakRssKb();
     const double per_client =
         ri == 0 ? -1.0 : BytesPerSuspended(rows.back(), row);
@@ -316,6 +329,7 @@ int Main(int argc, char** argv) {
         .Int(row.rounds)
         .Num(row.wall_ms, 1)
         .Int(row.suspended)
+        .Num(row.heap_bytes / (1024.0 * 1024.0), 1)
         .Num(row.rss_kb >= 0 ? row.rss_kb / 1024.0 : -1.0, 1)
         .Str(per_client < 0 ? "-" : std::to_string(std::lround(per_client)));
     json += "      \"" + std::to_string(row.rounds) + "\": {\n";
@@ -326,14 +340,16 @@ int Main(int argc, char** argv) {
             ",\n";
     json += "        \"suspended\": " + std::to_string(row.suspended) +
             ",\n";
+    json += "        \"heap_bytes\": " + std::to_string(row.heap_bytes) +
+            ",\n";
     json += "        \"peak_rss_kb\": " + std::to_string(row.rss_kb) + ",\n";
     json += "        \"bytes_per_suspended_vs_previous\": " +
             JsonNumber(per_client) + "\n";
     json += "      }";
     json += ri + 1 < axis_rounds.size() ? ",\n" : "\n";
   }
-  // The last two rows: the first row's reading is the ceiling the
-  // population curve left, so only rows above it measure the records.
+  // The last two rows: the longest courses, whose records dwarf the rest
+  // of what a course holds at its end.
   const RoundsRow& from = rows[rows.size() - 2];
   const double per_client = BytesPerSuspended(from, rows.back());
   json += "    },\n    \"bytes_per_suspended_client\": " +

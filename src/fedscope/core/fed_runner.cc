@@ -77,6 +77,9 @@ void FedRunner::BuildWorkers() {
   server_ = MakeServer();
   snapshot_writer_ = SnapshotWriter(job_.snapshot);
 
+  // A miss's split may be requested ahead; the bound keeps a burst of
+  // requests (one per member at course end) from building a population.
+  splits_ = std::make_unique<SplitPrefetcher>(job_.provider, CacheCapacity());
   cache_ = std::make_unique<ClientCache>(
       n, CacheCapacity(), [this](int id) { return MakeCacheEntry(id); });
   if (!job_.virtualize) {
@@ -116,11 +119,12 @@ ClientCache::Entry FedRunner::MakeCacheEntry(int id) {
     entry.port = std::make_unique<BufferingChannel>(worker_channel_);
     client_channel = entry.port.get();
   }
-  // Only the train split is built now; val and test are built on first
-  // read, which a course without local evaluation never does.
+  // Only the train split is built now, or was built ahead on the
+  // prefetcher's helper; val and test are built on first read, which a
+  // course without local evaluation never does.
   SplitDataset data;
   HeldOutSource held_out;
-  data.train = job_.provider->MaterializeTrain(id, &held_out);
+  data.train = splits_->Take(id, &held_out);
   entry.client = std::make_unique<Client>(
       id, DeriveClientOptions(id), job_.init_model, std::move(data),
       job_.trainer_factory(id), client_channel, std::move(held_out));
@@ -244,6 +248,14 @@ void FedRunner::Send(const Message& msg) {
     queue_.Push(std::move(decoded.value()));
   } else {
     queue_.Push(msg);
+  }
+  // The delivery will instantiate the receiver unless it is live by then:
+  // its split is built on the helper while the pump runs what is ahead. A
+  // multicast needs no request, since finish and assign_id skip receivers
+  // that are not live.
+  if (msg.receiver >= 1 && msg.receiver <= population_ &&
+      !cache_->IsLive(msg.receiver)) {
+    splits_->Request(msg.receiver);
   }
 }
 

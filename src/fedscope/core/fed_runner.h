@@ -9,6 +9,7 @@
 #include "fedscope/core/client_cache.h"
 #include "fedscope/core/completeness.h"
 #include "fedscope/core/server.h"
+#include "fedscope/core/split_prefetcher.h"
 #include "fedscope/data/client_data_provider.h"
 #include "fedscope/data/dataset.h"
 #include "fedscope/exec/buffering_channel.h"
@@ -160,6 +161,9 @@ class FedRunner : public CommChannel {
   /// Durable snapshots written under FedJob::snapshot (all persisted and
   /// counted once Run() returns).
   const SnapshotWriter& snapshot_writer() const { return snapshot_writer_; }
+  /// The helper that builds train splits ahead of cache misses. Its counts
+  /// depend on thread timing and appear in no course export.
+  const SplitPrefetcher& split_prefetcher() const { return *splits_; }
 
  private:
   /// Observes worker-side sends (pre-fault) and forwards to `inner`.
@@ -187,8 +191,9 @@ class FedRunner : public CommChannel {
   /// The course-start join_in for the whole population: ids 1..population
   /// as one interval plus each id's responsiveness score.
   Message MakeBatchJoin() const;
-  /// The cache's factory: builds client `id` from the provider's train
-  /// split and held-out source, with its port on the threaded backend.
+  /// The cache's factory: builds client `id` from its train split (taken
+  /// from the prefetcher) and held-out source, with its port on the
+  /// threaded backend.
   ClientCache::Entry MakeCacheEntry(int id);
   /// Cache capacity: the population when eager; when virtualized,
   /// client_cache_capacity or the auto bound.
@@ -245,6 +250,10 @@ class FedRunner : public CommChannel {
   std::unique_ptr<WorkerPool> pool_;
   SnapshotWriter snapshot_writer_;
   int64_t recoveries_ = 0;
+  /// Builds the train split of each queued receiver that is not live.
+  /// Declared last, so its helper thread stops before the provider and
+  /// everything else it could read is destroyed.
+  std::unique_ptr<SplitPrefetcher> splits_;
 };
 
 }  // namespace fedscope

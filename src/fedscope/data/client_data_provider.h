@@ -35,7 +35,11 @@ class ClientDataProvider {
   virtual ~ClientDataProvider() = default;
   virtual int num_clients() const = 0;
   /// Builds client `id`'s train split (1-based id) and points `held_out`
-  /// at the source of its val and test splits.
+  /// at the source of its val and test splits. FedRunner may call this on
+  /// its build-ahead helper thread while the pump runs other code,
+  /// including this provider's other methods (DESIGN.md §13), so it must
+  /// be safe to run beside them. Both built-in providers read only `id`
+  /// and their own const state.
   virtual Dataset MaterializeTrain(int id, HeldOutSource* held_out) const = 0;
   /// Builds the val and test splits `source` names into `split`. Reads
   /// only `source` and this const provider, so a client may fill its

@@ -48,9 +48,9 @@ V LoadV(const float* p) {
   return v;
 }
 
-// Tile of kVecs vectors V per row: 32, 16 or 8 columns wide. Columns below
-// `skip` are computed but not written, so a tile may overlap columns an
-// earlier tile already wrote.
+// Tile of kVecs vectors V per row: 32, 16, 8 or 4 columns wide. Columns
+// below `skip` are computed but not written, so a tile may overlap columns
+// an earlier tile already wrote.
 template <typename V, int kVecs>
 void VecTile(const float* __restrict__ a, int64_t as_i, int64_t as_k,
              const float* __restrict__ b, int64_t ldb, float* __restrict__ c,
@@ -82,7 +82,7 @@ void VecTile(const float* __restrict__ a, int64_t as_i, int64_t as_k,
 }
 
 // Edge tile with runtime extents mr <= kMr and nr <= 32, accumulators in
-// memory: row blocks shorter than kMr and matrices narrower than 8. Same
+// memory: row blocks shorter than kMr and matrices narrower than 4. Same
 // chain.
 void MicroTileEdge(const float* __restrict__ a, int64_t as_i, int64_t as_k,
                    const float* __restrict__ b, int64_t ldb,
@@ -105,8 +105,9 @@ void MicroTileEdge(const float* __restrict__ a, int64_t as_i, int64_t as_k,
 // c[m, n] += A @ b where A(i, kk) = a[i*as_i + kk*as_k], b row-major [k, n].
 // Full row blocks take 32-, 16- and 8-wide tiles; a tail narrower than 8
 // takes an 8-wide tile over the last 8 columns that writes only the tail.
-// MicroTileEdge covers what is left: row blocks shorter than kMr, and
-// matrices narrower than 8.
+// A matrix 4 to 7 wide takes 4-wide tiles the same way: columns 0-3, then
+// the last 4 writing only columns 4 and up. MicroTileEdge covers what is
+// left: row blocks shorter than kMr, and matrices narrower than 4.
 void GemmStrided(int64_t m, int64_t n, int64_t k, const float* a,
                  int64_t as_i, int64_t as_k, const float* b, float* c) {
   int64_t i = 0;
@@ -132,6 +133,12 @@ void GemmStrided(int64_t m, int64_t n, int64_t k, const float* a,
       if (n >= 8) {
         VecTile<VNarrow, 8 / kLanesOf<VNarrow>>(ai, as_i, as_k, b + n - 8, n,
                                                 ci + n - 8, n, k, 8 - (n - j));
+      } else if (n >= 4) {
+        VecTile<V4, 1>(ai, as_i, as_k, b, n, ci, n, k, 0);
+        if (n > 4) {
+          VecTile<V4, 1>(ai, as_i, as_k, b + n - 4, n, ci + n - 4, n, k,
+                         8 - n);
+        }
       } else {
         MicroTileEdge(ai, as_i, as_k, b + j, n, ci + j, n, k, kMr, n - j);
       }

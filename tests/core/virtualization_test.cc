@@ -4,14 +4,20 @@
 // pin the memory bound (peak live clients stays within the cohort-derived
 // cache capacity, never the population), the reclaim/restore identity
 // (an evicted client re-derives its exact Rng stream and state) and the
-// held-out splits built on first read.
+// held-out splits built on first read, and the train splits a helper
+// thread builds ahead of the misses.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -95,6 +101,67 @@ class CountingProvider : public ProceduralDataProvider {
 
  private:
   mutable std::atomic<int64_t> fills_{0};
+};
+
+/// The procedural provider, recording the thread of every train split it
+/// builds.
+class ThreadRecordingProvider : public ProceduralDataProvider {
+ public:
+  using ProceduralDataProvider::ProceduralDataProvider;
+  Dataset MaterializeTrain(int id, HeldOutSource* held_out) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      threads_.push_back(std::this_thread::get_id());
+    }
+    return ProceduralDataProvider::MaterializeTrain(id, held_out);
+  }
+  std::vector<std::thread::id> threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::vector<std::thread::id> threads_;
+};
+
+/// The procedural provider with a gate on the builds of every thread but
+/// the one that made it: the first such build passes, and the second
+/// waits until the gate opens.
+class GatedProvider : public ProceduralDataProvider {
+ public:
+  using ProceduralDataProvider::ProceduralDataProvider;
+  Dataset MaterializeTrain(int id, HeldOutSource* held_out) const override {
+    if (std::this_thread::get_id() != owner_) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (++helper_builds_ == 2) {
+        changed_.notify_all();
+        changed_.wait(lock, [this] { return open_; });
+      }
+    }
+    return ProceduralDataProvider::MaterializeTrain(id, held_out);
+  }
+  /// Blocks until a second build has reached the gate.
+  void AwaitSecondBuild() {
+    std::unique_lock<std::mutex> lock(mu_);
+    changed_.wait(lock, [this] { return helper_builds_ >= 2; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    changed_.notify_all();
+  }
+  int helper_builds() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return helper_builds_;
+  }
+
+ private:
+  const std::thread::id owner_ = std::this_thread::get_id();
+  mutable std::mutex mu_;
+  mutable std::condition_variable changed_;
+  mutable int helper_builds_ = 0;
+  bool open_ = false;
 };
 
 /// A small procedural population for the held-out tests.
@@ -355,6 +422,163 @@ TEST_F(VirtualizationTest, NoLocalEvaluationBuildsNoHeldOutSplits) {
       EXPECT_EQ(provider.fills(), 0);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Train splits are built ahead of the misses, off the pump thread
+// ---------------------------------------------------------------------------
+
+/// A virtualized logistic-regression course over `provider` at the auto
+/// capacity (eager when `virtualize` is off).
+FedJob CrossDeviceJob(const ClientDataProvider* provider, bool virtualize) {
+  FedJob job;
+  job.provider = provider;
+  job.virtualize = virtualize;
+  Rng model_rng(3);
+  job.init_model = MakeLogisticRegression(16, 4, &model_rng);
+  job.client.train.lr = 0.1;
+  job.client.train.local_steps = 1;
+  job.client.train.batch_size = 8;
+  job.server.concurrency = 16;
+  job.server.max_rounds = 30;
+  job.deploy_eval = false;
+  job.seed = 17;
+  return job;
+}
+
+/// The CPUs the calling thread may run on.
+cpu_set_t AllowedCpus() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  sched_getaffinity(0, sizeof(cpus), &cpus);
+  return cpus;
+}
+
+/// Whether a runner made on this thread may start the build-ahead helper,
+/// which needs two CPUs.
+bool HelperCanStart() {
+  const cpu_set_t cpus = AllowedCpus();
+  return CPU_COUNT(&cpus) >= 2;
+}
+
+TEST_F(VirtualizationTest, TrainSplitsAreBuiltAheadOffThePump) {
+  if (!HelperCanStart()) GTEST_SKIP() << "the helper needs two CPUs";
+  ProceduralDataOptions data_options;
+  data_options.num_clients = 2000;
+  data_options.seed = 8;
+  const ThreadRecordingProvider provider(data_options);
+  FedRunner runner(CrossDeviceJob(&provider, /*virtualize=*/true));
+  RunResult virt = runner.Run();
+
+  const std::vector<std::thread::id> threads = provider.threads();
+  int64_t off_pump = 0;
+  for (const std::thread::id& thread : threads) {
+    off_pump += thread != std::this_thread::get_id();
+  }
+  EXPECT_GT(off_pump, 0);
+  // One kept build per instantiation, on whichever thread: beyond the
+  // builds the helper abandoned to a take, no split was built twice or
+  // left behind.
+  EXPECT_EQ(static_cast<int64_t>(threads.size()) -
+                runner.split_prefetcher().stats().abandoned,
+            runner.client_cache()->stats().instantiations);
+
+  const ProceduralDataProvider eager_provider(data_options);
+  RunResult eager =
+      FedRunner(CrossDeviceJob(&eager_provider, /*virtualize=*/false)).Run();
+  EXPECT_EQ(eager.server.rounds, 30);
+  EXPECT_TRUE(BitEqual(eager.final_model.GetStateDict(),
+                       virt.final_model.GetStateDict()));
+  EXPECT_EQ(eager.server.curve, virt.server.curve);
+  EXPECT_TRUE(static_cast<const CourseCounters&>(eager.server) ==
+              static_cast<const CourseCounters&>(virt.server));
+  EXPECT_EQ(eager.server.agg_count, virt.server.agg_count);
+  EXPECT_EQ(eager.server.staleness_log, virt.server.staleness_log);
+  EXPECT_EQ(eager.server.rounds, virt.server.rounds);
+  EXPECT_TRUE(SameBits(eager.server.finish_time, virt.server.finish_time));
+  EXPECT_TRUE(SameBits(eager.server.final_accuracy,
+                       virt.server.final_accuracy));
+}
+
+TEST_F(VirtualizationTest, BuildAheadStaysWithinTheCacheCapacity) {
+  if (!HelperCanStart()) GTEST_SKIP() << "the helper needs two CPUs";
+  // The final evaluate round sends one message per member: without the
+  // bound, the helper would build the population's splits.
+  ProceduralDataOptions data_options;
+  data_options.num_clients = 10000;
+  data_options.train_per_client = 8;
+  data_options.seed = 6;
+  const ProceduralDataProvider provider(data_options);
+  FedJob job = CrossDeviceJob(&provider, /*virtualize=*/true);
+  job.server.max_rounds = 2;
+  job.server.collect_client_metrics = true;
+  FedRunner runner(std::move(job));
+  const RunResult result = runner.Run();
+  EXPECT_EQ(result.server.client_metrics.size(), 10000u);
+
+  const int capacity = runner.client_cache()->capacity();
+  const SplitPrefetcher::Stats stats = runner.split_prefetcher().stats();
+  EXPECT_EQ(stats.held_peak, capacity);
+  EXPECT_GT(stats.dropped, 0);
+}
+
+TEST_F(VirtualizationTest, RunnerDestroyedMidBuildJoinsCleanly) {
+  if (!HelperCanStart()) GTEST_SKIP() << "the helper needs two CPUs";
+  // Splits requested, being built and ready when the runner dies: the
+  // helper finishes the build in flight and is joined, and the splits it
+  // held are freed (ASan's leak check and TSan referee the rest).
+  ProceduralDataOptions data_options;
+  data_options.num_clients = 100;
+  data_options.seed = 4;
+  GatedProvider provider(data_options);
+  auto runner = std::make_unique<FedRunner>(
+      CrossDeviceJob(&provider, /*virtualize=*/true));
+  for (int id = 1; id <= 5; ++id) {
+    Message para;
+    para.sender = kServerId;
+    para.receiver = id;
+    para.msg_type = events::kModelPara;
+    runner->Send(para);
+  }
+  // Split 1 is ready, split 2 is being built and 3 to 5 are requested.
+  provider.AwaitSecondBuild();
+  std::thread opener([&provider] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    provider.Open();
+  });
+  runner.reset();
+  opener.join();
+  EXPECT_GE(provider.helper_builds(), 2);
+  EXPECT_LE(provider.helper_builds(), 5);
+}
+
+TEST_F(VirtualizationTest, OneCpuBuildsEverySplitOnThePump) {
+  // A spinning helper on the pump's only CPU would just take turns with
+  // it, so a runner made on one CPU never starts the helper.
+  const cpu_set_t allowed = AllowedCpus();
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &allowed)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  ProceduralDataOptions data_options;
+  data_options.num_clients = 500;
+  data_options.seed = 8;
+  const ThreadRecordingProvider provider(data_options);
+  FedRunner runner(CrossDeviceJob(&provider, /*virtualize=*/true));
+  runner.Run();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(allowed), &allowed), 0);
+
+  for (const std::thread::id& thread : provider.threads()) {
+    EXPECT_EQ(thread, std::this_thread::get_id());
+  }
+  EXPECT_EQ(static_cast<int64_t>(provider.threads().size()),
+            runner.client_cache()->stats().instantiations);
+  EXPECT_EQ(runner.split_prefetcher().stats().built, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,10 +19,13 @@ std::vector<float> RandVec(int64_t n, Rng* rng) {
   return v;
 }
 
-// Edge shapes around the register tiles (8 rows by 32, 16 or 8 columns):
-// unit dims, odd dims, exact multiples, just over a tile, k = 0, and the
-// ConvNet2 products at batch 16 (conv2 forward, d(cols) and dW^T, conv1
-// dW^T, fc2 forward with its 2-column tail).
+// Edge shapes around the register tiles (8 rows by 32, 16, 8 or 4
+// columns): unit dims, odd dims, exact multiples, just over a tile, k = 0,
+// the ConvNet2 products at batch 16 (conv2 forward, d(cols) and dW^T, conv1
+// dW^T, fc2 forward with its 2-column tail), and full row blocks 4 to 7
+// wide (the 16->4 logistic regression's forward at batch 8, its weight
+// gradient, the server's 64-row evaluation block, and the 4-wide tile's
+// overlapping tail at n = 5, 6 and 7).
 struct Shape {
   int64_t m, n, k;
 };
@@ -30,7 +33,9 @@ const Shape kShapes[] = {{1, 1, 1},    {1, 33, 7},   {3, 5, 1},
                          {8, 32, 16},  {9, 33, 17},  {16, 64, 8},
                          {17, 70, 40}, {5, 2, 0},    {64, 48, 96},
                          {16, 16, 72}, {72, 16, 16}, {9, 8, 64},
-                         {16, 10, 64}, {16, 72, 16}, {8, 24, 5}};
+                         {16, 10, 64}, {16, 72, 16}, {8, 24, 5},
+                         {8, 4, 16},   {16, 4, 8},   {64, 4, 16},
+                         {17, 5, 9},   {8, 6, 3},    {24, 7, 33}};
 
 TEST(KernelsTest, GemmMatchesReferenceExactly) {
   Rng rng(101);
