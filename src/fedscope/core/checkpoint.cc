@@ -25,7 +25,6 @@ namespace {
 
 constexpr char kStateKey[] = "global";
 constexpr char kCourseKey[] = "course";
-constexpr char kFormatV1[] = "fedscope-checkpoint-v1";
 constexpr char kFormatV2[] = "fedscope-checkpoint-v2";
 
 constexpr std::array<uint8_t, 4> kFileMagic = {'F', 'S', 'N', 'P'};
@@ -171,8 +170,7 @@ std::vector<uint8_t> SerializeCheckpoint(const Checkpoint& checkpoint) {
 Result<Checkpoint> DeserializeCheckpoint(const std::vector<uint8_t>& bytes) {
   auto payload = DecodePayload(bytes);
   if (!payload.ok()) return payload.status();
-  const std::string format = payload->GetString("format");
-  if (format != kFormatV1 && format != kFormatV2) {
+  if (payload->GetString("format") != kFormatV2) {
     return Status::InvalidArgument("not a fedscope checkpoint");
   }
   Checkpoint checkpoint;
@@ -180,14 +178,6 @@ Result<Checkpoint> DeserializeCheckpoint(const std::vector<uint8_t>& bytes) {
   checkpoint.virtual_time = payload->GetDouble("virtual_time");
   checkpoint.best_accuracy = payload->GetDouble("best_accuracy");
   checkpoint.global_state = payload->GetStateDict(kStateKey);
-  if (format == kFormatV1) {
-    // v1 predates the explicit count: an empty dict is indistinguishable
-    // from a stripped file, so it stays an error.
-    if (checkpoint.global_state.empty()) {
-      return Status::DataLoss("checkpoint carries no parameters");
-    }
-    return checkpoint;
-  }
   const int64_t num_params = payload->GetInt("num_params", -1);
   if (num_params !=
       static_cast<int64_t>(checkpoint.global_state.size())) {

@@ -30,14 +30,15 @@ struct Checkpoint {
   StateDict global_state;
   /// Full course state beyond the model: rng streams, sampler cursor,
   /// aggregator accumulators, pending cohort, stats, transport epoch.
-  /// Empty for v1 checkpoints and for plain HPO model checkpoints; the
-  /// exact key schema is owned by Server::ExportSnapshot.
+  /// Empty for plain HPO model checkpoints; the exact key schema is owned
+  /// by Server::ExportSnapshot.
   Payload course;
 };
 
-/// v2 adds the course section and an explicit parameter count (so empty
-/// state dicts round-trip); v1 files still deserialize, with an empty
-/// course section.
+/// The format ("fedscope-checkpoint-v2") carries the course section and
+/// an explicit parameter count, so empty state dicts round-trip. Any other
+/// format, the retired v1 included, is refused as not a fedscope
+/// checkpoint.
 std::vector<uint8_t> SerializeCheckpoint(const Checkpoint& checkpoint);
 Result<Checkpoint> DeserializeCheckpoint(const std::vector<uint8_t>& bytes);
 

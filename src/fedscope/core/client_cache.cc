@@ -7,7 +7,7 @@
 
 namespace fedscope {
 
-ClientCache::ClientCache(int population, int capacity, EntryFactory factory)
+ClientCache::ClientCache(int population, int capacity, Factory factory)
     : population_(population),
       capacity_(capacity),
       factory_(std::move(factory)),
@@ -24,35 +24,28 @@ Client* ClientCache::Get(int id) {
   if (it != live_.end()) {
     // Relinks the node in place: no allocation, and lru_pos_ stays valid.
     lru_.splice(lru_.begin(), lru_, lru_pos_.find(id)->second);
-    return it->second.client.get();
+    return it->second.get();
   }
-  Entry entry = factory_(id);
-  FS_CHECK(entry.client != nullptr);
+  std::unique_ptr<Client> client = factory_(id);
+  FS_CHECK(client != nullptr);
   ++stats_.instantiations;
   auto sit = suspended_.find(id);
   if (sit != suspended_.end()) {
-    entry.client->RestoreResume(sit->second);
+    client->RestoreResume(sit->second);
     suspended_.erase(sit);
     ++stats_.restores;
   } else if (finished_[id] != 0) {
-    entry.client->MarkFinished();
+    client->MarkFinished();
     ++stats_.restores;
   }
   finished_[id] = 0;  // tracked by the live client from here on
-  Client* raw = entry.client.get();
-  live_.emplace(id, std::move(entry));
+  Client* raw = client.get();
+  live_.emplace(id, std::move(client));
   lru_.push_front(id);
   lru_pos_[id] = lru_.begin();
   ++stats_.live;
   stats_.live_peak = std::max(stats_.live_peak, stats_.live);
   return raw;
-}
-
-BufferingChannel* ClientCache::Port(int id) {
-  auto it = live_.find(id);
-  FS_CHECK(it != live_.end());
-  FS_CHECK(it->second.port != nullptr);
-  return it->second.port.get();
 }
 
 void ClientCache::MarkFinished(const IdSet& ids) {
@@ -64,7 +57,7 @@ void ClientCache::MarkFinished(const IdSet& ids) {
   }
   // The flag is only for clients with no other state: live clients track
   // finish themselves, suspended ones in their resume record.
-  for (const auto& [id, entry] : live_) {
+  for (const auto& [id, client] : live_) {
     if (ids.Contains(id)) finished_[id] = 0;
   }
   for (auto& [id, resume] : suspended_) {
@@ -76,7 +69,7 @@ void ClientCache::MarkFinished(const IdSet& ids) {
 
 IdSet ClientCache::LiveIn(const IdSet& ids) const {
   std::vector<int> live;
-  for (const auto& [id, entry] : live_) {
+  for (const auto& [id, client] : live_) {
     if (ids.Contains(id)) live.push_back(id);
   }
   std::sort(live.begin(), live.end());
@@ -89,7 +82,7 @@ bool ClientCache::Finished(int id) const {
   FS_CHECK_GE(id, 1);
   FS_CHECK_LE(id, population_);
   const auto live = live_.find(id);
-  if (live != live_.end()) return live->second.client->finished();
+  if (live != live_.end()) return live->second->finished();
   const auto suspended = suspended_.find(id);
   if (suspended != suspended_.end()) {
     return suspended->second.finished;
@@ -104,7 +97,7 @@ void ClientCache::EvictOne() {
   lru_pos_.erase(victim);
   auto it = live_.find(victim);
   FS_CHECK(it != live_.end());
-  suspended_.emplace(victim, it->second.client->ExportResume());
+  suspended_.emplace(victim, it->second->ExportResume());
   live_.erase(it);
   ++stats_.evictions;
   --stats_.live;

@@ -10,7 +10,6 @@
 
 #include "fedscope/core/client.h"
 #include "fedscope/core/id_set.h"
-#include "fedscope/exec/buffering_channel.h"
 
 namespace fedscope {
 
@@ -44,19 +43,13 @@ struct ClientCacheStats {
 /// what it bounds.
 class ClientCache {
  public:
-  /// A live client plus its threaded-backend port (null when the course
-  /// runs on the serial backend).
-  struct Entry {
-    std::unique_ptr<Client> client;
-    std::unique_ptr<BufferingChannel> port;
-  };
   /// Builds client `id` with its options, forked seed and channel wiring,
   /// identically on every call. Must be deterministic.
-  using EntryFactory = std::function<Entry(int id)>;
+  using Factory = std::function<std::unique_ptr<Client>(int id)>;
 
   /// `capacity` >= 1: Trim never evicts the most recently used client,
   /// so a pointer returned by Get stays valid until the next Get/Trim.
-  ClientCache(int population, int capacity, EntryFactory factory);
+  ClientCache(int population, int capacity, Factory factory);
 
   int population() const { return population_; }
   int capacity() const { return capacity_; }
@@ -66,9 +59,6 @@ class ClientCache {
   /// restoring suspended state, if any — on a miss. Marks `id` most
   /// recently used. Does not trim; callers trim at safe points.
   Client* Get(int id);
-
-  /// Threaded-backend port of a live client; FS_CHECK-fails if not live.
-  BufferingChannel* Port(int id);
 
   /// Records a finish delivery for every non-live client in `ids` without
   /// instantiating any: one range operation. Folded into a suspended
@@ -96,9 +86,9 @@ class ClientCache {
 
   int population_;
   int capacity_;
-  EntryFactory factory_;
-  /// Live entries; lru_ orders their ids most-recent-first.
-  std::unordered_map<int, Entry> live_;
+  Factory factory_;
+  /// Live clients; lru_ orders their ids most-recent-first.
+  std::unordered_map<int, std::unique_ptr<Client>> live_;
   std::list<int> lru_;
   std::unordered_map<int, std::list<int>::iterator> lru_pos_;
   /// Resume records of evicted clients.

@@ -1,7 +1,6 @@
 #include "fedscope/core/fed_runner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <thread>
 #include <utility>
@@ -55,6 +54,7 @@ void FedRunner::BuildWorkers() {
     // workers themselves stay unchanged (architecture invariant).
     fault_channel_ =
         std::make_unique<FaultInjectingChannel>(this, &fault_plan_);
+    fault_channel_->set_suppress_duplicates(job_.suppress_duplicates);
     channel = fault_channel_.get();
   }
   if (job_.send_tap) {
@@ -81,7 +81,7 @@ void FedRunner::BuildWorkers() {
   // requests (one per member at course end) from building a population.
   splits_ = std::make_unique<SplitPrefetcher>(job_.provider, CacheCapacity());
   cache_ = std::make_unique<ClientCache>(
-      n, CacheCapacity(), [this](int id) { return MakeCacheEntry(id); });
+      n, CacheCapacity(), [this](int id) { return MakeClient(id); });
   if (!job_.virtualize) {
     // Eager: the cache holds the population, built here in id order and
     // never evicted — the reference the virtualized capacities match.
@@ -110,41 +110,28 @@ ClientOptions FedRunner::DeriveClientOptions(int id) const {
   return options;
 }
 
-ClientCache::Entry FedRunner::MakeCacheEntry(int id) {
-  ClientCache::Entry entry;
-  CommChannel* client_channel = worker_channel_;
-  if (job_.exec.backend == ExecutionBackend::kThreaded) {
-    // A pass-through port per client; the parallel stage opens capture
-    // windows on it so a task's sends drain at commit, not mid-task.
-    entry.port = std::make_unique<BufferingChannel>(worker_channel_);
-    client_channel = entry.port.get();
-  }
+std::unique_ptr<Client> FedRunner::MakeClient(int id) {
   // Only the train split is built now, or was built ahead on the
   // prefetcher's helper; val and test are built on first read, which a
   // course without local evaluation never does.
   SplitDataset data;
   HeldOutSource held_out;
   data.train = splits_->Take(id, &held_out);
-  entry.client = std::make_unique<Client>(
+  auto client = std::make_unique<Client>(
       id, DeriveClientOptions(id), job_.init_model, std::move(data),
-      job_.trainer_factory(id), client_channel, std::move(held_out));
-  if (job_.obs.enabled()) entry.client->set_obs(&job_.obs);
-  return entry;
+      job_.trainer_factory(id), worker_channel_, std::move(held_out));
+  if (job_.obs.enabled()) client->set_obs(&job_.obs);
+  return client;
 }
 
 int FedRunner::CacheCapacity() const {
   if (!job_.virtualize) return population_;
   if (job_.client_cache_capacity > 0) return job_.client_cache_capacity;
-  // Auto bound: the cohort — `concurrency` clients in flight, inflated by
-  // the over-selection margin — plus slack for a replacement drawn while
-  // the vacated slot's client is still live. Capacity only bounds peak
-  // memory; any value >= 1 runs the identical course.
-  int cohort = job_.server.concurrency;
-  if (job_.server.strategy == Strategy::kSyncOverselect) {
-    cohort = static_cast<int>(
-        std::ceil(cohort * (1.0 + job_.server.overselect_frac)));
-  }
-  return std::max(cohort + 2, 1);
+  // Auto bound: the cohort the server keeps in flight, plus slack for a
+  // replacement drawn while the vacated slot's client is still live.
+  // Capacity only bounds peak memory; any value >= 1 runs the identical
+  // course.
+  return std::max(CohortSize(job_.server) + 2, 1);
 }
 
 Message FedRunner::MakeBatchJoin() const {
@@ -285,19 +272,12 @@ size_t FedRunner::RunParallelStage(int64_t* delivered) {
   }
   if (batch < 2) return 0;  // nothing to overlap; a serial step is cheaper
 
-  // Duplicate suppression consumes per-pair state on every pop; run it at
-  // formation in pop order so the state evolves exactly as serially.
-  std::vector<char> duplicate(batch, 0);
-  if (job_.suppress_duplicates) {
-    for (size_t i = 0; i < batch; ++i) {
-      duplicate[i] = dedup_.IsDuplicate(*ready[i]) ? 1 : 0;
-    }
-  }
-
-  // Per-delivery capture: the emitted messages plus private obs sinks
-  // mirroring whichever sinks the job has. Tasks write only their own
-  // entries; everything is replayed on the pump thread at commit.
-  struct Capture {
+  // Per-delivery capture: a channel collecting the emitted messages, plus
+  // private obs sinks mirroring whichever sinks the job has. Tasks write
+  // only their own entries; everything is replayed on the pump thread at
+  // commit.
+  struct Capture : CommChannel {
+    void Send(const Message& msg) override { sends.push_back(msg); }
     const Message* msg = nullptr;
     std::vector<Message> sends;
     MetricsBuffer metrics;
@@ -314,7 +294,6 @@ size_t FedRunner::RunParallelStage(int64_t* delivered) {
   std::map<int, std::vector<size_t>> by_client;
   for (size_t i = 0; i < batch; ++i) {
     receivers[i] = ready[i]->receiver;
-    if (duplicate[i]) continue;
     Capture& c = captures[i];
     c.msg = ready[i];
     if (job_.obs.metrics != nullptr) c.obs.metrics_buffer = &c.metrics;
@@ -329,24 +308,21 @@ size_t FedRunner::RunParallelStage(int64_t* delivered) {
   tasks.reserve(by_client.size());
   for (auto& [id, indices] : by_client) {
     Client* client = cache_->Get(id);
-    BufferingChannel* port = cache_->Port(id);
     const std::vector<size_t>* idx = &indices;  // map nodes are stable
-    tasks.push_back([client, port, &captures, idx, capture_obs] {
+    tasks.push_back([this, client, &captures, idx, capture_obs] {
+      // The client sends into each delivery's capture while the task
+      // runs, and is pointed back at the course channel when it ends.
       for (size_t i : *idx) {
         Capture& c = captures[i];
         if (capture_obs) client->set_obs(&c.obs);
-        port->BeginCapture(&c.sends);
+        client->set_channel(&c);
         client->HandleMessage(*c.msg);
-        port->EndCapture();
       }
+      if (capture_obs) client->set_obs(&job_.obs);
+      client->set_channel(worker_channel_);
     });
   }
   pool_->Run(&tasks);
-  if (capture_obs) {
-    for (const auto& entry : by_client) {
-      cache_->Get(entry.first)->set_obs(&job_.obs);
-    }
-  }
 
   // Commit in canonical order — the serial pop order. Popping and then
   // forwarding each delivery's sends replays the exact queue-op sequence
@@ -356,7 +332,6 @@ size_t FedRunner::RunParallelStage(int64_t* delivered) {
     // Worker sends carry timestamps >= the batch time and later push
     // sequences, so the batch entries still pop first, in order.
     FS_CHECK_EQ(msg.receiver, receivers[i]);
-    if (duplicate[i]) continue;
     ++*delivered;
     if (job_.delivery_tap) job_.delivery_tap(msg);
     Capture& c = captures[i];
@@ -377,45 +352,7 @@ CompletenessReport FedRunner::CheckCompleteness() {
   checker.AddRegistry(cache_->Get(1)->registry());
   checker.MarkEntry(events::kJoinIn);
   checker.MarkTerminal(events::kFinish);
-  // Bridge the server's internal condition chain: join_in completion leads
-  // to all_joined_in; an update can satisfy the aggregation trigger; the
-  // evaluation step can reach the target or trip early stopping.
-  // Bridge the server's condition chain — but only for conditions whose
-  // raising handler is actually registered, so removing a handler really
-  // severs the graph (the Figure 16 error case).
-  const HandlerRegistry& server_registry = server_->registry();
-  auto bridge = [&](const char* from, const char* to) {
-    if (server_registry.Has(from) && server_registry.Has(to)) {
-      checker.AddEdge(from, to);
-    }
-  };
-  bridge(events::kJoinIn, events::kAllJoinedIn);
-  bridge(events::kModelUpdate, events::kAllReceived);
-  bridge(events::kModelUpdate, events::kGoalAchieved);
-  bridge(events::kModelUpdate, events::kTargetReached);
-  bridge(events::kModelUpdate, events::kEarlyStop);
-  const bool deadline =
-      job_.server.receive_deadline > 0.0 &&
-      (job_.server.strategy == Strategy::kSyncVanilla ||
-       job_.server.strategy == Strategy::kSyncOverselect);
-  if (job_.server.strategy == Strategy::kAsyncTime) {
-    // The server schedules timer messages to itself at course start and
-    // after each aggregation.
-    bridge(events::kAllJoinedIn, events::kTimer);
-    bridge(events::kTimer, events::kTimeUp);
-    bridge(events::kTimeUp, events::kTimer);
-  } else if (deadline) {
-    // The receive deadline drives the same timer chain, firing the
-    // partial-aggregation condition instead of time_up.
-    bridge(events::kAllJoinedIn, events::kTimer);
-    bridge(events::kTimer, events::kReceiveDeadline);
-    bridge(events::kReceiveDeadline, events::kTimer);
-    checker.MarkOptional(events::kTimeUp);
-  } else {
-    checker.MarkOptional(events::kTimer);
-    checker.MarkOptional(events::kTimeUp);
-  }
-  if (!deadline) checker.MarkOptional(events::kReceiveDeadline);
+  server_->AddConditionChain(&checker);
   // Failure handling is registered but only exercised when faults occur.
   checker.MarkOptional(events::kClientFailure);
   // Built-in capabilities that a particular course may not exercise.
@@ -461,7 +398,6 @@ RunResult FedRunner::Run() {
       continue;
     }
     Message msg = queue_.Pop();
-    if (job_.suppress_duplicates && dedup_.IsDuplicate(msg)) continue;
     // Crash drill: kill the server between deliveries — the instant a real
     // process could die with a queued-up transport.
     if (delivered == job_.fault.server_crash_at_event) {

@@ -12,10 +12,8 @@
 #include "fedscope/core/split_prefetcher.h"
 #include "fedscope/data/client_data_provider.h"
 #include "fedscope/data/dataset.h"
-#include "fedscope/exec/buffering_channel.h"
 #include "fedscope/exec/execution.h"
 #include "fedscope/exec/worker_pool.h"
-#include "fedscope/fault/dedup.h"
 #include "fedscope/fault/fault_channel.h"
 #include "fedscope/fault/fault_plan.h"
 #include "fedscope/obs/obs_context.h"
@@ -66,15 +64,16 @@ struct FedJob {
   /// Course-introspection taps for the fuzzing harness (testing/). Both
   /// default to null (no overhead). `send_tap` observes every worker-side
   /// Send *before* fault injection; `delivery_tap` observes every message
-  /// the pump dispatches (after duplicate suppression). Together they make
-  /// message conservation checkable: delivered == sent - faulted-away
-  /// + fault-duplicated - suppressed.
+  /// the pump dispatches. Together they make message conservation
+  /// checkable: delivered == sent - faulted-away + fault-duplicated
+  /// - suppressed.
   std::function<void(const Message&)> send_tap;
   std::function<void(const Message&)> delivery_tap;
-  /// Suppress fault-injected duplicate deliveries in the pump — the
-  /// standalone analogue of the distributed server host's
-  /// DuplicateSuppressor. Off by default: behaviour is unchanged unless a
-  /// course opts in (fault plans with msg_duplicate_prob > 0).
+  /// Suppress fault-injected duplicates where the fault channel makes
+  /// them: the copy is counted and never queued — the standalone analogue
+  /// of the distributed server host's DuplicateSuppressor. Off by default:
+  /// behaviour is unchanged unless a course opts in (fault plans with
+  /// msg_duplicate_prob > 0).
   bool suppress_duplicates = false;
   /// Durable snapshot policy (DESIGN.md §10). Disabled by default (empty
   /// directory): no snapshot is ever exported and behaviour is unchanged.
@@ -154,8 +153,10 @@ class FedRunner : public CommChannel {
   const ClientCache* client_cache() const { return cache_.get(); }
   /// The instantiated fault model (disabled when FedJob::fault is null).
   const FaultPlan& fault_plan() const { return fault_plan_; }
-  /// Deliveries suppressed by FedJob::suppress_duplicates (0 when off).
-  int64_t duplicates_suppressed() const { return dedup_.suppressed(); }
+  /// Duplicates suppressed by FedJob::suppress_duplicates (0 when off).
+  int64_t duplicates_suppressed() const {
+    return fault_channel_ != nullptr ? fault_channel_->suppressed() : 0;
+  }
   /// Server kill+restore drills performed (fault.server_crash_at_event).
   int64_t recoveries() const { return recoveries_; }
   /// Durable snapshots written under FedJob::snapshot (all persisted and
@@ -192,9 +193,8 @@ class FedRunner : public CommChannel {
   /// as one interval plus each id's responsiveness score.
   Message MakeBatchJoin() const;
   /// The cache's factory: builds client `id` from its train split (taken
-  /// from the prefetcher) and held-out source, with its port on the
-  /// threaded backend.
-  ClientCache::Entry MakeCacheEntry(int id);
+  /// from the prefetcher) and held-out source.
+  std::unique_ptr<Client> MakeClient(int id);
   /// Cache capacity: the population when eager; when virtualized,
   /// client_cache_capacity or the auto bound.
   int CacheCapacity() const;
@@ -208,8 +208,8 @@ class FedRunner : public CommChannel {
   /// Threaded backend: forms the maximal batch of equal-virtual-time
   /// client-targeted deliveries at the queue front, handles them on the
   /// worker pool with per-delivery capture (sends, metric ops, trace
-  /// events), then commits every captured effect in canonical order — the
-  /// serial pop order. Returns the number of queue entries consumed (0:
+  /// events: each task points its client at the capture), then commits
+  /// every captured effect in canonical order — the serial pop order. Returns the number of queue entries consumed (0:
   /// fewer than two batchable deliveries; the caller takes one serial
   /// step). `delivered` advances exactly as the serial pump would.
   size_t RunParallelStage(int64_t* delivered);
@@ -233,13 +233,12 @@ class FedRunner : public CommChannel {
   int population_ = 0;
   /// Wraps job_.data when the job names no provider.
   std::unique_ptr<EagerDataProvider> owned_provider_;
-  /// Every live client, with its port on the threaded backend.
+  /// Every live client.
   std::unique_ptr<ClientCache> cache_;
   EventQueue queue_;
   FaultPlan fault_plan_;
   std::unique_ptr<FaultInjectingChannel> fault_channel_;
   std::unique_ptr<TapChannel> tap_channel_;
-  PairwiseDuplicateSuppressor dedup_;
   std::unique_ptr<Server> server_;
   /// The channel handed to workers (outermost decorator); kept so a
   /// crash-restored server is wired identically to the original.

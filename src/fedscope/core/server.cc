@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "fedscope/comm/compression.h"
+#include "fedscope/core/completeness.h"
 #include "fedscope/core/events.h"
 #include "fedscope/obs/obs_context.h"
 #include "fedscope/util/logging.h"
@@ -27,6 +28,12 @@ int64_t CourseCounters::*RejectionReason(GuardVerdict verdict) {
 }
 
 }  // namespace
+
+int CohortSize(const ServerOptions& options) {
+  if (options.strategy != Strategy::kSyncOverselect) return options.concurrency;
+  return static_cast<int>(options.concurrency *
+                          (1.0 + options.overselect_frac));
+}
 
 Server::Server(ServerOptions options, Model global_model,
                std::unique_ptr<Aggregator> aggregator, CommChannel* channel)
@@ -235,11 +242,7 @@ void Server::BroadcastModel(const std::vector<int>& client_ids,
 }
 
 void Server::Replenish(double timestamp) {
-  int want = options_.concurrency;
-  if (options_.strategy == Strategy::kSyncOverselect) {
-    want = static_cast<int>(options_.concurrency *
-                            (1.0 + options_.overselect_frac));
-  }
+  const int want = CohortSize(options_);
   // Only slots whose eventual update can still be tolerated count against
   // the concurrency target; slots stuck on rounds older than the
   // staleness toleration will be dropped anyway (with toleration 0 this
@@ -250,6 +253,32 @@ void Server::Replenish(double timestamp) {
   const std::vector<int> cohort = SampleIdle(want - carried);
   ledger_.set_awaited(carried + static_cast<int>(cohort.size()));
   BroadcastModel(cohort, timestamp);
+}
+
+void Server::AddConditionChain(CompletenessChecker* checker) const {
+  auto bridge = [&](const char* from, const char* to) {
+    if (registry_.Has(from) && registry_.Has(to)) checker->AddEdge(from, to);
+  };
+  bridge(events::kJoinIn, events::kAllJoinedIn);
+  bridge(events::kModelUpdate, events::kAllReceived);
+  bridge(events::kModelUpdate, events::kGoalAchieved);
+  bridge(events::kModelUpdate, events::kTargetReached);
+  bridge(events::kModelUpdate, events::kEarlyStop);
+  if (timed()) {
+    // The server schedules a timer to itself at course start and after
+    // each expiry; the expiry raises time_up or the receive deadline.
+    const char* expiry =
+        deadline_active() ? events::kReceiveDeadline : events::kTimeUp;
+    bridge(events::kAllJoinedIn, events::kTimer);
+    bridge(events::kTimer, expiry);
+    bridge(expiry, events::kTimer);
+  } else {
+    checker->MarkOptional(events::kTimer);
+  }
+  if (options_.strategy != Strategy::kAsyncTime) {
+    checker->MarkOptional(events::kTimeUp);
+  }
+  if (!deadline_active()) checker->MarkOptional(events::kReceiveDeadline);
 }
 
 void Server::ScheduleTimer(double now) {
@@ -425,8 +454,16 @@ void Server::OnTimer(const Message& msg) {
   }
   // Presume the round's outstanding slots dead and repair them. The
   // awaited count is rebased first, so slots still in flight from older
-  // rounds stop counting toward this round's trigger.
-  const std::vector<int> outstanding = ledger_.OpenedOn(round_);
+  // rounds stop counting toward this round's trigger. A round that opened
+  // no slot of its own counted only carried ones, which left it no fresh
+  // cohort (Replenish): those are presumed dead instead, or nothing would
+  // ever refill them.
+  std::vector<int> outstanding = ledger_.OpenedOn(round_);
+  if (outstanding.empty()) {
+    for (const auto& [id, round] : ledger_.in_flight()) {
+      outstanding.push_back(id);
+    }
+  }
   ledger_.set_awaited(static_cast<int>(buffer_.size() + outstanding.size()));
   stats_.dropouts += static_cast<int64_t>(outstanding.size());
   FS_LOG(Debug) << "round " << round_ << " " << event << " with too little "

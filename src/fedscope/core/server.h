@@ -22,6 +22,8 @@
 
 namespace fedscope {
 
+class CompletenessChecker;
+
 /// Which condition event triggers federated aggregation (paper §3.3):
 ///   kSyncVanilla    : "all_received"  — wait for every sampled client.
 ///   kSyncOverselect : "goal_achieved" with staleness toleration 0 and
@@ -90,6 +92,11 @@ struct ServerOptions {
 
   ServerOptions() : share_filter(AcceptAll()) {}
 };
+
+/// Clients a round keeps in flight: `concurrency`, inflated (truncated) by
+/// the over-selection margin under kSyncOverselect. Server::Replenish draws
+/// up to it; the standalone runner sizes its client cache from it.
+int CohortSize(const ServerOptions& options);
 
 /// Everything the benches read out of a finished FL course: the course
 /// totals of the event counters, plus the per-client and per-round record.
@@ -165,6 +172,14 @@ class Server : public BaseWorker {
   /// kCounterFields series, the staleness histogram and the per-client
   /// contribution counters. Runners call it once, at course end.
   void ExportMetrics() const;
+  /// Adds the condition chain the server raises internally, not through
+  /// declared handler flows, to `checker` (paper §3.6): join_in to
+  /// all_joined_in, model_update to the aggregation and termination
+  /// conditions, and the timer chain of its strategy. An edge is added only
+  /// when both ends' handlers are registered, so removing a handler really
+  /// severs the graph. Timer events the course never raises are marked
+  /// optional.
+  void AddConditionChain(CompletenessChecker* checker) const;
 
   Model* global_model() { return &global_model_; }
   Aggregator* aggregator() { return aggregator_.get(); }

@@ -134,7 +134,7 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
   const Payload& p = checkpoint.course;
   if (!p.HasScalar("rng")) {
     return Status::FailedPrecondition(
-        "checkpoint has no course section (model-only / v1 checkpoint)");
+        "checkpoint has no course section (a model-only checkpoint)");
   }
   if (p.GetInt("strategy", -1) != static_cast<int64_t>(options_.strategy)) {
     return Status::FailedPrecondition(

@@ -47,6 +47,11 @@ class BaseWorker {
   void set_obs(const ObsContext* obs) { obs_ = obs; }
   const ObsContext* obs() const { return obs_; }
 
+  /// Points later Sends at `channel` (borrowed; must outlive its use). The
+  /// threaded execution backend aims a client at its task's capture while
+  /// the task runs, then back at the course channel (DESIGN.md §12).
+  void set_channel(CommChannel* channel) { channel_ = channel; }
+
  protected:
   /// Sends a message, stamping the sender id. The timestamp must not be in
   /// the sender's past.

@@ -57,22 +57,4 @@ Status DuplicateSuppressor::LoadState(const Payload& p,
   return Status::Ok();
 }
 
-bool PairwiseDuplicateSuppressor::IsDuplicate(const Message& msg) {
-  const std::pair<int, int> key(msg.sender, msg.receiver);
-  auto it = last_.find(key);
-  if (it != last_.end() && it->second.state == msg.state &&
-      it->second.timestamp == msg.timestamp &&
-      it->second.msg_type == msg.msg_type &&
-      it->second.payload == msg.payload) {
-    ++suppressed_;
-    return true;
-  }
-  LastSeen& seen = last_[key];
-  seen.state = msg.state;
-  seen.timestamp = msg.timestamp;
-  seen.msg_type = msg.msg_type;
-  seen.payload = msg.payload;
-  return false;
-}
-
 }  // namespace fedscope

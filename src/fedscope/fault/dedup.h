@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 
 #include "fedscope/comm/message.h"
 
@@ -41,34 +40,6 @@ class DuplicateSuppressor {
   };
 
   std::map<int, LastSeen> last_;
-  int64_t suppressed_ = 0;
-};
-
-/// Duplicate suppression for the standalone pump, keyed per (sender,
-/// receiver) pair. The per-sender DuplicateSuppressor above cannot be used
-/// there: a server broadcast sends the *same* payload to many receivers
-/// back-to-back, which would all collide on the sender key. A delivery is
-/// a duplicate iff it is identical (msg_type, state, timestamp, payload)
-/// to the previous delivery accepted for the same pair — fault-injected
-/// duplicates are exact copies, while a legitimate re-send carries a
-/// strictly later virtual timestamp. Not thread-safe.
-class PairwiseDuplicateSuppressor {
- public:
-  /// Returns true (and suppresses) when `msg` exactly repeats the last
-  /// message delivered for its (sender, receiver) pair.
-  bool IsDuplicate(const Message& msg);
-
-  int64_t suppressed() const { return suppressed_; }
-
- private:
-  struct LastSeen {
-    int state = 0;
-    double timestamp = 0.0;
-    std::string msg_type;
-    Payload payload;
-  };
-
-  std::map<std::pair<int, int>, LastSeen> last_;
   int64_t suppressed_ = 0;
 };
 

@@ -32,20 +32,25 @@ void FaultInjectingChannel::Send(const Message& msg) {
 
 void FaultInjectingChannel::Forward(const FaultPlan::MessageFate& fate,
                                     const Message& msg) {
+  Message delayed;
+  const Message* out = &msg;
   if (fate.extra_delay > 0.0) {
     if (obs_ != nullptr) {
       obs_->Count("fs_fault_messages_delayed_total", 1.0,
                   {{"type", msg.msg_type}});
     }
-    Message delayed = msg;
+    delayed = msg;
     delayed.timestamp += fate.extra_delay;
-    inner_->Send(delayed);
-    if (fate.duplicate) inner_->Send(delayed);
-  } else {
-    inner_->Send(msg);
-    if (fate.duplicate) inner_->Send(msg);
+    out = &delayed;
   }
-  if (fate.duplicate && obs_ != nullptr) {
+  inner_->Send(*out);
+  if (!fate.duplicate) return;
+  if (suppress_duplicates_) {
+    ++suppressed_;
+  } else {
+    inner_->Send(*out);
+  }
+  if (obs_ != nullptr) {
     obs_->Count("fs_fault_messages_duplicated_total", 1.0,
                 {{"type", msg.msg_type}});
   }

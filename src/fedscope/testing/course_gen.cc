@@ -389,8 +389,9 @@ CourseSpec CourseGen::Clamp(CourseSpec s) {
     // Every delivered update triggers a broadcast and every broadcast
     // triggers an update; duplication makes that feedback loop multiply
     // messages geometrically within the round's time budget (found by
-    // fuzzing: seed 20). Delivery-side dedup is the system's mitigation,
-    // so the lattice requires it for this corner instead of excluding it.
+    // fuzzing: seed 20). Duplicate suppression in the fault channel is the
+    // system's mitigation, so the lattice requires it for this corner
+    // instead of excluding it.
     s.suppress_duplicates = true;
   }
   const bool is_sync = strategy == Strategy::kSyncVanilla ||

@@ -51,6 +51,23 @@ TEST(CheckpointTest, RejectsGarbage) {
   EXPECT_FALSE(DeserializeCheckpoint(EncodePayload(p)).ok());
 }
 
+TEST(CheckpointTest, RefusesTheRetiredV1Format) {
+  // v1 carried no parameter count and no course section; nothing writes
+  // it any more, so a v1 payload is not a checkpoint.
+  const Checkpoint ckpt = SampleCheckpoint();
+  Payload v1;
+  v1.SetInt("round", ckpt.round);
+  v1.SetDouble("virtual_time", ckpt.virtual_time);
+  v1.SetDouble("best_accuracy", ckpt.best_accuracy);
+  v1.SetString("format", "fedscope-checkpoint-v1");
+  v1.SetStateDict("global", ckpt.global_state);
+  auto restored = DeserializeCheckpoint(EncodePayload(v1));
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(restored.status().ToString().find("not a fedscope checkpoint"),
+            std::string::npos)
+      << restored.status().ToString();
+}
+
 TEST(CheckpointTest, RejectsTruncation) {
   auto bytes = SerializeCheckpoint(SampleCheckpoint());
   for (size_t len = 0; len < bytes.size(); len += 11) {
@@ -80,8 +97,8 @@ TEST(CheckpointTest, NanAndInfRoundTripBitExactly) {
 }
 
 TEST(CheckpointTest, EmptyStateDictRoundTrips) {
-  // A pre-start snapshot (round 0, no parameters exchanged yet) is legal;
-  // only the v1 format conflated "empty" with "corrupt".
+  // A pre-start snapshot (round 0, no parameters exchanged yet) is legal:
+  // the explicit parameter count tells it apart from a stripped file.
   Checkpoint ckpt;
   ckpt.round = 0;
   ckpt.course.SetInt("rng", 1);  // minimal course section marker

@@ -651,7 +651,6 @@ TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
   constexpr int kFedBn = 5;
   auto init_model = [&](int id) { return id == kFedBn ? mlp_bn : logreg; };
   auto factory = [&](int id) {
-    ClientCache::Entry entry;
     ClientOptions co;
     co.seed = Rng(7).Fork(id).Next();
     if (id == kFedBn) co.share_filter = FedBnShareFilter();
@@ -661,10 +660,8 @@ TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
     SplitDataset data;
     HeldOutSource held_out;
     data.train = provider.MaterializeTrain(id, &held_out);
-    entry.client =
-        std::make_unique<Client>(id, co, init_model(id), std::move(data),
-                                 std::move(trainer), &sink, held_out);
-    return entry;
+    return std::make_unique<Client>(id, co, init_model(id), std::move(data),
+                                    std::move(trainer), &sink, held_out);
   };
 
   ClientCache cache(options.num_clients, /*capacity=*/1, factory);
@@ -716,22 +713,22 @@ TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
   // restored client whose rng has moved on builds the splits a fresh
   // client builds.
   const SplitDataset& restored = cache.Get(1)->data();
-  ClientCache::Entry fresh_one = factory(1);
-  EXPECT_TRUE(BitEqual(restored.val, fresh_one.client->data().val));
-  EXPECT_TRUE(BitEqual(restored.test, fresh_one.client->data().test));
+  const std::unique_ptr<Client> fresh_one = factory(1);
+  EXPECT_TRUE(BitEqual(restored.val, fresh_one->data().val));
+  EXPECT_TRUE(BitEqual(restored.test, fresh_one->data().test));
   cache.Trim();
 
   // A client marked finished while not live instantiates exactly like a
   // fresh client told to finish.
   const ClientResume marked_finished = cache.Get(3)->ExportResume();
-  ClientCache::Entry fresh = factory(3);
+  const std::unique_ptr<Client> fresh = factory(3);
   Message finish;
   finish.sender = kServerId;
   finish.receiver = 3;
   finish.msg_type = events::kFinish;
-  fresh.client->HandleMessage(finish);
+  fresh->HandleMessage(finish);
   EXPECT_TRUE(marked_finished.finished);
-  EXPECT_TRUE(RecordBitEqual(marked_finished, fresh.client->ExportResume()));
+  EXPECT_TRUE(RecordBitEqual(marked_finished, fresh->ExportResume()));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "fedscope/data/synthetic_twitter.h"
 #include "fedscope/nn/model_zoo.h"
 #include "fedscope/obs/course_log.h"
+#include "fedscope/obs/metrics.h"
 
 namespace fedscope {
 namespace {
@@ -139,6 +140,46 @@ TEST(FaultInjectionTest, LossyDuplicatedDelayedChannelStillCompletes) {
   EXPECT_FALSE(result.server.aborted);
   const FaultPlan::Counters& counters = runner.fault_plan().counters();
   EXPECT_GT(counters.lost + counters.duplicated + counters.delayed, 0);
+}
+
+struct QueueCount {
+  RunResult result;
+  double pushed = 0.0;
+  int64_t suppressed = 0;
+  int64_t duplicated = 0;
+};
+
+QueueCount RunCountingPushes(FedJob job) {
+  MetricsRegistry metrics;
+  job.obs.metrics = &metrics;
+  FedRunner runner(std::move(job));
+  QueueCount out;
+  out.result = runner.Run();
+  out.pushed = metrics.SumCounters("fs_sim_events_pushed_total");
+  out.suppressed = runner.duplicates_suppressed();
+  out.duplicated = runner.fault_plan().counters().duplicated;
+  return out;
+}
+
+TEST(FaultInjectionTest, SuppressedDuplicatesNeverEnterTheQueue) {
+  // A plan that duplicates every data-plane message, with suppression on:
+  // the fault channel suppresses each copy where it makes it, so the queue
+  // takes exactly the pushes of the same course without duplication.
+  FedDataset data = TinyData();
+  QueueCount plain = RunCountingPushes(TinyJob(&data));
+  FedJob job = TinyJob(&data);
+  job.fault.msg_duplicate_prob = 1.0;
+  job.suppress_duplicates = true;
+  QueueCount deduped = RunCountingPushes(std::move(job));
+  EXPECT_GT(deduped.duplicated, 0);
+  EXPECT_EQ(deduped.suppressed, deduped.duplicated);
+  EXPECT_EQ(plain.suppressed, 0);
+  EXPECT_GT(plain.pushed, 0.0);
+  EXPECT_EQ(deduped.pushed, plain.pushed);
+  // With every copy suppressed, the course is the fault-free one.
+  EXPECT_TRUE(deduped.result.final_model.GetStateDict() ==
+              plain.result.final_model.GetStateDict());
+  EXPECT_EQ(deduped.result.server.curve, plain.result.server.curve);
 }
 
 TEST(FaultInjectionTest, DeadlineAggregatesPartialCohort) {
