@@ -2,41 +2,35 @@
 #define FEDSCOPE_COMM_COMPRESSION_H_
 
 #include <cstdint>
+#include <string>
 
 #include "fedscope/comm/message.h"
 #include "fedscope/nn/model.h"
 
 namespace fedscope {
 
-/// Update-compression operators (message-transform plug-ins, in the spirit
-/// of §4.1's operator plug-ins): before sharing, a client may quantize or
-/// sparsify its update to cut bandwidth; the receiver decompresses back to
-/// a dense StateDict. Both transforms are lossy but unbiased enough for
-/// FedAvg-style averaging; tests bound the reconstruction error and the
-/// wire-size savings.
+/// The model-update format (a message-transform plug-in, in the spirit of
+/// §4.1's operator plug-ins); nothing else knows an update's payload keys.
+/// `codec` "quant8" sends int8 codes plus a per-tensor (min, max) range,
+/// ~numel bytes instead of 4*numel; "topk" sends the `keep_frac` fraction
+/// of coordinates with the largest magnitude (at least 1 per tensor) as
+/// (index, value) pairs, the rest decoding as exact zeros; anything else
+/// sends the raw tensors. Both lossy codecs are unbiased enough for
+/// FedAvg-style averaging; tests bound the error and the wire-size savings.
+Payload EncodeUpdate(const StateDict& delta, const std::string& codec,
+                     double keep_frac);
 
-// -- uniform 8-bit quantization ---------------------------------------------
+/// Reads an update built by EncodeUpdate. Raw tensors come back as sent,
+/// for the ingress guard to screen. Compressed entries must name exactly
+/// the tensors of `signature` (the broadcast model) with its shapes, checked
+/// before anything is allocated: a hostile shape (NaN, negative, inflated),
+/// a name outside the signature, a code or index length or index that does
+/// not fit, or an unknown codec returns a Status, never an abort.
+Result<StateDict> DecodeUpdate(const Payload& payload,
+                               const StateDict& signature);
 
-/// Encodes each tensor as int8 codes + per-tensor (min, max) range packed
-/// into a Payload. Wire cost ~ numel bytes instead of 4*numel.
-Payload QuantizeStateDict(const StateDict& state);
-
-/// Reconstructs the dense StateDict (values land on 256-level grids).
-Result<StateDict> DequantizeStateDict(const Payload& payload);
-
-// -- top-k sparsification -----------------------------------------------------
-
-/// Keeps only the `keep_frac` fraction of coordinates with the largest
-/// magnitude (at least 1 per tensor); the rest become exact zeros. The
-/// result is encoded as (indices, values) pairs per tensor.
-Payload SparsifyStateDict(const StateDict& state, double keep_frac);
-
-/// Reconstructs the dense StateDict (dropped coordinates are zero).
-Result<StateDict> DesparsifyStateDict(const Payload& payload);
-
-/// Approximate wire bytes of a payload (same accounting as
-/// Payload::ByteSize; convenience for compression-ratio reporting).
-int64_t CompressedBytes(const Payload& payload);
+/// Payload::ByteSize of `delta` encoded raw, without building the payload.
+int64_t RawUpdateBytes(const StateDict& delta);
 
 }  // namespace fedscope
 

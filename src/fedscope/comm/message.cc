@@ -63,11 +63,6 @@ StateDict Payload::GetStateDict(const std::string& prefix) const {
   return state;
 }
 
-void Payload::Merge(const Payload& other) {
-  for (const auto& [key, value] : other.scalars_) scalars_[key] = value;
-  for (const auto& [key, tensor] : other.tensors_) tensors_[key] = tensor;
-}
-
 int64_t Payload::ByteSize() const {
   int64_t bytes = 0;
   for (const auto& [key, value] : scalars_) {

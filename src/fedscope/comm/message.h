@@ -59,11 +59,6 @@ class Payload {
   /// Recovers a state dict stored under the prefix.
   StateDict GetStateDict(const std::string& prefix) const;
 
-  /// Copies every entry of `other` into this payload (other wins on key
-  /// collisions). Used by message-transform plug-ins that wrap a payload
-  /// produced elsewhere (e.g. compressed updates).
-  void Merge(const Payload& other);
-
   const std::map<std::string, Scalar>& scalars() const { return scalars_; }
   const std::map<std::string, Tensor>& tensors() const { return tensors_; }
 

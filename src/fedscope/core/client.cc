@@ -12,23 +12,8 @@
 namespace fedscope {
 namespace {
 
-/// Payload keys used by the built-in FL course.
+/// Payload key of the broadcast model.
 constexpr char kModelKey[] = "model";
-constexpr char kDeltaKey[] = "delta";
-
-/// Wire bytes of a state dict stored under a key prefix of `prefix_size`
-/// characters, matching Payload::ByteSize accounting ("<prefix>/<name>"
-/// keys) without materializing the payload. Used for pre-compression size
-/// metrics so the off path builds nothing extra.
-int64_t StateDictPayloadBytes(const StateDict& state, size_t prefix_size) {
-  int64_t bytes = 0;
-  for (const auto& [name, tensor] : state) {
-    bytes += static_cast<int64_t>(prefix_size + 1 + name.size()) + 16 +
-             tensor.numel() * static_cast<int64_t>(sizeof(float)) +
-             tensor.ndim() * 8;
-  }
-  return bytes;
-}
 
 }  // namespace
 
@@ -281,35 +266,18 @@ void Client::OnModelPara(const Message& msg) {
   reply.receiver = msg.sender;
   reply.msg_type = events::kModelUpdate;
   reply.state = msg.state;  // the round this update is based on
-  // Message-transform operator: optionally compress the update before it
-  // leaves the device (the server decompresses transparently).
-  // `update_bytes` is the wire size of the (possibly compressed) update
-  // alone, excluding the scalar metadata added below.
-  int64_t update_bytes = 0;
-  if (options_.compression == "quant8") {
-    Payload compressed = QuantizeStateDict(delta);
-    if (record_obs) update_bytes = compressed.ByteSize();
-    reply.payload.Merge(compressed);
-  } else if (options_.compression == "topk") {
-    Payload compressed =
-        SparsifyStateDict(delta, options_.compression_keep_frac);
-    if (record_obs) update_bytes = compressed.ByteSize();
-    reply.payload.Merge(compressed);
-  } else {
-    reply.payload.SetStateDict(kDeltaKey, delta);
-    if (record_obs) {
-      update_bytes = StateDictPayloadBytes(delta, sizeof(kDeltaKey) - 1);
-    }
-  }
+  // Message-transform operator: the update leaves the device in the
+  // configured codec (the server decodes it transparently).
+  reply.payload = EncodeUpdate(delta, options_.compression,
+                               options_.compression_keep_frac);
   if (record_obs) {
     const MetricLabels codec_label = {{"codec", options_.compression}};
     obs_->Count("fs_client_updates_total", 1.0, codec_label);
+    // Wire bytes of the update alone, before the metadata added below.
     obs_->Count("fs_client_update_bytes_total",
-                static_cast<double>(update_bytes), codec_label);
+                static_cast<double>(reply.payload.ByteSize()), codec_label);
     obs_->Count("fs_client_update_raw_bytes_total",
-                static_cast<double>(
-                    StateDictPayloadBytes(delta, sizeof(kDeltaKey) - 1)),
-                codec_label);
+                static_cast<double>(RawUpdateBytes(delta)), codec_label);
     const MetricLabels client_label = {{"client", std::to_string(id_)}};
     obs_->Count("fs_client_rounds_total", 1.0, client_label);
     obs_->Count("fs_client_train_steps_total",

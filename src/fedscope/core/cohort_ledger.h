@@ -16,7 +16,7 @@ namespace fedscope {
 enum class SlotOutcome {
   kReceived,      ///< an update arrived (buffered, or dropped as stale)
   kDeclined,      ///< the client declined the round (low_bandwidth)
-  kRejected,      ///< the ingress guard rejected the client's update
+  kRejected,      ///< the update did not decode or the guard refused it
   kFailed,        ///< the transport reported the client gone
   kPresumedDead,  ///< a starved timer expiry gave up on the client
 };

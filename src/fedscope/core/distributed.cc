@@ -161,9 +161,6 @@ void DistributedServerHost::PushIncoming(Message msg) {
   // At-least-once delivery makes retransmissions possible; suppress exact
   // repeats here so the Server worker never sees them.
   if (dedup_.IsDuplicate(msg)) return;
-  // A peer's join_in announces only its sender; batch joins are the
-  // standalone runner's.
-  if (msg.msg_type == events::kJoinIn) msg.payload.RemoveScalar(kJoinIdsKey);
   incoming_.push_back(std::move(msg));
   cv_.notify_one();
 }
@@ -262,7 +259,6 @@ std::optional<Message> DistributedServerHost::AcceptClient(
         &connections_.emplace(id, std::move(conn.value())).first->second;
   }
   readers_.emplace_back([this, id, connection] { ReaderLoop(id, connection); });
-  hello->payload.RemoveScalar(kJoinIdsKey);  // announces only `id`
   return std::move(hello.value());
 }
 

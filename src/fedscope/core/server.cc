@@ -12,7 +12,6 @@ namespace fedscope {
 namespace {
 
 constexpr char kModelKey[] = "model";
-constexpr char kDeltaKey[] = "delta";
 
 /// The by-reason counter of a rejecting guard verdict; its series label is
 /// GuardReasonLabel(verdict).
@@ -40,12 +39,11 @@ Server::Server(ServerOptions options, Model global_model,
     : BaseWorker(kServerId, channel),
       options_(std::move(options)),
       global_model_(std::move(global_model)),
+      signature_(global_model_.GetStateDict(options_.share_filter)),
       aggregator_(std::move(aggregator)),
+      guard_(options_.guard),
       rng_(options_.seed != 0 ? options_.seed : 0x5E17E5) {
   FS_CHECK(aggregator_ != nullptr);
-  if (options_.guard.enabled) {
-    guard_ = std::make_unique<UpdateGuard>(options_.guard);
-  }
   FS_CHECK_GT(options_.concurrency, 0);
   RegisterDefaultHandlers();
 }
@@ -108,16 +106,16 @@ void Server::RegisterDefaultHandlers() {
 }
 
 void Server::OnJoinIn(const Message& msg) {
-  // A batch join lists its ids and their scores (kJoinIdsKey and
-  // kJoinScoresKey, id order); a client's own join names only itself — the
-  // batch of one.
+  // Only the runner's batch join, sent as kBroadcast (no transport peer can
+  // claim it), lists ids and their scores (kJoinIdsKey, kJoinScoresKey, id
+  // order); any other join names only its sender — the batch of one.
   IdSet ids;
   std::vector<double> scores;
-  if (msg.payload.HasScalar(kJoinIdsKey)) {
+  if (msg.sender == kBroadcast) {
     auto batch = GetPackedIdSet(msg.payload, kJoinIdsKey);
     scores = GetPackedDoubles(msg.payload, kJoinScoresKey);
     if (!batch.ok() || batch->size() != static_cast<int64_t>(scores.size())) {
-      FS_LOG(Warning) << "malformed batch join_in from " << msg.sender;
+      FS_LOG(Warning) << "malformed batch join_in";
       return;
     }
     ids = std::move(batch.value());
@@ -126,8 +124,11 @@ void Server::OnJoinIn(const Message& msg) {
     scores.push_back(msg.payload.GetDouble("resp_score", 1.0));
   }
   if (ids.empty()) return;
-  if (ids.min() < 1) {
-    FS_LOG(Warning) << "join_in for invalid client id " << ids.min();
+  // Ids outside the population would size the score table: refuse them.
+  if (ids.min() < 1 || (options_.expected_clients > 0 &&
+                        ids.max() > options_.expected_clients)) {
+    FS_LOG(Warning) << "join_in for ids " << ids.min() << ".." << ids.max()
+                    << " outside the population";
     return;
   }
 
@@ -307,12 +308,28 @@ void Server::OnModelUpdate(const Message& msg) {
     return;
   }
 
+  // One ingress order for every course (DESIGN.md §14): decode, the
+  // guard's screens when it is on, then the staleness drop. Malformed input
+  // is malformed whatever round it claims, which also keeps the
+  // delivered-poison accounting exact (fuzz oracle 14).
+  ClientUpdate update;
+  const GuardDecision decision = ScreenUpdate(msg, &update.delta);
+  if (decision.verdict == GuardVerdict::kClip) ++stats_.updates_clipped;
+  if (decision.rejected()) {
+    stats_.Reject(RejectionReason(decision.verdict));
+    FS_LOG(Warning) << "rejecting update from client " << msg.sender << " ("
+                    << GuardReasonLabel(decision.verdict)
+                    << "): " << decision.detail;
+    // An offender stays drawable until quarantine exiles it.
+    if (decision.quarantine) QuarantineClient(msg.sender);
+    RepairSlots(SlotOutcome::kRejected, {msg.sender}, msg);
+    return;
+  }
   const int staleness = round_ - msg.state;
-  if (guard_ == nullptr && staleness > options_.staleness_tolerance) {
+  if (staleness > options_.staleness_tolerance) {
     // Outdated beyond toleration: dropped entirely (§3.3.1-i).
     ++stats_.dropped_stale;
   } else {
-    ClientUpdate update;
     update.client_id = msg.sender;
     update.round_started = msg.state;
     update.staleness = staleness;
@@ -320,58 +337,7 @@ void Server::OnModelUpdate(const Message& msg) {
         static_cast<double>(msg.payload.GetInt("num_samples", 1));
     update.local_steps =
         static_cast<int>(msg.payload.GetInt("local_steps", 1));
-    // Transparent decompression of operator-transformed updates.
-    const std::string codec = msg.payload.GetString("codec");
-    if (codec == "quant8") {
-      auto decoded = DequantizeStateDict(msg.payload);
-      if (!decoded.ok()) {
-        FS_LOG(Warning) << "dropping undecodable quant8 update from "
-                        << msg.sender << ": "
-                        << decoded.status().ToString();
-        ledger_.End(msg.sender, SlotOutcome::kReceived);
-        return;
-      }
-      update.delta = std::move(decoded.value());
-    } else if (codec == "topk") {
-      auto decoded = DesparsifyStateDict(msg.payload);
-      if (!decoded.ok()) {
-        FS_LOG(Warning) << "dropping undecodable topk update from "
-                        << msg.sender << ": "
-                        << decoded.status().ToString();
-        ledger_.End(msg.sender, SlotOutcome::kReceived);
-        return;
-      }
-      update.delta = std::move(decoded.value());
-    } else {
-      update.delta = msg.payload.GetStateDict(kDeltaKey);
-    }
-    if (guard_ != nullptr) {
-      // Ingress validation precedes the staleness drop: malformed input is
-      // malformed whatever round it claims, which also keeps the
-      // delivered-poison accounting exact (fuzz oracle 14).
-      const StateDict signature =
-          global_model_.GetStateDict(options_.share_filter);
-      const GuardDecision decision =
-          guard_->Inspect(msg.sender, signature, &update.delta);
-      if (decision.verdict == GuardVerdict::kClip) ++stats_.updates_clipped;
-      if (decision.rejected()) {
-        stats_.Reject(RejectionReason(decision.verdict));
-        FS_LOG(Warning) << "rejecting update from client " << msg.sender
-                        << " (" << GuardReasonLabel(decision.verdict)
-                        << "): " << decision.detail;
-        // An offender stays drawable until quarantine exiles it.
-        if (decision.quarantine) QuarantineClient(msg.sender);
-        RepairSlots(SlotOutcome::kRejected, {msg.sender}, msg);
-        return;
-      }
-    }
-    if (guard_ != nullptr && staleness > options_.staleness_tolerance) {
-      // Guard-accepted but outdated beyond toleration: dropped exactly as
-      // on the guard-off path (falls through to the trigger checks).
-      ++stats_.dropped_stale;
-    } else {
-      buffer_.push_back(std::move(update));
-    }
+    buffer_.push_back(std::move(update));
   }
   const bool ended_slot = ledger_.End(msg.sender, SlotOutcome::kReceived);
 
@@ -388,6 +354,16 @@ void Server::OnModelUpdate(const Message& msg) {
       options_.broadcast == BroadcastManner::kAfterReceiving) {
     BroadcastModel(SampleIdle(1), msg.timestamp);
   }
+}
+
+GuardDecision Server::ScreenUpdate(const Message& msg, StateDict* delta) {
+  Result<StateDict> decoded = DecodeUpdate(msg.payload, signature_);
+  if (!decoded.ok()) {
+    return guard_.Book(msg.sender, {GuardVerdict::kRejectSignature, false,
+                                    decoded.status().ToString()});
+  }
+  *delta = std::move(decoded.value());
+  return guard_.Inspect(msg.sender, signature_, delta);
 }
 
 void Server::CheckTrigger(const Message& msg) {
@@ -432,9 +408,10 @@ void Server::OnTimer(const Message& msg) {
   // answered, so with quarantine on each one buys the round one more
   // expiry; quarantine bounds how often that can happen.
   ++stats_.round_extensions;
-  const int budget =
-      options_.max_round_extensions +
-      (options_.guard.quarantine_after > 0 ? ledger_.rejected() : 0);
+  const bool quarantine = options_.guard.enabled &&
+                          options_.guard.quarantine_after > 0;
+  const int budget = options_.max_round_extensions +
+                     (quarantine ? ledger_.rejected() : 0);
   if (ledger_.CountStarved() > budget) {
     // The round will not complete normally (e.g. the whole fleet is dead):
     // aggregate what arrived, and give the course up if that does not end

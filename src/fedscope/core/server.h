@@ -186,8 +186,6 @@ class Server : public BaseWorker {
   const ServerOptions& options() const { return options_; }
   const ServerStats& stats() const { return stats_; }
   bool finished() const { return finished_; }
-  /// Null unless options().guard.enabled.
-  const UpdateGuard* guard() const { return guard_.get(); }
   int round() const { return round_; }
   int joined_clients() const { return static_cast<int>(members_.size()); }
   const std::vector<ClientUpdate>& buffer() const { return buffer_; }
@@ -199,6 +197,10 @@ class Server : public BaseWorker {
   /// re-join (DESIGN.md §10).
   void OnJoinIn(const Message& msg);
   void OnModelUpdate(const Message& msg);
+  /// Decodes msg's update into `delta` against the broadcast signature and
+  /// screens it with the guard. An update that does not decode is a
+  /// signature rejection, booked by the guard like its own.
+  GuardDecision ScreenUpdate(const Message& msg, StateDict* delta);
   void OnTimer(const Message& msg);
   void OnMetrics(const Message& msg);
   void OnClientFailure(const Message& msg);
@@ -258,9 +260,12 @@ class Server : public BaseWorker {
 
   ServerOptions options_;
   Model global_model_;
+  /// The broadcast model's shared tensors: what an update must decode to
+  /// and the guard screens against. Shapes never change during a course.
+  const StateDict signature_;
   std::unique_ptr<Aggregator> aggregator_;
-  /// Constructed only when options_.guard.enabled (zero cost otherwise).
-  std::unique_ptr<UpdateGuard> guard_;
+  /// Books decode failures and, when options_.guard.enabled, screens.
+  UpdateGuard guard_;
   std::unique_ptr<Sampler> sampler_;
   Rng rng_;
 

@@ -76,7 +76,7 @@ void Server::ExportSnapshot(Checkpoint* checkpoint) {
     p.SetStateDict(BufferKey(i, "delta"), u.delta);
   }
 
-  if (guard_ != nullptr) guard_->SaveState(&p, "guard");
+  if (options_.guard.enabled) guard_.SaveState(&p, "guard");
 
   if (sampler_) {
     p.SetInt("has_sampler", 1);
@@ -247,7 +247,7 @@ Status Server::RestoreSnapshot(const Checkpoint& checkpoint) {
   stats_.best_accuracy = p.GetDouble("stats/best_accuracy");
   stats_.final_accuracy = p.GetDouble("stats/final_accuracy");
   stats_.finish_time = p.GetDouble("stats/finish_time");
-  if (guard_ != nullptr) guard_->LoadState(p, "guard");
+  if (options_.guard.enabled) guard_.LoadState(p, "guard");
   return Status::Ok();
 }
 

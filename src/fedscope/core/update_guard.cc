@@ -1,6 +1,7 @@
 #include "fedscope/core/update_guard.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "fedscope/core/checkpoint.h"
@@ -88,12 +89,17 @@ GuardDecision UpdateGuard::Inspect(int client_id, const StateDict& signature,
     }
   }
 
-  if (decision.rejected()) {
-    const int count = ++violations_[client_id];
-    decision.quarantine = options_.quarantine_after > 0 &&
-                          count >= options_.quarantine_after &&
-                          quarantined_.insert(client_id).second;
-  }
+  if (decision.rejected()) return Book(client_id, std::move(decision));
+  return decision;
+}
+
+GuardDecision UpdateGuard::Book(int client_id, GuardDecision decision) {
+  FS_CHECK(decision.rejected());
+  if (!options_.enabled) return decision;
+  const int count = ++violations_[client_id];
+  decision.quarantine = options_.quarantine_after > 0 &&
+                        count >= options_.quarantine_after &&
+                        quarantined_.insert(client_id).second;
   return decision;
 }
 

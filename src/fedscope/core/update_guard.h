@@ -70,6 +70,9 @@ class UpdateGuard {
   /// against `client_id`.
   GuardDecision Inspect(int client_id, const StateDict& signature,
                         StateDict* delta);
+  /// Books a rejecting `decision` against `client_id` (a no-op when
+  /// disabled): Inspect's rejections, and an update that did not decode.
+  GuardDecision Book(int client_id, GuardDecision decision);
 
   bool IsQuarantined(int client_id) const {
     return quarantined_.count(client_id) > 0;

@@ -145,8 +145,9 @@ void ApplyHostileMutation(const FaultPlan::MessageFate& fate, Message* msg) {
     keys.push_back(name);
   }
   if (fate.hostile == "malformed") {
-    // Rename + flatten one tensor: still perfectly codec-valid, but the
-    // name and shape no longer match the broadcast signature.
+    // Rename + flatten one tensor: still a valid wire frame, but the name
+    // and shape no longer match the broadcast signature (and a compressed
+    // update no longer decodes).
     if (keys.empty()) return;
     Tensor t = msg->payload.GetTensor(keys.front()).value();
     msg->payload.RemoveTensor(keys.front());

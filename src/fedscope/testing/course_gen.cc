@@ -431,10 +431,6 @@ CourseSpec CourseGen::Clamp(CourseSpec s) {
     // Every hostile course runs guarded: malformed payloads must be
     // screened at ingress or aggregation itself becomes the failure point.
     s.guard = true;
-    // Poisoned quantized/sparse payloads would fail transport decoding
-    // instead of ingress validation; hostile courses pin the raw encoding
-    // so the guard, not the codec, is what the attack meets.
-    s.compression = "none";
     // Leave idle benign capacity to replace quarantined attackers.
     s.concurrency = clamp_int(s.concurrency, 2,
                               std::max(2, (s.EffectiveClients() * 3) / 5));

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "fedscope/comm/codec.h"
+#include "fedscope/comm/compression.h"
 #include "fedscope/comm/message.h"
 #include "fedscope/nn/layers.h"
 #include "fedscope/nn/model.h"
@@ -641,6 +644,192 @@ void FuzzCodecTrial(Rng* rng, uint64_t trial_seed,
   }
 }
 
+// -- update-codec oracle ----------------------------------------------------
+
+/// A random broadcast signature: 1-4 tensors of rank 1-3 (dims 1-6), with
+/// names that share prefixes or hold the key separator.
+StateDict RandomSignature(Rng* rng) {
+  static constexpr const char* kNames[] = {"w", "w.b", "fc.w", "fc.b", "a/b"};
+  StateDict signature;
+  const int64_t count = rng->UniformInt(1, 4);
+  for (int64_t i = 0; i < count; ++i) {
+    std::vector<int64_t> shape(static_cast<size_t>(rng->UniformInt(1, 3)));
+    for (auto& d : shape) d = rng->UniformInt(1, 6);
+    signature[kNames[rng->UniformInt(0, 4)]] = Tensor::Randn(shape, rng);
+  }
+  return signature;
+}
+
+/// Exactly the names of `like`, each with its shape.
+bool SameShapes(const StateDict& dict, const StateDict& like) {
+  if (dict.size() != like.size()) return false;
+  for (const auto& [name, tensor] : like) {
+    const auto it = dict.find(name);
+    if (it == dict.end() || it->second.shape() != tensor.shape()) return false;
+  }
+  return true;
+}
+
+const std::string& Pick(const std::vector<std::string>& keys, Rng* rng) {
+  return keys[static_cast<size_t>(
+      rng->UniformInt(0, static_cast<int64_t>(keys.size()) - 1))];
+}
+
+/// One structural mutation of an encoded update. The fuzz knows no update
+/// key: it tells entries apart by type, and `header` (the update of an
+/// empty delta: the codec tag alone) names the entries whose value may
+/// change but whose presence may not, so a compressed update stays one.
+void MutateUpdate(Rng* rng, const Payload& header, Payload* update) {
+  std::vector<std::string> body, tensors, strings, numbers;
+  for (const auto& [key, tensor] : update->tensors()) {
+    tensors.push_back(key);
+    body.push_back(key);
+  }
+  for (const auto& [key, value] : update->scalars()) {
+    (std::holds_alternative<std::string>(value) ? strings : numbers)
+        .push_back(key);
+    if (!header.HasScalar(key)) body.push_back(key);
+  }
+  switch (rng->UniformInt(0, 7)) {
+    case 0: {  // a shape dim or a value takes a hostile value
+      if (tensors.empty()) return;
+      const std::string& key = Pick(tensors, rng);
+      Tensor t = update->GetTensor(key).value();
+      if (t.numel() == 0) return;
+      static constexpr float kHostile[] = {
+          std::numeric_limits<float>::quiet_NaN(),
+          std::numeric_limits<float>::infinity(), -1.0f, 0.0f, 0.5f,
+          2147483648.0f, 16777217.0f};
+      float& v = t.at(rng->UniformInt(0, t.numel() - 1));
+      const int64_t pick = rng->UniformInt(0, 7);
+      v = pick < 7 ? kHostile[pick] : v * 1e6f;
+      update->SetTensor(key, std::move(t));
+      return;
+    }
+    case 1: {  // a tensor gains or loses an element: shape rank, value count
+      if (tensors.empty()) return;
+      const std::string& key = Pick(tensors, rng);
+      std::vector<float> values = update->GetTensor(key).value().storage();
+      if (!values.empty() && rng->Bernoulli(0.5)) {
+        values.pop_back();
+      } else {
+        values.push_back(static_cast<float>(rng->UniformInt(1, 6)));
+      }
+      update->SetTensor(key, Tensor::FromVector(values));
+      return;
+    }
+    case 2: {  // a string (codes, indices, the codec tag) changes length
+      if (strings.empty()) return;
+      const std::string& key = Pick(strings, rng);
+      std::string value = update->GetString(key);
+      const size_t by = static_cast<size_t>(rng->UniformInt(1, 5));
+      if (!value.empty() && rng->Bernoulli(0.5)) {
+        value.resize(value.size() - std::min(by, value.size()));
+      } else {
+        value.append(by, static_cast<char>(rng->UniformInt(0, 255)));
+      }
+      update->SetString(key, std::move(value));
+      return;
+    }
+    case 3: {  // an aligned 4-byte word of a string (an index) is rewritten
+      if (strings.empty()) return;
+      const std::string& key = Pick(strings, rng);
+      std::string value = update->GetString(key);
+      if (value.size() < sizeof(uint32_t)) return;
+      const uint32_t words[] = {0xFFFFFFFFu, 0x80000000u,
+                                static_cast<uint32_t>(rng->UniformInt(0, 300))};
+      const uint32_t word = words[rng->UniformInt(0, 2)];
+      const size_t at = sizeof(uint32_t) *
+                        static_cast<size_t>(rng->UniformInt(
+                            0, static_cast<int64_t>(value.size() /
+                                                    sizeof(uint32_t)) - 1));
+      std::memcpy(value.data() + at, &word, sizeof(uint32_t));
+      update->SetString(key, std::move(value));
+      return;
+    }
+    case 4: {  // a string takes a codec's name, its own or another's
+      if (strings.empty()) return;
+      static constexpr const char* kNames[] = {"quant8", "topk", "none", "",
+                                               "delta"};
+      update->SetString(Pick(strings, rng), kNames[rng->UniformInt(0, 4)]);
+      return;
+    }
+    case 5: {  // an entry moves to a name outside the signature
+      if (body.empty()) return;
+      const std::string key = Pick(body, rng);
+      const size_t at = static_cast<size_t>(
+          rng->UniformInt(0, static_cast<int64_t>(key.size())));
+      const std::string renamed =
+          key.substr(0, at) + "#/x"[rng->UniformInt(0, 2)] + key.substr(at);
+      if (update->HasTensor(key)) {
+        Tensor t = update->GetTensor(key).value();
+        update->RemoveTensor(key);
+        update->SetTensor(renamed, std::move(t));
+      } else if (std::holds_alternative<std::string>(
+                     update->scalars().at(key))) {
+        const std::string value = update->GetString(key);
+        update->RemoveScalar(key);
+        update->SetString(renamed, value);
+      } else {
+        const double value = update->GetDouble(key);
+        update->RemoveScalar(key);
+        update->SetDouble(renamed, value);
+      }
+      return;
+    }
+    case 6: {  // a number (a quantization range) takes a hostile value
+      if (numbers.empty()) return;
+      static constexpr double kHostile[] = {
+          std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(), -1e30, 1e30};
+      update->SetDouble(Pick(numbers, rng), kHostile[rng->UniformInt(0, 3)]);
+      return;
+    }
+    default: {  // an entry goes missing
+      if (body.empty()) return;
+      const std::string& key = Pick(body, rng);
+      if (!update->RemoveTensor(key)) update->RemoveScalar(key);
+      return;
+    }
+  }
+}
+
+void FuzzUpdateTrial(Rng* rng, uint64_t trial_seed,
+                     std::vector<Violation>* out) {
+  static constexpr const char* kCodecs[] = {"none", "quant8", "topk"};
+  const std::string codec = kCodecs[rng->UniformInt(0, 2)];
+  const double keep_frac = rng->Uniform(0.05, 1.0);
+  const StateDict signature = RandomSignature(rng);
+  StateDict delta;
+  for (const auto& [name, like] : signature) {
+    delta[name] = Tensor::Randn(like.shape(), rng);
+  }
+  Payload update = EncodeUpdate(delta, codec, keep_frac);
+
+  // An honest update decodes into the signature (raw: exactly as sent).
+  Result<StateDict> honest = DecodeUpdate(update, signature);
+  if (!honest.ok()) {
+    Report(out, "update_roundtrip", trial_seed,
+           codec + " update rejected: " + honest.status().ToString());
+  } else if (!SameShapes(honest.value(), signature) ||
+             (codec == "none" && !(honest.value() == delta))) {
+    Report(out, "update_roundtrip", trial_seed,
+           codec + " update decoded off the signature");
+  }
+
+  // Mutated: a Status or the signature's shapes, never an abort. Raw
+  // tensors are the guard's to screen, so a raw update always decodes.
+  const Payload header = EncodeUpdate({}, codec, keep_frac);
+  const int64_t mutations = rng->UniformInt(1, 3);
+  for (int64_t i = 0; i < mutations; ++i) MutateUpdate(rng, header, &update);
+  Result<StateDict> hostile = DecodeUpdate(update, signature);
+  if (codec == "none" ? !hostile.ok()
+                      : hostile.ok() && !SameShapes(hostile.value(), signature)) {
+    Report(out, "update_decode", trial_seed,
+           codec + " update decoded off the signature after mutation");
+  }
+}
+
 }  // namespace
 
 FuzzReport FuzzKernels(uint64_t seed, int trials) {
@@ -668,6 +857,7 @@ FuzzReport FuzzCodec(uint64_t seed, int trials) {
     const uint64_t trial_seed = seeder.Fork(static_cast<uint64_t>(t)).Next();
     Rng rng(trial_seed);
     FuzzCodecTrial(&rng, trial_seed, &report.violations);
+    FuzzUpdateTrial(&rng, trial_seed, &report.violations);
     ++report.trials;
   }
   return report;

@@ -28,7 +28,10 @@ FuzzReport FuzzKernels(uint64_t seed, int trials);
 /// Fuzz of the wire codec: random valid messages must decode and
 /// re-encode bit-exactly (and EncodedMessageSize must match); frame
 /// split/shuffle/reassemble must restore the stream; truncated, mutated,
-/// and pure-garbage frames must return Status — never crash.
+/// and pure-garbage frames must return Status — never crash. And of the
+/// update codec: a random delta encoded raw, quant8 or topk must decode
+/// into its signature, and after structural mutations a compressed update
+/// must decode to a Status or to exactly the signature's shapes.
 FuzzReport FuzzCodec(uint64_t seed, int trials);
 
 }  // namespace testing

@@ -4,6 +4,7 @@
 #include <iterator>
 #include <vector>
 
+#include "fedscope/comm/compression.h"
 #include "fedscope/core/checkpoint.h"
 #include "fedscope/core/client.h"
 #include "fedscope/core/events.h"
@@ -38,6 +39,12 @@ SplitDataset MakeSplit(uint64_t seed) {
 Model TestModel(uint64_t seed = 1) {
   Rng rng(seed);
   return MakeLogisticRegression(2, 2, &rng);
+}
+
+/// The delta a raw (uncompressed) update carries; raw updates decode
+/// without a signature.
+StateDict DeltaOf(const Message& update) {
+  return DecodeUpdate(update.payload, {}).value();
 }
 
 std::unique_ptr<Client> MakeClient(int id, QueueChannel* channel,
@@ -88,7 +95,7 @@ TEST(ClientTest, ModelParaTriggersTrainingAndUpdate) {
   EXPECT_EQ(reply.msg_type, events::kModelUpdate);
   EXPECT_EQ(reply.state, 5);  // echoes the round it started from
   EXPECT_GT(reply.timestamp, 0.0);  // latency added
-  StateDict delta = reply.payload.GetStateDict("delta");
+  StateDict delta = DeltaOf(reply);
   EXPECT_EQ(delta.size(), 2u);
   EXPECT_GT(SdNorm(delta), 0.0);  // training moved the parameters
   EXPECT_GT(reply.payload.GetInt("num_samples", 0), 0);
@@ -101,7 +108,7 @@ TEST(ClientTest, DeltaIsLocalMinusReceived) {
   Model global = TestModel(42);
   StateDict sent = global.GetStateDict();
   client->HandleMessage(BroadcastTo(1, &global, 0));
-  StateDict delta = channel.Pop().payload.GetStateDict("delta");
+  StateDict delta = DeltaOf(channel.Pop());
   StateDict local = client->model()->GetStateDict();
   StateDict reconstructed = SdAdd(sent, delta);
   EXPECT_LT(SdNorm(SdSub(reconstructed, local)), 1e-4);
@@ -154,7 +161,7 @@ TEST(ClientTest, DpPluginBoundsDeltaNorm) {
   auto client = MakeClient(1, &channel, options);
   Model global = TestModel();
   client->HandleMessage(BroadcastTo(1, &global, 0));
-  StateDict delta = channel.Pop().payload.GetStateDict("delta");
+  StateDict delta = DeltaOf(channel.Pop());
   EXPECT_LE(SdNorm(delta), 0.01 + 1e-6);
 }
 
@@ -168,7 +175,7 @@ TEST(ClientTest, UpdatePoisonerRewritesDelta) {
   });
   Model global = TestModel();
   client->HandleMessage(BroadcastTo(1, &global, 0));
-  StateDict delta = channel.Pop().payload.GetStateDict("delta");
+  StateDict delta = DeltaOf(channel.Pop());
   for (const auto& [name, tensor] : delta) {
     for (int64_t i = 0; i < tensor.numel(); ++i) {
       EXPECT_EQ(tensor.at(i), 7.0f);
@@ -211,7 +218,7 @@ TEST(ClientTest, ShareFilterRestrictsDeltaKeys) {
   Model global = TestModel();
   Message msg = BroadcastTo(1, &global, 0);
   client->HandleMessage(msg);
-  StateDict delta = channel.Pop().payload.GetStateDict("delta");
+  StateDict delta = DeltaOf(channel.Pop());
   EXPECT_EQ(delta.size(), 1u);
   EXPECT_TRUE(delta.count("fc.weight"));
 }
@@ -228,12 +235,12 @@ TEST(ClientTest, LowBandwidthDeclinesEveryOtherRound) {
   client->HandleMessage(BroadcastTo(1, &global, 0));  // declined
   Message first = channel.Pop();
   EXPECT_EQ(first.payload.GetInt("declined", 0), 1);
-  EXPECT_TRUE(first.payload.GetStateDict("delta").empty());
+  EXPECT_TRUE(DeltaOf(first).empty());
 
   client->HandleMessage(BroadcastTo(1, &global, 1));  // trains
   Message second = channel.Pop();
   EXPECT_EQ(second.payload.GetInt("declined", 0), 0);
-  EXPECT_FALSE(second.payload.GetStateDict("delta").empty());
+  EXPECT_FALSE(DeltaOf(second).empty());
 
   client->HandleMessage(BroadcastTo(1, &global, 2));  // declined again
   EXPECT_EQ(channel.Pop().payload.GetInt("declined", 0), 1);
@@ -297,7 +304,7 @@ Message UpdateFrom(int id, int round, Model* reference, float bump) {
   for (auto& [name, tensor] : delta) {
     for (int64_t i = 0; i < tensor.numel(); ++i) tensor.at(i) = bump;
   }
-  msg.payload.SetStateDict("delta", delta);
+  msg.payload = EncodeUpdate(delta, "none", 1.0);
   msg.payload.SetInt("num_samples", 10);
   msg.payload.SetInt("local_steps", 4);
   return msg;
@@ -684,19 +691,28 @@ TEST(ServerTest, FlatBroadcastReachesLargeClientIds) {
   constexpr int kLargeId = 100001;
   QueueChannel channel;
   ServerOptions options;
-  options.expected_clients = 1;
-  options.concurrency = 1;
+  options.expected_clients = kLargeId;
+  options.concurrency = kLargeId;
   auto server = MakeServer(&channel, options);
-  server->HandleMessage(JoinFrom(kLargeId));
+  Message join;
+  join.sender = kBroadcast;
+  join.receiver = kServerId;
+  join.msg_type = events::kJoinIn;
+  SetPackedIdSet(&join.payload, kJoinIdsKey, IdSet::Range(1, kLargeId));
+  SetPackedDoubles(&join.payload, kJoinScoresKey,
+                   std::vector<double>(kLargeId, 1.0));
+  server->HandleMessage(join);
   int broadcasts = 0;
+  int largest = 0;
   while (!channel.Empty()) {
     const Message m = channel.Pop();
     if (m.msg_type != events::kModelPara) continue;
     ++broadcasts;
-    EXPECT_EQ(m.receiver, kLargeId);
+    largest = std::max(largest, m.receiver);
     EXPECT_FALSE(m.payload.HasScalar("cohort"));
   }
-  EXPECT_EQ(broadcasts, 1);
+  EXPECT_EQ(broadcasts, kLargeId);
+  EXPECT_EQ(largest, kLargeId);
 }
 
 TEST(ServerTest, StalenessLogRecordsContributions) {
@@ -856,6 +872,49 @@ TEST(ServerTest, BatchJoinIsAckedByOneMulticast) {
     EXPECT_EQ(receivers->ToVector(), (std::vector<int>{1, 2, 3, 4, 5}));
   }
   EXPECT_EQ(acks, 1);
+}
+
+TEST(ServerTest, JoinOutsideThePopulationIsRefused) {
+  // The score table is sized by the largest joined id, so a join at id
+  // 10^8 would grow it (and the per-client counters) by hundreds of MB.
+  // It is refused: membership and course match a server that never saw it.
+  QueueChannel probed_channel;
+  auto probed = MakeServer(&probed_channel, ResponsivenessOptions());
+  probed->HandleMessage(JoinFrom(100000000));
+  EXPECT_EQ(probed->joined_clients(), 0);
+  EXPECT_TRUE(probed_channel.Empty());  // not acked
+  probed->HandleMessage(BatchJoin());
+
+  QueueChannel clean_channel;
+  auto clean = MakeServer(&clean_channel, ResponsivenessOptions());
+  clean->HandleMessage(BatchJoin());
+
+  EXPECT_EQ(probed->joined_clients(), 5);
+  EXPECT_EQ(probed->stats().agg_count.size(), 6u);  // ids 1..5
+  EXPECT_EQ(DrainCohort(&probed_channel), DrainCohort(&clean_channel));
+  Checkpoint from_probed;
+  Checkpoint from_clean;
+  probed->ExportSnapshot(&from_probed);
+  clean->ExportSnapshot(&from_clean);
+  EXPECT_TRUE(from_probed.course == from_clean.course);
+}
+
+TEST(ServerTest, PeerJoinCarryingBatchKeysRegistersOnlyItsSender) {
+  // Only the runner's batch join, sent as kBroadcast, lists ids; a
+  // client's join that carries the batch keys still names only itself.
+  QueueChannel channel;
+  auto server = MakeServer(&channel, ResponsivenessOptions());
+  Message join = BatchJoin();
+  join.sender = 2;
+  server->HandleMessage(join);
+  EXPECT_EQ(server->joined_clients(), 1);
+  ASSERT_FALSE(channel.Empty());
+  const Message ack = channel.Pop();
+  EXPECT_EQ(ack.msg_type, events::kAssignId);
+  const Result<IdSet> receivers = GetReceivers(ack);
+  ASSERT_TRUE(receivers.ok()) << receivers.status().ToString();
+  EXPECT_EQ(receivers->ToVector(), (std::vector<int>{2}));
+  EXPECT_TRUE(channel.Empty());
 }
 
 TEST(ServerTest, QuarantinedClientIsNotAFinishReceiver) {

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <thread>
 
+#include "fedscope/comm/compression.h"
 #include "fedscope/comm/socket_transport.h"
 #include "fedscope/core/events.h"
 #include "fedscope/core/id_set.h"
@@ -605,7 +606,7 @@ TEST(DistributedTest, PeerCannotForgeFramesForOthers) {
     update.receiver = kServerId;
     update.msg_type = events::kModelUpdate;
     update.state = msg->state;
-    update.payload.SetStateDict("delta", zeros);
+    update.payload = EncodeUpdate(zeros, "none", 1.0);
     update.payload.SetInt("num_samples", 1);
     update.payload.SetInt(kSessionEpochKey, epoch);
     if (!forged) {

@@ -8,9 +8,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "fedscope/comm/compression.h"
 #include "fedscope/comm/socket_transport.h"
 #include "fedscope/core/distributed.h"
 #include "fedscope/core/events.h"
@@ -334,12 +338,24 @@ TEST(TransportFaultTest, CleanFinishCountsNoFailures) {
   EXPECT_EQ(server_host.duplicates_suppressed(), 0);
 }
 
-TEST(TransportFaultTest, HostilePeerQuarantinedCourseCompletes) {
-  // A Byzantine participant speaks the wire protocol correctly but lies in
-  // the payload: first a malformed update (renamed tensors), then NaN
-  // poison. The ingress guard must reject both, quarantine the peer after
-  // the second violation, and the honest cohort must finish the course —
-  // no crash, no corrupted model.
+/// What a hostile-peer course leaves behind.
+struct HostilePeerRun {
+  ServerStats stats;
+  std::vector<Status> client_statuses;
+  bool model_finite = true;
+};
+
+/// A 4-client sync TCP course under the guard (quarantine after
+/// `quarantine_after` violations). Client 4 is a Byzantine participant: it
+/// speaks the wire protocol correctly but answers its first `attacks`
+/// broadcasts with the update `forge(attack, model)`, then closes its
+/// socket — a quarantined client gets no finish broadcast, so lingering
+/// would stall the host's teardown (which waits for every connection to
+/// EOF). Clients 1..3 are honest.
+void RunHostilePeerCourse(
+    int quarantine_after, int attacks,
+    const std::function<Payload(int, const StateDict&)>& forge,
+    HostilePeerRun* run) {
   constexpr int kClients = 4;
   Rng init_rng(11);
   Model init = MakeLogisticRegression(2, 2, &init_rng);
@@ -354,7 +370,7 @@ TEST(TransportFaultTest, HostilePeerQuarantinedCourseCompletes) {
   server_options.max_rounds = 4;
   server_options.seed = 3;
   server_options.guard.enabled = true;
-  server_options.guard.quarantine_after = 2;
+  server_options.guard.quarantine_after = quarantine_after;
 
   DistributedServerHost server_host(
       server_options, init, std::make_unique<FedAvgAggregator>(),
@@ -364,13 +380,9 @@ TEST(TransportFaultTest, HostilePeerQuarantinedCourseCompletes) {
     return EvaluateClassifier(model, server_test);
   });
 
-  ServerStats stats;
-  std::thread server_thread([&] { stats = server_host.Run(); });
+  std::thread server_thread([&] { run->stats = server_host.Run(); });
 
-  // The hostile participant. It closes its socket after the second attack:
-  // a quarantined client gets no finish broadcast, so lingering would
-  // stall the host's teardown (which waits for every connection to EOF).
-  std::thread hostile_thread([port] {
+  std::thread hostile_thread([port, attacks, &forge] {
     auto conn = TcpConnection::Connect("127.0.0.1", port);
     if (!conn.ok()) return;
     Message join;
@@ -378,41 +390,29 @@ TEST(TransportFaultTest, HostilePeerQuarantinedCourseCompletes) {
     join.receiver = kServerId;
     join.msg_type = events::kJoinIn;
     conn->SendMessage(join).ok();
-    int attacks = 0;
-    while (attacks < 2) {
+    for (int attack = 0; attack < attacks;) {
       auto msg = conn->ReceiveMessage();
       if (!msg.ok()) return;
       if (msg->msg_type == events::kFinish) return;
       if (msg->msg_type != events::kModelPara) continue;
-      StateDict delta = msg->payload.GetStateDict("model");
       Message reply;
       reply.sender = kClients;
       reply.receiver = kServerId;
       reply.msg_type = events::kModelUpdate;
       reply.state = msg->state;
+      reply.payload = forge(attack, msg->payload.GetStateDict("model"));
       reply.payload.SetInt(kSessionEpochKey,
                            msg->payload.GetInt(kSessionEpochKey, 0));
-      if (attacks == 0) {
-        StateDict renamed;  // right tensors, wrong names
-        for (const auto& [name, tensor] : delta) {
-          renamed[name + "#"] = tensor;
-        }
-        reply.payload.SetStateDict("delta", renamed);
-      } else {
-        delta.begin()->second.at(0) =
-            std::numeric_limits<float>::quiet_NaN();
-        reply.payload.SetStateDict("delta", delta);
-      }
       reply.payload.SetInt("num_samples", 4);
       reply.payload.SetInt("local_steps", 1);
       conn->SendMessage(reply).ok();
-      ++attacks;
+      ++attack;
     }
     conn->Close();
   });
 
   std::vector<std::thread> client_threads;
-  std::vector<Status> client_statuses(kClients - 1);
+  run->client_statuses.resize(kClients - 1);
   for (int id = 1; id <= kClients - 1; ++id) {
     client_threads.emplace_back([&, id] {
       ClientOptions options;
@@ -424,28 +424,84 @@ TEST(TransportFaultTest, HostilePeerQuarantinedCourseCompletes) {
                                  std::move(data),
                                  std::make_unique<GeneralTrainer>(),
                                  "127.0.0.1", port);
-      client_statuses[id - 1] = host.Run();
+      run->client_statuses[id - 1] = host.Run();
     });
   }
   hostile_thread.join();
   for (auto& t : client_threads) t.join();
   server_thread.join();
 
-  for (const auto& status : client_statuses) {
-    EXPECT_TRUE(status.ok()) << status.ToString();
-  }
-  EXPECT_EQ(stats.rounds, 4);
-  EXPECT_FALSE(stats.aborted);
-  EXPECT_EQ(stats.updates_rejected, 2);
-  ASSERT_EQ(stats.quarantined.size(), 1u);
-  EXPECT_EQ(stats.quarantined[0], kClients);
-  // The poison never reached an aggregation: the shared model is finite.
   for (const auto& [name, tensor] :
        server_host.server()->global_model()->GetStateDict()) {
     for (int64_t i = 0; i < tensor.numel(); ++i) {
-      EXPECT_TRUE(std::isfinite(tensor.at(i))) << name << "[" << i << "]";
+      run->model_finite = run->model_finite && std::isfinite(tensor.at(i));
     }
   }
+}
+
+TEST(TransportFaultTest, HostilePeerQuarantinedCourseCompletes) {
+  // The peer first sends a malformed update (renamed tensors), then NaN
+  // poison. The ingress guard must reject both, quarantine the peer after
+  // the second violation, and the honest cohort must finish the course —
+  // no crash, no corrupted model.
+  HostilePeerRun run;
+  RunHostilePeerCourse(
+      /*quarantine_after=*/2, /*attacks=*/2,
+      [](int attack, const StateDict& model) {
+        StateDict delta;
+        for (const auto& [name, tensor] : model) {
+          // Right tensors under wrong names, then NaN poison.
+          delta[attack == 0 ? name + "#" : name] = tensor;
+        }
+        if (attack == 1) {
+          delta.begin()->second.at(0) =
+              std::numeric_limits<float>::quiet_NaN();
+        }
+        return EncodeUpdate(delta, "none", 1.0);
+      },
+      &run);
+  for (const auto& status : run.client_statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  EXPECT_EQ(run.stats.rounds, 4);
+  EXPECT_FALSE(run.stats.aborted);
+  EXPECT_EQ(run.stats.updates_rejected, 2);
+  ASSERT_EQ(run.stats.quarantined.size(), 1u);
+  EXPECT_EQ(run.stats.quarantined[0], 4);
+  // The poison never reached an aggregation: the shared model is finite.
+  EXPECT_TRUE(run.model_finite);
+}
+
+TEST(TransportFaultTest, TopKFrameWithNanShapeRejectedCourseCompletes) {
+  // A sparsified update whose every tensor — its shape entries included —
+  // leads with NaN. The server must refuse the frame as a signature
+  // violation before the shape becomes a size, quarantine the peer, and
+  // finish the course with the honest cohort.
+  HostilePeerRun run;
+  RunHostilePeerCourse(
+      /*quarantine_after=*/1, /*attacks=*/1,
+      [](int, const StateDict& model) {
+        Payload update = EncodeUpdate(model, "topk", 0.5);
+        std::vector<std::string> keys;
+        for (const auto& [key, tensor] : update.tensors()) keys.push_back(key);
+        for (const std::string& key : keys) {
+          Tensor t = update.GetTensor(key).value();
+          t.at(0) = std::numeric_limits<float>::quiet_NaN();
+          update.SetTensor(key, std::move(t));
+        }
+        return update;
+      },
+      &run);
+  for (const auto& status : run.client_statuses) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  EXPECT_EQ(run.stats.rounds, 4);
+  EXPECT_FALSE(run.stats.aborted);
+  EXPECT_EQ(run.stats.updates_rejected, 1);
+  EXPECT_EQ(run.stats.rejected_signature, 1);
+  ASSERT_EQ(run.stats.quarantined.size(), 1u);
+  EXPECT_EQ(run.stats.quarantined[0], 4);
+  EXPECT_TRUE(run.model_finite);
 }
 
 TEST(TransportFaultTest, ReceiveDeadlineRejectedInDistributedMode) {

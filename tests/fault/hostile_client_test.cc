@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "fedscope/core/fed_runner.h"
 #include "fedscope/data/synthetic_twitter.h"
@@ -173,6 +174,65 @@ TEST(HostileClientTest, HostileCoursesAreSeedReproducible) {
   EXPECT_EQ(a.server.updates_rejected, b.server.updates_rejected);
   EXPECT_EQ(a.server.quarantined, b.server.quarantined);
   EXPECT_EQ(a.server.staleness_log, b.server.staleness_log);
+}
+
+TEST(HostileClientTest, CompressedAttacksAreSignatureRejectionsNotAborts) {
+  // A compressed update carries its shapes as tensors, so every mutation
+  // but a replay breaks the encoding itself: the server must refuse it as
+  // a signature violation — booked, quarantined, slot repaired — and never
+  // let a poisoned shape become a size.
+  FedDataset data = TinyData();
+  for (const char* codec : {"quant8", "topk"}) {
+    for (const char* mode : {"nan", "inf", "sign_flip", "scale", "malformed",
+                             "replay", "mixed"}) {
+      SCOPED_TRACE(std::string(codec) + " x " + mode);
+      FedJob job = HostileJob(&data, mode);
+      job.client.compression = codec;
+      job.client.compression_keep_frac = 0.5;
+      FedRunner runner(std::move(job));
+      const std::set<int> hostile = runner.fault_plan().hostile_clients();
+      RunResult result = runner.Run();
+      const auto& counters = runner.fault_plan().counters();
+      const int64_t undecodable = counters.poisoned_nonfinite +
+                                  counters.sign_flipped + counters.scaled +
+                                  counters.malformed;
+      EXPECT_FALSE(result.server.aborted);
+      EXPECT_EQ(result.server.rounds, 4);
+      if (std::string(mode) != "replay") {
+        EXPECT_GT(undecodable, 0);
+      }
+      // Lossless channel: every broken update was delivered and refused
+      // as a signature violation, before any other screen.
+      EXPECT_EQ(result.server.rejected_signature, undecodable);
+      EXPECT_EQ(result.server.updates_rejected, undecodable);
+      ExpectQuarantineSound(result, hostile);
+      EXPECT_TRUE(ModelFinite(result.final_model));
+    }
+  }
+}
+
+TEST(HostileClientTest, UndecodableUpdatesDoNotStallAnUnguardedSyncCourse) {
+  // Without the guard an update that does not decode is still a rejection:
+  // its slot is refilled, so a blocking sync round completes instead of
+  // waiting forever for an update it already received...
+  FedDataset data = TinyData();
+  FedJob job = HostileJob(&data, "scale");
+  job.client.compression = "quant8";
+  job.server.guard = UpdateGuardOptions{};  // off
+  job.server.receive_deadline = 0.0;
+  RunResult blocking = FedRunner(job).Run();
+  EXPECT_EQ(blocking.server.rounds, 4);
+  EXPECT_FALSE(blocking.server.aborted);
+  EXPECT_GT(blocking.server.rejected_signature, 0);
+  EXPECT_TRUE(blocking.server.quarantined.empty());
+  EXPECT_TRUE(ModelFinite(blocking.final_model));
+
+  // ...and a round with a deadline is not held until it expires.
+  job.server.receive_deadline = 600.0;
+  RunResult timed = FedRunner(job).Run();
+  EXPECT_EQ(timed.server.rounds, 4);
+  EXPECT_EQ(timed.server.round_extensions, 0);
+  EXPECT_LT(timed.server.finish_time, job.server.receive_deadline);
 }
 
 TEST(HostileClientTest, ClampedHostileSpecRunsThroughCourseFixture) {
