@@ -5,6 +5,7 @@
 
 #include "fedscope/comm/codec.h"
 #include "fedscope/comm/compression.h"
+#include "fedscope/core/checkpoint.h"
 #include "fedscope/core/events.h"
 #include "fedscope/obs/obs_context.h"
 #include "fedscope/util/logging.h"
@@ -14,23 +15,57 @@ namespace {
 
 /// Payload key of the broadcast model.
 constexpr char kModelKey[] = "model";
+/// Key prefix of a layer's private state in ClientResume::trainer_state.
+constexpr char kLayerStateKey[] = "layer/";
 
 }  // namespace
 
-Client::Client(int id, ClientOptions options, Model model, SplitDataset data,
-               std::unique_ptr<BaseTrainer> trainer, CommChannel* channel,
-               HeldOutSource held_out)
-    : BaseWorker(id, channel),
-      options_(std::move(options)),
-      model_(std::move(model)),
-      data_(std::move(data)),
-      held_out_(std::move(held_out)),
-      trainer_(std::move(trainer)),
-      rng_(options_.seed != 0 ? options_.seed
-                              : static_cast<uint64_t>(id) + 77),
-      response_model_(options_.jitter_sigma) {
-  FS_CHECK(trainer_ != nullptr);
+Client::Client(int id, ClientOptions options, const Model& model,
+               SplitDataset data, std::unique_ptr<BaseTrainer> trainer,
+               CommChannel* channel, HeldOutSource held_out)
+    : BaseWorker(id, channel) {
   RegisterDefaultHandlers();
+  Reset(id, std::move(options), model, std::move(data), std::move(trainer),
+        channel, std::move(held_out));
+}
+
+void Client::Reset(int id, ClientOptions options, const Model& model,
+                   SplitDataset data, std::unique_ptr<BaseTrainer> trainer,
+                   CommChannel* channel, HeldOutSource held_out) {
+  FS_CHECK(trainer != nullptr);
+  id_ = id;
+  channel_ = channel;
+  current_time_ = 0.0;
+  obs_ = nullptr;
+  if (registry_.changes() != default_handlers_at_) {
+    // Handlers a previous occupant's user replaced must not reach this id.
+    registry_ = HandlerRegistry();
+    RegisterDefaultHandlers();
+  }
+  options_ = std::move(options);
+  model_ = model;
+  data_ = std::move(data);
+  held_out_ = std::move(held_out);
+  trainer_ = std::move(trainer);
+  rng_ = Rng(options_.seed != 0 ? options_.seed
+                                : static_cast<uint64_t>(id) + 77);
+  response_model_ = ResponseModel(options_.jitter_sigma);
+  update_poisoner_ = nullptr;
+  finished_ = false;
+  rounds_trained_ = 0;
+  perf_drop_count_ = 0;
+  declined_count_ = 0;
+  low_bandwidth_requests_ = 0;
+  rejected_globals_ = 0;
+  last_val_accuracy_ = -1.0;
+  pre_load_snapshot_.clear();
+}
+
+void Client::Vacate() {
+  data_ = SplitDataset();
+  held_out_ = HeldOutSource();
+  trainer_.reset();
+  update_poisoner_ = nullptr;
 }
 
 void Client::RegisterDefaultHandlers() {
@@ -82,6 +117,7 @@ void Client::RegisterDefaultHandlers() {
         Send(std::move(reply));
       },
       /*emits=*/{events::kModelUpdate});
+  default_handlers_at_ = registry_.changes();
 }
 
 void Client::JoinIn() {
@@ -109,7 +145,7 @@ ClientResume Client::ExportResume() {
   resume.finished = finished_;
   // Reserved to the exact size: the record is what a suspended client
   // costs, so it must not carry a doubling vector's slack.
-  const std::vector<ParamRef> params = model_.Params();
+  const std::vector<ParamRef>& params = model_.Params();
   size_t numel = 0;
   for (const ParamRef& p : params) numel += p.value->storage().size();
   resume.params.reserve(numel);
@@ -117,10 +153,16 @@ ClientResume Client::ExportResume() {
     const std::vector<float>& values = p.value->storage();
     resume.params.insert(resume.params.end(), values.begin(), values.end());
   }
-  Payload trainer_state;
-  trainer_->SaveState(&trainer_state, "trainer");
-  if (!trainer_state.scalars().empty() || !trainer_state.tensors().empty()) {
-    resume.trainer_state = EncodePayload(trainer_state);
+  Payload state;
+  trainer_->SaveState(&state, "trainer");
+  for (int i = 0; i < model_.num_layers(); ++i) {
+    const std::vector<uint64_t> words = model_.layer(i)->PrivateState();
+    if (!words.empty()) {
+      SetPackedU64s(&state, kLayerStateKey + model_.layer_name(i), words);
+    }
+  }
+  if (!state.scalars().empty() || !state.tensors().empty()) {
+    resume.trainer_state = EncodePayload(state);
   }
   return resume;
 }
@@ -145,9 +187,15 @@ void Client::RestoreResume(const ClientResume& resume) {
   }
   FS_CHECK_EQ(offset, resume.params.size());
   if (!resume.trainer_state.empty()) {
-    Result<Payload> trainer_state = DecodePayload(resume.trainer_state);
-    FS_CHECK(trainer_state.ok()) << trainer_state.status().ToString();
-    trainer_->LoadState(trainer_state.value(), "trainer", model_);
+    Result<Payload> state = DecodePayload(resume.trainer_state);
+    FS_CHECK(state.ok()) << state.status().ToString();
+    trainer_->LoadState(state.value(), "trainer", model_);
+    for (int i = 0; i < model_.num_layers(); ++i) {
+      const std::string key = kLayerStateKey + model_.layer_name(i);
+      if (!state->HasScalar(key)) continue;
+      FS_CHECK_OK(
+          model_.layer(i)->LoadPrivateState(GetPackedU64s(state.value(), key)));
+    }
   }
 }
 

@@ -59,7 +59,7 @@ struct ClientOptions {
 /// ClientCache keeps per evicted client, so that a later instantiation
 /// resumes bit-identically. Construction inputs (options, data, handlers)
 /// are re-derived and not stored. A suspended 16×4 logistic-regression
-/// client costs about 515 B of heap, 272 of them the model.
+/// client costs 494 B of heap in use, 272 of them the model.
 struct ClientResume {
   Rng rng;
   double time = 0.0;
@@ -74,8 +74,10 @@ struct ClientResume {
   bool finished = false;
   /// Every parameter and buffer, in Model::Params() order, sized exactly.
   std::vector<float> params;
-  /// The trainer's SaveState payload, wire-encoded; empty for stateless
-  /// trainers.
+  /// One wire-encoded payload: the trainer's SaveState under "trainer",
+  /// and each layer's private state (Layer::PrivateState: Dropout's rng)
+  /// under "layer/<layer name>". Empty when the trainer is stateless and
+  /// no layer keeps private state.
   std::vector<uint8_t> trainer_state;
 };
 
@@ -88,11 +90,27 @@ struct ClientResume {
 /// Users customize by overwriting handlers or swapping the Trainer.
 class Client : public BaseWorker {
  public:
-  /// When `held_out` names a provider, `data` holds the train split only
-  /// and the val and test splits are built from `held_out` on first read.
-  Client(int id, ClientOptions options, Model model, SplitDataset data,
-         std::unique_ptr<BaseTrainer> trainer, CommChannel* channel,
-         HeldOutSource held_out = {});
+  /// Registers the default handlers, then runs Reset with the arguments.
+  Client(int id, ClientOptions options, const Model& model,
+         SplitDataset data, std::unique_ptr<BaseTrainer> trainer,
+         CommChannel* channel, HeldOutSource held_out = {});
+
+  /// Makes this object client `id`, built from the arguments, exactly as
+  /// the constructor leaves a new one: fresh rng stream, clock and
+  /// counters, the default handlers (re-registered only if they were
+  /// changed), no update poisoner and no obs sinks. `model` is copied in
+  /// place (Model::operator=). When `held_out` names a provider, `data`
+  /// holds the train split only and the val and test splits are built
+  /// from `held_out` on first read. The ClientCache re-targets the shells
+  /// of evicted clients through it (DESIGN.md §13).
+  void Reset(int id, ClientOptions options, const Model& model,
+             SplitDataset data, std::unique_ptr<BaseTrainer> trainer,
+             CommChannel* channel, HeldOutSource held_out = {});
+
+  /// Drops what the current occupant owns beyond the model — its splits,
+  /// trainer and update poisoner — so an evicted client's shell holds no
+  /// data until the next Reset. Leaves the client unusable until then.
+  void Vacate();
 
   /// Announces this client to the server (sends join_in with an estimate
   /// of its responsiveness derived from device info).
@@ -103,8 +121,8 @@ class Client : public BaseWorker {
   /// reclaimed virtual client can later be re-instantiated bit-identically
   /// (DESIGN.md §13).
   ClientResume ExportResume();
-  /// Restores a record taken by ExportResume onto a freshly constructed
-  /// client with the same options, model architecture and trainer.
+  /// Restores a record taken by ExportResume onto a client freshly built
+  /// (or Reset) with the same options, model architecture and trainer.
   void RestoreResume(const ClientResume& resume);
   /// Marks the client finished without a delivery: how the ClientCache
   /// applies a finish multicast to a client that was not live.
@@ -165,6 +183,8 @@ class Client : public BaseWorker {
   /// Pre-load snapshot valid while a performance_drop handler may want to
   /// roll back (set around UpdateModel in OnModelPara).
   StateDict pre_load_snapshot_;
+  /// registry_.changes() right after the default handlers were registered.
+  int64_t default_handlers_at_ = 0;
 
  public:
   int rejected_globals() const { return rejected_globals_; }

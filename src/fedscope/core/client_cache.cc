@@ -26,7 +26,12 @@ Client* ClientCache::Get(int id) {
     lru_.splice(lru_.begin(), lru_, lru_pos_.find(id)->second);
     return it->second.get();
   }
-  std::unique_ptr<Client> client = factory_(id);
+  std::unique_ptr<Client> spare;
+  if (!spares_.empty()) {
+    spare = std::move(spares_.back());
+    spares_.pop_back();
+  }
+  std::unique_ptr<Client> client = factory_(id, std::move(spare));
   FS_CHECK(client != nullptr);
   ++stats_.instantiations;
   auto sit = suspended_.find(id);
@@ -98,6 +103,8 @@ void ClientCache::EvictOne() {
   auto it = live_.find(victim);
   FS_CHECK(it != live_.end());
   suspended_.emplace(victim, it->second->ExportResume());
+  it->second->Vacate();
+  spares_.push_back(std::move(it->second));
   live_.erase(it);
   ++stats_.evictions;
   --stats_.live;

@@ -36,6 +36,8 @@ struct ClientCacheStats {
 /// and materializing data lazily) and Trim() reclaims least-recently-used
 /// clients beyond capacity, keeping a typed ClientResume record
 /// (Client::ExportResume) so a later Get restores bit-identical state.
+/// A reclaimed client's object stays behind as a spare shell, which the
+/// next miss re-targets (Client::Reset) instead of building a new one.
 /// Suspended records are the one cost that grows with the clients a
 /// course has touched rather than with the cohort (DESIGN.md §13).
 /// Capacity is a pure performance knob: any eviction/restore sequence
@@ -44,20 +46,25 @@ struct ClientCacheStats {
 class ClientCache {
  public:
   /// Builds client `id` with its options, forked seed and channel wiring,
-  /// identically on every call. Must be deterministic.
-  using Factory = std::function<std::unique_ptr<Client>(int id)>;
+  /// identically on every call: into `spare` through Client::Reset when
+  /// the cache hands it a shell, as a new Client when `spare` is null.
+  /// Must be deterministic.
+  using Factory = std::function<std::unique_ptr<Client>(
+      int id, std::unique_ptr<Client> spare)>;
 
-  /// `capacity` >= 1: Trim never evicts the most recently used client,
-  /// so a pointer returned by Get stays valid until the next Get/Trim.
+  /// `capacity` >= 1: Trim never evicts the most recently used client.
+  /// A pointer returned by Get is valid until the next Get or Trim, after
+  /// which it may name another client.
   ClientCache(int population, int capacity, Factory factory);
 
   int population() const { return population_; }
   int capacity() const { return capacity_; }
   bool IsLive(int id) const { return live_.count(id) > 0; }
 
-  /// Returns the live Client for `id` (1-based), instantiating — and
-  /// restoring suspended state, if any — on a miss. Marks `id` most
-  /// recently used. Does not trim; callers trim at safe points.
+  /// Returns the live Client for `id` (1-based), instantiating — in a
+  /// spare shell when there is one, and restoring suspended state, if
+  /// any — on a miss. Marks `id` most recently used. Does not trim;
+  /// callers trim at safe points.
   Client* Get(int id);
 
   /// Records a finish delivery for every non-live client in `ids` without
@@ -74,9 +81,10 @@ class ClientCache {
   /// instantiating it.
   bool Finished(int id) const;
 
-  /// Evicts LRU clients beyond capacity, saving resume records. Only
-  /// call at safe points: after a serial HandleMessage or a parallel
-  /// commit, never while a returned Client*/batch is in use.
+  /// Evicts LRU clients beyond capacity, saving resume records and keeping
+  /// their objects as spare shells (Client::Vacate). Only call at safe
+  /// points: after a serial HandleMessage or a parallel commit, never
+  /// while a returned Client*/batch is in use.
   void Trim();
 
   const ClientCacheStats& stats() const { return stats_; }
@@ -93,6 +101,8 @@ class ClientCache {
   std::unordered_map<int, std::list<int>::iterator> lru_pos_;
   /// Resume records of evicted clients.
   std::unordered_map<int, ClientResume> suspended_;
+  /// Vacated objects of evicted clients, for the next misses to re-target.
+  std::vector<std::unique_ptr<Client>> spares_;
   /// finished-flags for clients that never grew other state; index id,
   /// [0] unused.
   std::vector<uint8_t> finished_;

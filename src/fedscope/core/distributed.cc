@@ -402,9 +402,9 @@ DistributedClientHost::DistributedClientHost(
       transport_(transport),
       uplink_(new EpochUplink()) {
   connect_status_ = uplink_->Open(server_host, server_port, transport);
-  client_ = std::make_unique<Client>(client_id, std::move(options),
-                                     std::move(model), std::move(data),
-                                     std::move(trainer), uplink_.get());
+  client_ = std::make_unique<Client>(client_id, std::move(options), model,
+                                     std::move(data), std::move(trainer),
+                                     uplink_.get());
 }
 
 DistributedClientHost::~DistributedClientHost() = default;

@@ -81,7 +81,9 @@ void FedRunner::BuildWorkers() {
   // requests (one per member at course end) from building a population.
   splits_ = std::make_unique<SplitPrefetcher>(job_.provider, CacheCapacity());
   cache_ = std::make_unique<ClientCache>(
-      n, CacheCapacity(), [this](int id) { return MakeClient(id); });
+      n, CacheCapacity(), [this](int id, std::unique_ptr<Client> spare) {
+        return MakeClient(id, std::move(spare));
+      });
   if (!job_.virtualize) {
     // Eager: the cache holds the population, built here in id order and
     // never evicted — the reference the virtualized capacities match.
@@ -110,18 +112,25 @@ ClientOptions FedRunner::DeriveClientOptions(int id) const {
   return options;
 }
 
-std::unique_ptr<Client> FedRunner::MakeClient(int id) {
+std::unique_ptr<Client> FedRunner::MakeClient(int id,
+                                              std::unique_ptr<Client> spare) {
   // Only the train split is built now, or was built ahead on the
   // prefetcher's helper; val and test are built on first read, which a
   // course without local evaluation never does.
   SplitDataset data;
   HeldOutSource held_out;
   data.train = splits_->Take(id, &held_out);
-  auto client = std::make_unique<Client>(
-      id, DeriveClientOptions(id), job_.init_model, std::move(data),
-      job_.trainer_factory(id), worker_channel_, std::move(held_out));
-  if (job_.obs.enabled()) client->set_obs(&job_.obs);
-  return client;
+  if (spare != nullptr) {
+    spare->Reset(id, DeriveClientOptions(id), job_.init_model,
+                 std::move(data), job_.trainer_factory(id), worker_channel_,
+                 std::move(held_out));
+  } else {
+    spare = std::make_unique<Client>(
+        id, DeriveClientOptions(id), job_.init_model, std::move(data),
+        job_.trainer_factory(id), worker_channel_, std::move(held_out));
+  }
+  if (job_.obs.enabled()) spare->set_obs(&job_.obs);
+  return spare;
 }
 
 int FedRunner::CacheCapacity() const {

@@ -143,8 +143,9 @@ class FedRunner : public CommChannel {
   /// The client with id `id` (1-based), read through the client cache. An
   /// eager course's clients are all live, so the pointer stays valid for
   /// the runner's lifetime. Virtualized: instantiates the client if
-  /// needed; the pointer stays valid until the next delivery to a
-  /// different client (which may reclaim it).
+  /// needed; the pointer names client `id` until the next delivery to a
+  /// different client, which may reclaim it and re-target its object at
+  /// another id.
   Client* client(int id);
   /// Population size (the live client count too, unless virtualized).
   int num_clients() const { return population_; }
@@ -193,8 +194,9 @@ class FedRunner : public CommChannel {
   /// as one interval plus each id's responsiveness score.
   Message MakeBatchJoin() const;
   /// The cache's factory: builds client `id` from its train split (taken
-  /// from the prefetcher) and held-out source.
-  std::unique_ptr<Client> MakeClient(int id);
+  /// from the prefetcher) and held-out source, in `spare` when it is not
+  /// null.
+  std::unique_ptr<Client> MakeClient(int id, std::unique_ptr<Client> spare);
   /// Cache capacity: the population when eager; when virtualized,
   /// client_cache_capacity or the auto bound.
   int CacheCapacity() const;

@@ -9,6 +9,7 @@ namespace fedscope {
 bool HandlerRegistry::Register(const std::string& event, Handler handler,
                                std::vector<std::string> emits) {
   FS_CHECK(handler != nullptr);
+  ++changes_;
   const bool overwrite = handlers_.count(event) > 0;
   if (overwrite) {
     // The paper's default conflict resolution: warn, latest wins.
@@ -26,6 +27,7 @@ bool HandlerRegistry::Register(const std::string& event, Handler handler,
 }
 
 bool HandlerRegistry::Unregister(const std::string& event) {
+  ++changes_;
   order_.erase(std::remove(order_.begin(), order_.end(), event),
                order_.end());
   flows_.erase(event);

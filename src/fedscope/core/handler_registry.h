@@ -1,6 +1,7 @@
 #ifndef FEDSCOPE_CORE_HANDLER_REGISTRY_H_
 #define FEDSCOPE_CORE_HANDLER_REGISTRY_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -49,11 +50,16 @@ class HandlerRegistry {
   /// Number of times registration overwrote an existing handler.
   int overwrite_count() const { return overwrite_count_; }
 
+  /// Number of Register and Unregister calls so far: bindings are unchanged
+  /// between two equal readings.
+  int64_t changes() const { return changes_; }
+
  private:
   std::map<std::string, Handler> handlers_;
   std::map<std::string, std::vector<std::string>> flows_;
   std::vector<std::string> order_;
   int overwrite_count_ = 0;
+  int64_t changes_ = 0;
 };
 
 }  // namespace fedscope

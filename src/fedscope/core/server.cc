@@ -1,6 +1,7 @@
 #include "fedscope/core/server.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "fedscope/comm/compression.h"
 #include "fedscope/core/completeness.h"
@@ -130,6 +131,15 @@ void Server::OnJoinIn(const Message& msg) {
     FS_LOG(Warning) << "join_in for ids " << ids.min() << ".." << ids.max()
                     << " outside the population";
     return;
+  }
+  // The responsiveness samplers weight by score and need finite weights: a
+  // non-finite score counts as the neutral 1.0 of a join without one.
+  for (double& score : scores) {
+    if (!std::isfinite(score)) {
+      FS_LOG(Warning) << "join_in from " << msg.sender
+                      << " carries a non-finite resp_score; using 1.0";
+      score = 1.0;
+    }
   }
 
   if (started_) {

@@ -18,14 +18,14 @@ GradCheckResult CheckModelGradients(Model* model, Loss* loss, const Tensor& x,
 
   // Snapshot analytic grads before probing (probing re-runs forward).
   std::vector<Tensor> analytic;
-  auto params = model->Params();
-  for (auto& p : params) {
+  const std::vector<ParamRef>& params = model->Params();
+  for (const ParamRef& p : params) {
     analytic.push_back(p.grad != nullptr ? *p.grad : Tensor());
   }
 
   GradCheckResult result;
   for (size_t pi = 0; pi < params.size(); ++pi) {
-    auto& p = params[pi];
+    const ParamRef& p = params[pi];
     if (!p.trainable || p.grad == nullptr) continue;
     const int64_t probe =
         std::min<int64_t>(p.value->numel(), max_params_per_tensor);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <typeinfo>
 #include <vector>
 
 #include "fedscope/tensor/kernels.h"
@@ -16,7 +17,21 @@ float HeBound(int64_t fan_in) {
   return std::sqrt(6.0f / static_cast<float>(fan_in));
 }
 
+// Layer::AssignFrom for layer type L: a plain copy-assignment, whose
+// vectors keep their storage when the sizes fit.
+template <typename L>
+bool AssignSameType(L* self, const Layer& other) {
+  if (typeid(other) != typeid(L)) return false;
+  *self = static_cast<const L&>(other);
+  return true;
+}
+
 }  // namespace
+
+Status Layer::LoadPrivateState(const std::vector<uint64_t>& words) {
+  if (words.empty()) return Status::Ok();
+  return Status::InvalidArgument(TypeName() + " keeps no private state");
+}
 
 // --------------------------------------------------------------------------
 // Linear
@@ -68,6 +83,10 @@ std::unique_ptr<Layer> Linear::Clone() const {
   auto copy = std::unique_ptr<Linear>(new Linear());
   *copy = *this;
   return copy;
+}
+
+bool Linear::AssignFrom(const Layer& other) {
+  return AssignSameType(this, other);
 }
 
 // --------------------------------------------------------------------------
@@ -267,6 +286,10 @@ std::unique_ptr<Layer> Conv2d::Clone() const {
   return copy;
 }
 
+bool Conv2d::AssignFrom(const Layer& other) {
+  return AssignSameType(this, other);
+}
+
 // --------------------------------------------------------------------------
 // ReLU / Tanh
 // --------------------------------------------------------------------------
@@ -289,6 +312,10 @@ std::unique_ptr<Layer> ReLU::Clone() const {
   return std::make_unique<ReLU>(*this);
 }
 
+bool ReLU::AssignFrom(const Layer& other) {
+  return AssignSameType(this, other);
+}
+
 Tensor Tanh::Forward(const Tensor& x, bool /*train*/) {
   Tensor y = x;
   kernels::TanhForward(x.data(), y.data(), y.numel());
@@ -305,6 +332,10 @@ Tensor Tanh::Backward(const Tensor& grad_out) {
 
 std::unique_ptr<Layer> Tanh::Clone() const {
   return std::make_unique<Tanh>(*this);
+}
+
+bool Tanh::AssignFrom(const Layer& other) {
+  return AssignSameType(this, other);
 }
 
 // --------------------------------------------------------------------------
@@ -345,6 +376,18 @@ std::unique_ptr<Layer> Dropout::Clone() const {
   return std::make_unique<Dropout>(*this);
 }
 
+bool Dropout::AssignFrom(const Layer& other) {
+  return AssignSameType(this, other);
+}
+
+std::vector<uint64_t> Dropout::PrivateState() const {
+  return rng_.SaveState();
+}
+
+Status Dropout::LoadPrivateState(const std::vector<uint64_t>& words) {
+  return rng_.LoadState(words);
+}
+
 // --------------------------------------------------------------------------
 // MaxPool2d
 // --------------------------------------------------------------------------
@@ -381,6 +424,10 @@ std::unique_ptr<Layer> MaxPool2d::Clone() const {
   return std::make_unique<MaxPool2d>(*this);
 }
 
+bool MaxPool2d::AssignFrom(const Layer& other) {
+  return AssignSameType(this, other);
+}
+
 // --------------------------------------------------------------------------
 // Flatten
 // --------------------------------------------------------------------------
@@ -396,6 +443,10 @@ Tensor Flatten::Backward(const Tensor& grad_out) {
 
 std::unique_ptr<Layer> Flatten::Clone() const {
   return std::make_unique<Flatten>(*this);
+}
+
+bool Flatten::AssignFrom(const Layer& other) {
+  return AssignSameType(this, other);
 }
 
 // --------------------------------------------------------------------------
@@ -523,6 +574,10 @@ void BatchNorm::CollectParams(const std::string& prefix,
 
 std::unique_ptr<Layer> BatchNorm::Clone() const {
   return std::make_unique<BatchNorm>(*this);
+}
+
+bool BatchNorm::AssignFrom(const Layer& other) {
+  return AssignSameType(this, other);
 }
 
 }  // namespace fedscope

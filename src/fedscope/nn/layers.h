@@ -7,6 +7,7 @@
 
 #include "fedscope/tensor/tensor.h"
 #include "fedscope/util/rng.h"
+#include "fedscope/util/status.h"
 
 namespace fedscope {
 
@@ -55,6 +56,23 @@ class Layer {
   /// Deep copy (used to clone models across simulated clients).
   virtual std::unique_ptr<Layer> Clone() const = 0;
 
+  /// Copy-assigns `other`'s full state into this layer, reusing its
+  /// storage where the sizes allow, when `other` is the same layer type;
+  /// returns false and copies nothing otherwise (the caller clones
+  /// instead). The result is indistinguishable from a Clone of `other`.
+  virtual bool AssignFrom(const Layer& other) {
+    (void)other;
+    return false;
+  }
+
+  /// State that later Forward calls read and that is neither a parameter
+  /// nor a buffer, as words: Dropout's mask stream. Empty for layers
+  /// without any. A suspended client keeps it in its resume record.
+  virtual std::vector<uint64_t> PrivateState() const { return {}; }
+  /// Restores words taken by PrivateState from a layer of the same type
+  /// and configuration.
+  virtual Status LoadPrivateState(const std::vector<uint64_t>& words);
+
   /// Human-readable layer type for logging / completeness output.
   virtual std::string TypeName() const = 0;
 };
@@ -70,6 +88,7 @@ class Linear : public Layer {
   void CollectParams(const std::string& prefix,
                      std::vector<ParamRef>* out) override;
   std::unique_ptr<Layer> Clone() const override;
+  bool AssignFrom(const Layer& other) override;
   std::string TypeName() const override { return "Linear"; }
 
   const Tensor& weight() const { return weight_; }
@@ -100,6 +119,7 @@ class Conv2d : public Layer {
   void CollectParams(const std::string& prefix,
                      std::vector<ParamRef>* out) override;
   std::unique_ptr<Layer> Clone() const override;
+  bool AssignFrom(const Layer& other) override;
   std::string TypeName() const override { return "Conv2d"; }
 
  private:
@@ -117,6 +137,7 @@ class ReLU : public Layer {
   Tensor Forward(const Tensor& x, bool train) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::unique_ptr<Layer> Clone() const override;
+  bool AssignFrom(const Layer& other) override;
   std::string TypeName() const override { return "ReLU"; }
 
  private:
@@ -129,6 +150,7 @@ class Tanh : public Layer {
   Tensor Forward(const Tensor& x, bool train) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::unique_ptr<Layer> Clone() const override;
+  bool AssignFrom(const Layer& other) override;
   std::string TypeName() const override { return "Tanh"; }
 
  private:
@@ -143,6 +165,9 @@ class Dropout : public Layer {
   Tensor Forward(const Tensor& x, bool train) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::unique_ptr<Layer> Clone() const override;
+  bool AssignFrom(const Layer& other) override;
+  std::vector<uint64_t> PrivateState() const override;
+  Status LoadPrivateState(const std::vector<uint64_t>& words) override;
   std::string TypeName() const override { return "Dropout"; }
 
  private:
@@ -158,6 +183,7 @@ class MaxPool2d : public Layer {
   Tensor Forward(const Tensor& x, bool train) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::unique_ptr<Layer> Clone() const override;
+  bool AssignFrom(const Layer& other) override;
   std::string TypeName() const override { return "MaxPool2d"; }
 
  private:
@@ -171,6 +197,7 @@ class Flatten : public Layer {
   Tensor Forward(const Tensor& x, bool train) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::unique_ptr<Layer> Clone() const override;
+  bool AssignFrom(const Layer& other) override;
   std::string TypeName() const override { return "Flatten"; }
 
  private:
@@ -190,6 +217,7 @@ class BatchNorm : public Layer {
   void CollectParams(const std::string& prefix,
                      std::vector<ParamRef>* out) override;
   std::unique_ptr<Layer> Clone() const override;
+  bool AssignFrom(const Layer& other) override;
   std::string TypeName() const override { return "BatchNorm"; }
 
  private:

@@ -32,10 +32,19 @@ NameFilter IncludePrefixes(std::vector<std::string> prefixes) {
 
 Model& Model::operator=(const Model& other) {
   if (this == &other) return *this;
-  names_ = other.names_;
-  layers_.clear();
-  layers_.reserve(other.layers_.size());
-  for (const auto& layer : other.layers_) layers_.push_back(layer->Clone());
+  // The index stays valid when every layer is assigned in place under its
+  // old name: its names are the same and its pointers still name this
+  // model's tensors.
+  bool index_valid = names_ == other.names_;
+  if (!index_valid) names_ = other.names_;
+  layers_.resize(other.layers_.size());
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    if (layers_[i] == nullptr || !layers_[i]->AssignFrom(*other.layers_[i])) {
+      layers_[i] = other.layers_[i]->Clone();
+      index_valid = false;
+    }
+  }
+  if (!index_valid) Reindex();
   return *this;
 }
 
@@ -45,6 +54,26 @@ void Model::Add(std::string name, std::unique_ptr<Layer> layer) {
   }
   names_.push_back(std::move(name));
   layers_.push_back(std::move(layer));
+  Reindex();
+}
+
+void Model::Reindex() {
+  params_.clear();
+  bottom_ = layers_.size();
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const size_t first = params_.size();
+    layers_[i]->CollectParams(names_[i], &params_);
+    if (bottom_ == layers_.size() &&
+        std::any_of(params_.begin() + first, params_.end(),
+                    [](const ParamRef& p) { return p.trainable; })) {
+      bottom_ = i;
+    }
+  }
+  by_name_.resize(params_.size());
+  for (size_t i = 0; i < by_name_.size(); ++i) by_name_[i] = i;
+  std::stable_sort(by_name_.begin(), by_name_.end(), [this](size_t a, size_t b) {
+    return params_[a].name < params_[b].name;
+  });
 }
 
 Tensor Model::Forward(const Tensor& x, bool train) {
@@ -54,46 +83,29 @@ Tensor Model::Forward(const Tensor& x, bool train) {
 }
 
 void Model::Backward(const Tensor& grad_out) {
-  size_t bottom = 0;
-  std::vector<ParamRef> refs;
-  for (; bottom < layers_.size(); ++bottom) {
-    layers_[bottom]->CollectParams(names_[bottom], &refs);
-    if (std::any_of(refs.begin(), refs.end(),
-                    [](const ParamRef& p) { return p.trainable; })) {
-      break;
-    }
-  }
-  if (bottom == layers_.size()) return;  // nothing to train
+  if (bottom_ >= layers_.size()) return;  // nothing to train
   Tensor g = grad_out;
-  for (size_t i = layers_.size() - 1; i > bottom; --i) {
+  for (size_t i = layers_.size() - 1; i > bottom_; --i) {
     g = layers_[i]->Backward(g);
   }
-  layers_[bottom]->BackwardParams(g);
-}
-
-std::vector<ParamRef> Model::Params() {
-  std::vector<ParamRef> params;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i]->CollectParams(names_[i], &params);
-  }
-  return params;
+  layers_[bottom_]->BackwardParams(g);
 }
 
 void Model::ZeroGrad() {
-  for (auto& p : Params()) {
+  for (const ParamRef& p : params_) {
     if (p.grad != nullptr) ZeroInPlace(p.grad);
   }
 }
 
 int64_t Model::NumParams() {
   int64_t n = 0;
-  for (auto& p : Params()) n += p.value->numel();
+  for (const ParamRef& p : params_) n += p.value->numel();
   return n;
 }
 
 StateDict Model::GetStateDict(const NameFilter& filter) {
   StateDict state;
-  for (auto& p : Params()) {
+  for (const ParamRef& p : params_) {
     if (filter(p.name)) state[p.name] = *p.value;
   }
   return state;
@@ -101,31 +113,35 @@ StateDict Model::GetStateDict(const NameFilter& filter) {
 
 Status Model::LoadStateDict(const StateDict& state, bool strict,
                             const NameFilter& filter) {
-  std::map<std::string, ParamRef> by_name;
-  for (auto& p : Params()) by_name[p.name] = p;
   for (const auto& [name, tensor] : state) {
     if (!filter(name)) continue;
-    auto it = by_name.find(name);
-    if (it == by_name.end()) {
+    // The last of equal names, as a name-keyed map built in layer order
+    // would hold.
+    auto it = std::upper_bound(
+        by_name_.begin(), by_name_.end(), name,
+        [this](const std::string& key, size_t i) {
+          return key < params_[i].name;
+        });
+    if (it == by_name_.begin() || params_[*(it - 1)].name != name) {
       if (strict) {
         return Status::NotFound("state dict key not in model: " + name);
       }
       continue;
     }
-    if (!it->second.value->SameShape(tensor)) {
+    Tensor* value = params_[*(it - 1)].value;
+    if (!value->SameShape(tensor)) {
       return Status::InvalidArgument(
-          "shape mismatch for " + name + ": model " +
-          it->second.value->ShapeString() + " vs state " +
-          tensor.ShapeString());
+          "shape mismatch for " + name + ": model " + value->ShapeString() +
+          " vs state " + tensor.ShapeString());
     }
-    *it->second.value = tensor;
+    *value = tensor;
   }
   return Status::Ok();
 }
 
 std::vector<float> Model::FlatParams() {
   std::vector<float> flat;
-  for (auto& p : Params()) {
+  for (const ParamRef& p : params_) {
     if (!p.trainable) continue;
     flat.insert(flat.end(), p.value->storage().begin(),
                 p.value->storage().end());
@@ -135,7 +151,7 @@ std::vector<float> Model::FlatParams() {
 
 void Model::SetFlatParams(const std::vector<float>& flat) {
   size_t offset = 0;
-  for (auto& p : Params()) {
+  for (const ParamRef& p : params_) {
     if (!p.trainable) continue;
     FS_CHECK_LE(offset + p.value->storage().size(), flat.size());
     std::copy(flat.begin() + offset,
@@ -148,7 +164,7 @@ void Model::SetFlatParams(const std::vector<float>& flat) {
 
 std::vector<float> Model::FlatGrads() {
   std::vector<float> flat;
-  for (auto& p : Params()) {
+  for (const ParamRef& p : params_) {
     if (!p.trainable || p.grad == nullptr) continue;
     flat.insert(flat.end(), p.grad->storage().begin(),
                 p.grad->storage().end());

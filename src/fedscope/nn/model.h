@@ -32,11 +32,18 @@ NameFilter IncludePrefixes(std::vector<std::string> prefixes);
 
 /// A sequential neural network with named layers. The Model owns its layers
 /// and exposes a flat named-parameter view used for state-dict exchange,
-/// optimization, and aggregation.
+/// optimization, and aggregation. That view is an index built when a layer
+/// is added or the model is copied: every parameter's name and pointers,
+/// and the lowest trainable layer. It points into the model's own layers,
+/// which live on the heap, so a moved model keeps it.
 class Model {
  public:
   Model() = default;
   Model(const Model& other) { *this = other; }
+  /// Copies `other` in place: each layer of the same name and type
+  /// copy-assigns its full state, Dropout's rng included, so a model of
+  /// `other`'s architecture allocates nothing beyond what its tensors'
+  /// sizes require; any other layer is replaced by a clone.
   Model& operator=(const Model& other);
   Model(Model&&) = default;
   Model& operator=(Model&&) = default;
@@ -52,8 +59,8 @@ class Model {
   /// (Layer::BackwardParams), since nothing reads it.
   void Backward(const Tensor& grad_out);
 
-  /// All parameters and buffers with hierarchical names.
-  std::vector<ParamRef> Params();
+  /// All parameters and buffers with hierarchical names, in layer order.
+  const std::vector<ParamRef>& Params() { return params_; }
 
   /// Zeroes every trainable parameter's gradient.
   void ZeroGrad();
@@ -81,8 +88,18 @@ class Model {
   const std::string& layer_name(int i) const { return names_[i]; }
 
  private:
+  /// Rebuilds the index from the layers.
+  void Reindex();
+
   std::vector<std::string> names_;
   std::vector<std::unique_ptr<Layer>> layers_;
+  /// Every parameter and buffer, in layer order.
+  std::vector<ParamRef> params_;
+  /// Positions in params_, sorted by name: LoadStateDict's lookup.
+  std::vector<size_t> by_name_;
+  /// The lowest layer with a trainable parameter; layers_.size() when
+  /// there is none.
+  size_t bottom_ = 0;
 };
 
 // --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <vector>
 
 #include "fedscope/comm/compression.h"
@@ -915,6 +916,54 @@ TEST(ServerTest, PeerJoinCarryingBatchKeysRegistersOnlyItsSender) {
   ASSERT_TRUE(receivers.ok()) << receivers.status().ToString();
   EXPECT_EQ(receivers->ToVector(), (std::vector<int>{2}));
   EXPECT_TRUE(channel.Empty());
+}
+
+TEST(ServerTest, NonFiniteJoinScoresCountAsNeutral) {
+  // A join's resp_score weights the responsiveness samplers; a NaN one
+  // used to abort the server when the first cohort was drawn. Any
+  // non-finite score counts as the 1.0 of a join without a score, so the
+  // course runs as one whose joins left those scores out.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double scores[] = {std::numeric_limits<double>::quiet_NaN(), kInf,
+                           -kInf, 3.0, 0.25};
+  for (const char* sampler : {"responsiveness", "responsiveness_inv"}) {
+    ServerOptions options = ResponsivenessOptions();
+    options.sampler = sampler;
+    QueueChannel screened_channel;
+    auto screened = MakeServer(&screened_channel, options);
+    QueueChannel neutral_channel;
+    auto neutral = MakeServer(&neutral_channel, options);
+    for (int id = 1; id <= 5; ++id) {
+      const double score = scores[id - 1];
+      Message join = JoinFrom(id);
+      join.payload.SetDouble("resp_score", score);
+      screened->HandleMessage(join);
+      Message plain = JoinFrom(id);
+      if (!std::isfinite(score)) {
+        plain.payload = Payload();
+      } else {
+        plain.payload.SetDouble("resp_score", score);
+      }
+      neutral->HandleMessage(plain);
+    }
+    const std::vector<int> cohort = DrainCohort(&screened_channel);
+    ASSERT_EQ(cohort.size(), 3u) << sampler;
+    EXPECT_EQ(cohort, DrainCohort(&neutral_channel)) << sampler;
+
+    Model ref = TestModel(7);
+    for (int id : cohort) {
+      screened->HandleMessage(UpdateFrom(id, 0, &ref, 0.1f));
+      neutral->HandleMessage(UpdateFrom(id, 0, &ref, 0.1f));
+    }
+    EXPECT_EQ(screened->round(), 1) << sampler;
+    EXPECT_EQ(DrainCohort(&screened_channel), DrainCohort(&neutral_channel))
+        << sampler;
+    Checkpoint from_screened;
+    Checkpoint from_neutral;
+    screened->ExportSnapshot(&from_screened);
+    neutral->ExportSnapshot(&from_neutral);
+    EXPECT_TRUE(from_screened.course == from_neutral.course) << sampler;
+  }
 }
 
 TEST(ServerTest, QuarantinedClientIsNotAFinishReceiver) {

@@ -21,12 +21,14 @@
 #include <utility>
 #include <vector>
 
+#include "fedscope/comm/codec.h"
 #include "fedscope/core/client_cache.h"
 #include "fedscope/core/events.h"
 #include "fedscope/core/fed_runner.h"
 #include "fedscope/core/id_set.h"
 #include "fedscope/core/trainer.h"
 #include "fedscope/data/client_data_provider.h"
+#include "fedscope/data/synthetic_femnist.h"
 #include "fedscope/nn/model_zoo.h"
 #include "fedscope/personalization/ditto.h"
 #include "fedscope/personalization/fedbn.h"
@@ -335,6 +337,72 @@ TEST_F(VirtualizationTest, CapacityOneEvictionRestoresIdenticalState) {
   EXPECT_TRUE(RecordBitEqual(before, runner.client(1)->ExportResume()));
 }
 
+TEST_F(VirtualizationTest, DropoutCourseMatchesEagerAtEveryCapacity) {
+  // Dropout draws its masks from a layer-private rng, which is neither a
+  // parameter nor trainer state: a suspended client keeps it in its
+  // record, so an evicted client resumes the mask stream it left. ConvNet2
+  // with dropout 0.5, as the quickstart trains it.
+  SyntheticFemnistOptions data_options;
+  data_options.num_clients = 6;
+  data_options.mean_samples = 24;
+  data_options.server_test_size = 64;
+  data_options.seed = 4;
+  const FedDataset data = MakeSyntheticFemnist(data_options);
+  struct Outcome {
+    RunResult result;
+    int64_t sent = 0;
+    int64_t delivered = 0;
+    ClientCacheStats cache;
+  };
+  auto run = [&](bool virtualize, int capacity) {
+    FedJob job;
+    job.data = &data;
+    Rng model_rng(1);
+    job.init_model = MakeConvNet2(1, 8, 10, 16, /*dropout=*/0.5, &model_rng);
+    job.client.train.lr = 0.1;
+    job.client.train.local_steps = 2;
+    job.client.train.batch_size = 8;
+    job.server.concurrency = 2;
+    job.server.max_rounds = 12;
+    job.virtualize = virtualize;
+    job.client_cache_capacity = capacity;
+    job.seed = 5;
+    Outcome outcome;
+    job.send_tap = [&outcome](const Message&) { ++outcome.sent; };
+    job.delivery_tap = [&outcome](const Message&) { ++outcome.delivered; };
+    FedRunner runner(std::move(job));
+    outcome.result = runner.Run();
+    outcome.cache = runner.client_cache()->stats();
+    return outcome;
+  };
+  Outcome eager = run(/*virtualize=*/false, 0);
+  ASSERT_EQ(eager.result.server.rounds, 12);
+  for (int capacity : {0, 1}) {
+    Outcome virt = run(/*virtualize=*/true, capacity);
+    EXPECT_GT(virt.cache.restores, 0) << capacity;
+    EXPECT_TRUE(BitEqual(eager.result.final_model.GetStateDict(),
+                         virt.result.final_model.GetStateDict()))
+        << capacity;
+    EXPECT_EQ(eager.result.server.curve, virt.result.server.curve)
+        << capacity;
+    EXPECT_EQ(eager.result.server.agg_count, virt.result.server.agg_count)
+        << capacity;
+    EXPECT_EQ(eager.result.server.staleness_log,
+              virt.result.server.staleness_log)
+        << capacity;
+    EXPECT_TRUE(SameBits(eager.result.server.finish_time,
+                         virt.result.server.finish_time))
+        << capacity;
+    EXPECT_EQ(eager.result.client_test_accuracy,
+              virt.result.client_test_accuracy)
+        << capacity;
+    EXPECT_EQ(eager.result.client_test_loss, virt.result.client_test_loss)
+        << capacity;
+    EXPECT_EQ(eager.sent, virt.sent) << capacity;
+    EXPECT_EQ(eager.delivered, virt.delivered) << capacity;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Val and test splits are built on first read
 // ---------------------------------------------------------------------------
@@ -632,6 +700,85 @@ class NullChannel : public CommChannel {
   void Send(const Message& /*msg*/) override {}
 };
 
+/// Collects every message sent through it.
+class CaptureChannel : public CommChannel {
+ public:
+  void Send(const Message& msg) override { sent.push_back(msg); }
+  std::vector<Message> sent;
+};
+
+/// A client configuration of the shell tests.
+struct ClientKind {
+  Model model;
+  bool ditto = false;  // a DittoTrainer, else a GeneralTrainer
+  bool fedbn = false;  // FedBN's share filter
+};
+
+/// Builds client `id` of `kind` over `provider`, into `spare` through
+/// Client::Reset when it is not null, as FedRunner's factory does.
+std::unique_ptr<Client> BuildClient(const ClientDataProvider& provider,
+                                    const ClientKind& kind, int id,
+                                    CommChannel* channel,
+                                    std::unique_ptr<Client> spare) {
+  ClientOptions options;
+  options.seed = Rng(7).Fork(id).Next();
+  if (kind.fedbn) options.share_filter = FedBnShareFilter();
+  std::unique_ptr<BaseTrainer> trainer;
+  if (kind.ditto) {
+    trainer = std::make_unique<DittoTrainer>();
+  } else {
+    trainer = std::make_unique<GeneralTrainer>();
+  }
+  SplitDataset data;
+  HeldOutSource held_out;
+  data.train = provider.MaterializeTrain(id, &held_out);
+  if (spare == nullptr) {
+    return std::make_unique<Client>(id, std::move(options), kind.model,
+                                    std::move(data), std::move(trainer),
+                                    channel, held_out);
+  }
+  spare->Reset(id, std::move(options), kind.model, std::move(data),
+               std::move(trainer), channel, held_out);
+  return spare;
+}
+
+/// The model_para of round `round` to `client`, carrying `global`'s state
+/// under the client's share filter.
+Message ModelParaFor(Client* client, int round, const Model& global) {
+  Message para;
+  para.sender = kServerId;
+  para.receiver = client->id();
+  para.msg_type = events::kModelPara;
+  para.state = round;
+  para.timestamp = 10.0 * round;
+  Model copy = global;
+  para.payload.SetStateDict(
+      "model", copy.GetStateDict(client->options().share_filter));
+  return para;
+}
+
+/// Delivers `para` to `client` and returns the wire bytes of what it sent.
+std::vector<std::vector<uint8_t>> AnswerBytes(Client* client,
+                                              const Message& para,
+                                              CaptureChannel* channel) {
+  channel->sent.clear();
+  client->HandleMessage(para);
+  std::vector<std::vector<uint8_t>> bytes;
+  for (const Message& msg : channel->sent) bytes.push_back(EncodeMessage(msg));
+  channel->sent.clear();
+  return bytes;
+}
+
+/// A small model with a Dropout layer over the procedural features.
+Model DropoutMlp(int64_t features, int64_t classes, Rng* rng) {
+  Model m;
+  m.Add("fc1", std::make_unique<Linear>(features, 8, rng));
+  m.Add("relu1", std::make_unique<ReLU>());
+  m.Add("drop", std::make_unique<Dropout>(0.5, rng->Next()));
+  m.Add("fc2", std::make_unique<Linear>(8, classes, rng));
+  return m;
+}
+
 TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
   ProceduralDataOptions options;
   options.num_clients = 8;
@@ -650,18 +797,9 @@ TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
   constexpr int kDitto = 4;
   constexpr int kFedBn = 5;
   auto init_model = [&](int id) { return id == kFedBn ? mlp_bn : logreg; };
-  auto factory = [&](int id) {
-    ClientOptions co;
-    co.seed = Rng(7).Fork(id).Next();
-    if (id == kFedBn) co.share_filter = FedBnShareFilter();
-    std::unique_ptr<BaseTrainer> trainer =
-        id == kDitto ? std::make_unique<DittoTrainer>()
-                     : std::make_unique<GeneralTrainer>();
-    SplitDataset data;
-    HeldOutSource held_out;
-    data.train = provider.MaterializeTrain(id, &held_out);
-    return std::make_unique<Client>(id, co, init_model(id), std::move(data),
-                                    std::move(trainer), &sink, held_out);
+  auto factory = [&](int id, std::unique_ptr<Client> spare) {
+    const ClientKind kind{init_model(id), id == kDitto, id == kFedBn};
+    return BuildClient(provider, kind, id, &sink, std::move(spare));
   };
 
   ClientCache cache(options.num_clients, /*capacity=*/1, factory);
@@ -713,7 +851,7 @@ TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
   // restored client whose rng has moved on builds the splits a fresh
   // client builds.
   const SplitDataset& restored = cache.Get(1)->data();
-  const std::unique_ptr<Client> fresh_one = factory(1);
+  const std::unique_ptr<Client> fresh_one = factory(1, nullptr);
   EXPECT_TRUE(BitEqual(restored.val, fresh_one->data().val));
   EXPECT_TRUE(BitEqual(restored.test, fresh_one->data().test));
   cache.Trim();
@@ -721,7 +859,7 @@ TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
   // A client marked finished while not live instantiates exactly like a
   // fresh client told to finish.
   const ClientResume marked_finished = cache.Get(3)->ExportResume();
-  const std::unique_ptr<Client> fresh = factory(3);
+  const std::unique_ptr<Client> fresh = factory(3, nullptr);
   Message finish;
   finish.sender = kServerId;
   finish.receiver = 3;
@@ -729,6 +867,183 @@ TEST_F(VirtualizationTest, ClientCacheCheckpointRoundTripsByteIdentical) {
   fresh->HandleMessage(finish);
   EXPECT_TRUE(marked_finished.finished);
   EXPECT_TRUE(RecordBitEqual(marked_finished, fresh->ExportResume()));
+}
+
+// ---------------------------------------------------------------------------
+// Evicted clients' objects are recycled as shells (Client::Reset)
+// ---------------------------------------------------------------------------
+
+TEST_F(VirtualizationTest, RecycledShellAnswersLikeAFreshClient) {
+  ProceduralDataOptions data_options;
+  data_options.num_clients = 8;
+  data_options.train_per_client = 8;
+  data_options.server_test_examples = 8;
+  const ProceduralDataProvider provider(data_options);
+  const int64_t features = data_options.features;
+  const int64_t classes = data_options.classes;
+  Rng model_rng(3);
+  const Model logreg = MakeLogisticRegression(features, classes, &model_rng);
+  const Model mlp_bn = MakeMlpBn({features, 8, classes}, &model_rng);
+  const Model dropout = DropoutMlp(features, classes, &model_rng);
+  struct Case {
+    const char* name;
+    ClientKind previous;
+    ClientKind next;
+    // Whether the next client's record carries encoded state: Ditto's
+    // trainer state or Dropout's rng.
+    bool encoded_state = false;
+    // The previous occupant had an update poisoner and replaced handlers.
+    bool customized_previous = false;
+  };
+  const Case cases[] = {
+      {"logreg", {logreg}, {logreg}},
+      {"ditto", {logreg, /*ditto=*/true}, {logreg, /*ditto=*/true}, true},
+      {"fedbn_in_logreg_shell", {logreg}, {mlp_bn, false, /*fedbn=*/true}},
+      {"dropout", {dropout}, {dropout}, true},
+      {"after_customized_occupant", {logreg}, {logreg}, false, true},
+  };
+  constexpr int kPrevious = 2;
+  constexpr int kNext = 5;
+  for (const Case& c : cases) {
+    CaptureChannel channel;
+    std::unique_ptr<Client> shell =
+        BuildClient(provider, c.previous, kPrevious, &channel, nullptr);
+    if (c.customized_previous) {
+      shell->set_update_poisoner([](StateDict* delta) {
+        for (auto& [name, tensor] : *delta) {
+          for (int64_t i = 0; i < tensor.numel(); ++i) tensor.at(i) *= 3.0f;
+        }
+      });
+      shell->registry().Unregister(events::kEvaluate);
+    }
+    AnswerBytes(shell.get(), ModelParaFor(shell.get(), 0, c.previous.model),
+                &channel);
+    if (c.customized_previous) {
+      shell->registry().Register(events::kModelPara, [](const Message&) {});
+    }
+    // Evicted, as ClientCache::Trim does it, and re-targeted.
+    shell->ExportResume();
+    shell->Vacate();
+    const Client* const object = shell.get();
+    shell = BuildClient(provider, c.next, kNext, &channel, std::move(shell));
+    ASSERT_EQ(shell.get(), object) << c.name;
+    std::unique_ptr<Client> fresh =
+        BuildClient(provider, c.next, kNext, &channel, nullptr);
+    EXPECT_EQ(shell->registry().RegisteredEvents(),
+              fresh->registry().RegisteredEvents())
+        << c.name;
+    EXPECT_EQ(shell->registry().overwrite_count(),
+              fresh->registry().overwrite_count())
+        << c.name;
+
+    // First touch: no record to restore.
+    const std::vector<std::vector<uint8_t>> first = AnswerBytes(
+        fresh.get(), ModelParaFor(fresh.get(), 0, c.next.model), &channel);
+    ASSERT_EQ(first.size(), 1u) << c.name;
+    EXPECT_EQ(AnswerBytes(shell.get(),
+                          ModelParaFor(shell.get(), 0, c.next.model),
+                          &channel),
+              first)
+        << c.name;
+    const ClientResume record = fresh->ExportResume();
+    EXPECT_TRUE(RecordBitEqual(record, shell->ExportResume())) << c.name;
+    EXPECT_EQ(record.trainer_state.empty(), !c.encoded_state) << c.name;
+
+    // A later miss: the record restored onto a recycled shell and onto a
+    // fresh client.
+    shell->Vacate();
+    shell = BuildClient(provider, c.next, kNext, &channel, std::move(shell));
+    shell->RestoreResume(record);
+    fresh = BuildClient(provider, c.next, kNext, &channel, nullptr);
+    fresh->RestoreResume(record);
+    const std::vector<std::vector<uint8_t>> second = AnswerBytes(
+        fresh.get(), ModelParaFor(fresh.get(), 1, c.next.model), &channel);
+    ASSERT_EQ(second.size(), 1u) << c.name;
+    EXPECT_EQ(AnswerBytes(shell.get(),
+                          ModelParaFor(shell.get(), 1, c.next.model),
+                          &channel),
+              second)
+        << c.name;
+    EXPECT_TRUE(RecordBitEqual(fresh->ExportResume(), shell->ExportResume()))
+        << c.name;
+  }
+}
+
+TEST_F(VirtualizationTest, LongCapacityTwoRunBuildsCapacityPlusOneClients) {
+  // The same 400 deliveries and finish multicast through two capacity-2
+  // caches: one recycles evicted clients' shells, the other builds every
+  // miss anew. The counts, the answers and every final record agree, and
+  // the recycling cache builds capacity + 1 clients in all.
+  constexpr int kPopulation = 16;
+  constexpr int kCapacity = 2;
+  ProceduralDataOptions data_options;
+  data_options.num_clients = kPopulation;
+  data_options.train_per_client = 8;
+  data_options.server_test_examples = 8;
+  const ProceduralDataProvider provider(data_options);
+  Rng model_rng(3);
+  const ClientKind kind{MakeLogisticRegression(
+      data_options.features, data_options.classes, &model_rng)};
+  CaptureChannel recycled_channel;
+  CaptureChannel built_channel;
+  int64_t built = 0;
+  ClientCache recycling(
+      kPopulation, kCapacity, [&](int id, std::unique_ptr<Client> spare) {
+        if (spare == nullptr) ++built;
+        return BuildClient(provider, kind, id, &recycled_channel,
+                           std::move(spare));
+      });
+  ClientCache building(kPopulation, kCapacity,
+                       [&](int id, std::unique_ptr<Client> /*spare*/) {
+                         return BuildClient(provider, kind, id,
+                                            &built_channel, nullptr);
+                       });
+
+  Rng pick(11);
+  for (int step = 0; step < 400; ++step) {
+    // Ids above 12 are never trained: they finish on the flag alone.
+    const int id = static_cast<int>(pick.UniformInt(1, 12));
+    Client* recycled = recycling.Get(id);
+    Client* fresh = building.Get(id);
+    const std::vector<std::vector<uint8_t>> answer = AnswerBytes(
+        fresh, ModelParaFor(fresh, step, kind.model), &built_channel);
+    ASSERT_EQ(answer.size(), 1u) << step;
+    ASSERT_EQ(AnswerBytes(recycled, ModelParaFor(recycled, step, kind.model),
+                          &recycled_channel),
+              answer)
+        << step;
+    recycling.Trim();
+    building.Trim();
+  }
+  Message finish;
+  finish.sender = kServerId;
+  finish.msg_type = events::kFinish;
+  const IdSet everyone = IdSet::Range(1, kPopulation);
+  for (ClientCache* cache : {&recycling, &building}) {
+    cache->MarkFinished(everyone);
+    for (int id : cache->LiveIn(everyone).ToVector()) {
+      finish.receiver = id;
+      cache->Get(id)->HandleMessage(finish);
+    }
+  }
+  for (int id = 1; id <= kPopulation; ++id) {
+    EXPECT_TRUE(RecordBitEqual(building.Get(id)->ExportResume(),
+                               recycling.Get(id)->ExportResume()))
+        << id;
+    EXPECT_TRUE(recycling.Finished(id)) << id;
+    building.Trim();
+    recycling.Trim();
+  }
+
+  const ClientCacheStats& a = recycling.stats();
+  const ClientCacheStats& b = building.stats();
+  EXPECT_EQ(a.instantiations, b.instantiations);
+  EXPECT_EQ(a.restores, b.restores);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.live, b.live);
+  EXPECT_EQ(a.live_peak, b.live_peak);
+  EXPECT_GT(a.instantiations, 200);
+  EXPECT_LE(built, kCapacity + 1);
 }
 
 }  // namespace

@@ -74,6 +74,99 @@ TEST(ModelTest, CopyIsDeep) {
   EXPECT_NE(pa[0].value->at(0), pb[0].value->at(0));
 }
 
+/// Whether m.Params() is what m's own layers report now: the same names,
+/// flags and pointers, in layer order.
+bool IndexPointsIntoOwnLayers(Model& m) {
+  std::vector<ParamRef> expected;
+  for (int i = 0; i < m.num_layers(); ++i) {
+    m.layer(i)->CollectParams(m.layer_name(i), &expected);
+  }
+  const std::vector<ParamRef>& index = m.Params();
+  if (index.size() != expected.size()) return false;
+  for (size_t i = 0; i < index.size(); ++i) {
+    if (index[i].name != expected[i].name ||
+        index[i].value != expected[i].value ||
+        index[i].grad != expected[i].grad ||
+        index[i].trainable != expected[i].trainable) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ModelTest, ParamIndexFollowsCopiesMovesAndAssignments) {
+  Model built = SmallMlp(1);
+  EXPECT_TRUE(IndexPointsIntoOwnLayers(built));
+
+  Model copied = built;
+  EXPECT_TRUE(IndexPointsIntoOwnLayers(copied));
+  EXPECT_NE(copied.Params()[0].value, built.Params()[0].value);
+
+  Model moved = std::move(copied);
+  EXPECT_TRUE(IndexPointsIntoOwnLayers(moved));
+  Model move_assigned;
+  move_assigned = std::move(moved);
+  EXPECT_TRUE(IndexPointsIntoOwnLayers(move_assigned));
+
+  // Same architecture: every layer is assigned in place, so the tensors
+  // and their storage stay where they were.
+  Model target = SmallMlp(9);
+  const Tensor* weight = target.Params()[0].value;
+  const float* storage = weight->data();
+  target = built;
+  EXPECT_TRUE(IndexPointsIntoOwnLayers(target));
+  EXPECT_EQ(target.Params()[0].value, weight);
+  EXPECT_EQ(target.Params()[0].value->data(), storage);
+  EXPECT_TRUE(target.GetStateDict() == built.GetStateDict());
+
+  // Another architecture: its layers are cloned and the index rebuilt.
+  Rng rng(4);
+  Model bn = MakeMlpBn({4, 6, 3}, &rng);
+  target = bn;
+  EXPECT_TRUE(IndexPointsIntoOwnLayers(target));
+  EXPECT_EQ(target.Params().size(), 8u);  // fc1, norm1 (2 + 2 buffers), fc2
+  EXPECT_TRUE(target.GetStateDict() == bn.GetStateDict());
+  target = built;
+  EXPECT_TRUE(IndexPointsIntoOwnLayers(target));
+  EXPECT_TRUE(target.GetStateDict() == built.GetStateDict());
+}
+
+TEST(ModelTest, AssignmentCopiesTheDropoutStream) {
+  // Dropout's rng is layer state: a model assigned in place draws the
+  // masks its source draws from then on.
+  auto dropout_mlp = [](uint64_t seed) {
+    Rng rng(seed);
+    Model m;
+    m.Add("fc1", std::make_unique<Linear>(4, 6, &rng));
+    m.Add("drop", std::make_unique<Dropout>(0.5, rng.Next()));
+    m.Add("fc2", std::make_unique<Linear>(6, 3, &rng));
+    return m;
+  };
+  Model source = dropout_mlp(1);
+  Rng rng(5);
+  const Tensor x = Tensor::Randn({8, 4}, &rng);
+  source.Forward(x, /*train=*/true);  // moves the source's stream on
+  Model target = dropout_mlp(2);
+  target = source;
+  EXPECT_EQ(target.layer(1)->PrivateState(), source.layer(1)->PrivateState());
+  EXPECT_TRUE(target.Forward(x, /*train=*/true) ==
+              source.Forward(x, /*train=*/true));
+}
+
+TEST(ModelTest, LoadStateDictFindsParamsOutOfNameOrder) {
+  Rng rng(6);
+  Model m;
+  m.Add("zeta", std::make_unique<Linear>(2, 3, &rng));
+  m.Add("alpha", std::make_unique<Linear>(3, 2, &rng));
+  StateDict state = m.GetStateDict();
+  float v = 0.0f;
+  for (auto& [name, tensor] : state) {
+    for (int64_t i = 0; i < tensor.numel(); ++i) tensor.at(i) = v += 0.5f;
+  }
+  ASSERT_TRUE(m.LoadStateDict(state, /*strict=*/true).ok());
+  EXPECT_TRUE(m.GetStateDict() == state);
+}
+
 TEST(ModelTest, FlatParamsRoundTrip) {
   Model a = SmallMlp(1);
   Model b = SmallMlp(50);
